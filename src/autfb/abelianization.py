@@ -18,20 +18,13 @@ No floating point anywhere; ranks come from fraction-free elimination.
 from __future__ import annotations
 
 from .freegroup import Signature, Word, cyclic_reduce, gen_word, invert, multiply
+from .freegroup import abelianize as ab_vector
 from .automorphism import NamedAut, apply, is_in_kernel
 from .presentation import s_k_symbols
 
 
 # ---------------------------------------------------------------------------
 # lattice helpers
-
-
-def ab_vector(u: Word):
-    """Exponent-sum vector of a word, indexed by generator code - 1."""
-    out = [0] * u.sig.ngens
-    for g in u.letters:
-        out[abs(g) - 1] += 1 if g > 0 else -1
-    return tuple(out)
 
 
 def ab_matrix(sig: Signature, f: NamedAut):

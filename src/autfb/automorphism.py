@@ -242,11 +242,6 @@ def power(f, m):
     return acc
 
 
-def equals(f, g):
-    """Extensional equality: the image tables agree generator by generator."""
-    return f == g
-
-
 def gen_aut(sig, name):
     """Realize one GenName (with its power) as a NamedAut."""
     if name.kind == "M":

@@ -12,8 +12,10 @@ sums collapse to finite ones over explicitly computed supports.
 
 Conventions recorded in PairingContext: the section sigma multiplies the
 conjugation generators in the fixed order x_1 ... x_n z_1 ... z_l, and
-per-(element, lattice point) conjugated projections are cached on the
-context, keyed by the automorphism's image table.
+each element's invariant I_b is computed once and cached on the context,
+keyed by the automorphism's image table.  Every lattice translate is read
+off that one sum (see _i_b), so zeta_r and the pairing are finite
+correlations of invariants.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from .automorphism import (
     compose,
     gen_aut,
     identity,
-    inverse,
     is_in_autfb_prime,
-    is_in_kernel,
     m_name,
     power,
 )
-from .abelianization import johnson_y
+from .abelianization import _require_kernel, johnson_y
 
 
 class FormalSum:
@@ -149,11 +149,6 @@ def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
     return FormalSum(terms)
 
 
-def _require_kernel(f):
-    if not is_in_kernel(f):
-        raise ValueError("automorphism is not in the kernel")
-
-
 def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
     """Projection of f(s) s^-1; s ranges over the x- and z-generators."""
     _require_kernel(f)
@@ -191,42 +186,46 @@ def hat(ctx: PairingContext, g: NamedAut) -> NamedAut:
     return sigma(ctx, jprime_y(ctx, g))
 
 
-def _drop_to_l(ctx, g):
-    return compose(g, inverse(hat(ctx, g)))
-
-
 def _require_l(ctx, f):
     if not is_in_l(ctx, f):
         raise ValueError("automorphism moves the chosen y-generator")
 
 
+def _i_b(ctx: PairingContext, f: NamedAut) -> FormalSum:
+    """I_b(f), computed once per image table and cached on the context.
+
+    Every lattice translate reads off this one sum by the transport
+    identity I_b(sigma(x) f sigma(x)^-1) = I_b(f).shifted(x), which holds
+    for every kernel f: sigma(x) fixes b and conjugates the chosen y by a
+    y-free word with abelianization x, so each chosen-y letter of
+    f(b) b^-1 moves from lattice point p to p + x.
+    """
+    key = f.key()
+    cached = ctx._twist_cache.get(key)
+    if cached is None:
+        ctx._twist_cache[key] = cached = i_s(ctx, f, ctx.b)
+    return cached
+
+
+def _corr(p: FormalSum, q: FormalSum, d) -> int:
+    """The finite correlation: sum over v of p[v] * q[v - d]."""
+    qt = q.terms
+    return sum(
+        c * qt.get(tuple(a - b for a, b in zip(v, d)), 0) for v, c in p.terms.items()
+    )
+
+
 def alpha(ctx: PairingContext, r: int, f: NamedAut) -> int:
     """Coefficient at the lattice point rA of the b-invariant."""
     _require_l(ctx, f)
-    return i_s(ctx, f, ctx.b).coeff(ctx.scale(r, ctx.A))
-
-
-def _twisted_i_b(ctx, f, x):
-    """I_b of the sigma(x)-transport of f, cached per (image table, x).
-
-    The transport is sigma(x) o f o sigma(x)^-1, which translates the
-    projection's support by +x; evaluating alpha after it realizes the
-    lattice-translated functionals.
-    """
-    key = (f.key(), x)
-    cached = ctx._twist_cache.get(key)
-    if cached is None:
-        s = sigma(ctx, x)
-        conj = compose(compose(s, f), inverse(s))
-        cached = i_s(ctx, conj, ctx.b)
-        ctx._twist_cache[key] = cached
-    return cached
+    return _i_b(ctx, f).coeff(ctx.scale(r, ctx.A))
 
 
 def alpha_twisted(ctx: PairingContext, x, r: int, f: NamedAut) -> int:
     """The lattice translate of alpha: evaluate on the sigma(x) transport."""
     _require_l(ctx, f)
-    return _twisted_i_b(ctx, f, tuple(x)).coeff(ctx.scale(r, ctx.A))
+    rA = ctx.scale(r, ctx.A)
+    return _i_b(ctx, f).coeff(tuple(p - q for p, q in zip(rA, x)))
 
 
 def support_of_twist(ctx: PairingContext, r: int, f: NamedAut):
@@ -234,37 +233,33 @@ def support_of_twist(ctx: PairingContext, r: int, f: NamedAut):
     _require_l(ctx, f)
     rA = ctx.scale(r, ctx.A)
     return frozenset(
-        tuple(p - q for p, q in zip(rA, v)) for v in i_s(ctx, f, ctx.b).support()
+        tuple(p - q for p, q in zip(rA, v)) for v in _i_b(ctx, f).support()
     )
+
+
+def _differences(ctx, g0, g1, g2):
+    """I_b(d1) - I_b(d0) and I_b(d2) - I_b(d1) for the drops d_i into L.
+
+    The drop composes g with hat(g)^-1, which fixes b, so I_b(d) = I_b(g).
+    """
+    i0, i1, i2 = (_i_b(ctx, g) for g in (g0, g1, g2))
+    return i1 - i0, i2 - i1
 
 
 def kappa_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
     """Difference-product cochain, arguments dropped into L by hats."""
-    d0, d1, d2 = (_drop_to_l(ctx, g) for g in (g0, g1, g2))
-    return (alpha(ctx, r, d1) - alpha(ctx, r, d0)) * (
-        alpha(ctx, 0, d2) - alpha(ctx, 0, d1)
-    )
+    p, q = _differences(ctx, g0, g1, g2)
+    return p.coeff(ctx.scale(r, ctx.A)) * q.coeff(ctx.zero)
 
 
 def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
-    """Sum of all lattice translates of kappa; finite by support bounds."""
-    d0, d1, d2 = (_drop_to_l(ctx, g) for g in (g0, g1, g2))
-    xs = (
-        support_of_twist(ctx, r, d0)
-        | support_of_twist(ctx, r, d1)
-        | support_of_twist(ctx, 0, d1)
-        | support_of_twist(ctx, 0, d2)
-    )
-    rA = ctx.scale(r, ctx.A)
-    zero = ctx.zero
-    total = 0
-    for x in xs:
-        t1 = _twisted_i_b(ctx, d1, x).coeff(rA) - _twisted_i_b(ctx, d0, x).coeff(rA)
-        if not t1:
-            continue
-        t2 = _twisted_i_b(ctx, d2, x).coeff(zero) - _twisted_i_b(ctx, d1, x).coeff(zero)
-        total += t1 * t2
-    return total
+    """Sum of all lattice translates of kappa, a finite correlation.
+
+    The translate at x multiplies the first difference at rA - x by the
+    second at -x; summing over x is the correlation at offset rA.
+    """
+    p, q = _differences(ctx, g0, g1, g2)
+    return _corr(p, q, ctx.scale(r, ctx.A))
 
 
 def mu_witnesses(ctx: PairingContext, m: int):
@@ -278,26 +273,19 @@ def mu_witnesses(ctx: PairingContext, m: int):
 
 
 def pairing(ctx: PairingContext, r: int, m: int) -> int:
-    """Evaluation of the r-th averaged class on the m-th abelian cycle."""
+    """Evaluation of the r-th averaged class on the m-th abelian cycle.
+
+    Summed over x, the f_m-translate at rA times the g-translate at 0,
+    minus the same with f_m and g swapped: two correlations at rA.
+    """
     if r < 1 or m < 1:
         raise ValueError("both indices must be positive")
     f_m, g = mu_witnesses(ctx, m)
     for f in (f_m, g):
         _require_l(ctx, f)
-    xs = (
-        support_of_twist(ctx, r, f_m)
-        | support_of_twist(ctx, 0, g)
-        | support_of_twist(ctx, r, g)
-        | support_of_twist(ctx, 0, f_m)
-    )
+    i_f, i_g = _i_b(ctx, f_m), _i_b(ctx, g)
     rA = ctx.scale(r, ctx.A)
-    zero = ctx.zero
-    total = 0
-    for x in xs:
-        total += _twisted_i_b(ctx, f_m, x).coeff(rA) * _twisted_i_b(ctx, g, x).coeff(
-            zero
-        ) - _twisted_i_b(ctx, g, x).coeff(rA) * _twisted_i_b(ctx, f_m, x).coeff(zero)
-    return total
+    return _corr(i_f, i_g, rA) - _corr(i_g, i_f, rA)
 
 
 def independence_witness(ctx: PairingContext, m: int, s: int, t: int):

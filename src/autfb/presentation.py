@@ -1024,25 +1024,15 @@ class Report:
 
 def verify_relations(family, sig):
     """Evaluate every instance of the family; failures are data, not errors."""
-    if family in FAMILY_GROUPS:
-        report = Report()
-        for tag in FAMILY_GROUPS[family]:
-            instances = _SUBFAMILIES[tag](sig)
-            if not instances:
-                report.skip(tag, "no instances at this signature")
-                continue
-            for inst in instances:
-                ok = eval_symbol_word(sig, inst.lhs) == eval_symbol_word(sig, inst.rhs)
-                report.add(inst.family, inst.params, ok)
-        return report
     report = Report()
-    instances = enumerate_relations(family, sig)
-    if not instances:
-        report.skip(family, "no instances at this signature")
-        return report
-    for inst in instances:
-        ok = eval_symbol_word(sig, inst.lhs) == eval_symbol_word(sig, inst.rhs)
-        report.add(inst.family, inst.params, ok)
+    for tag in FAMILY_GROUPS.get(family, (family,)):
+        instances = enumerate_relations(tag, sig)
+        if not instances:
+            report.skip(tag, "no instances at this signature")
+            continue
+        for inst in instances:
+            ok = eval_symbol_word(sig, inst.lhs) == eval_symbol_word(sig, inst.rhs)
+            report.add(inst.family, inst.params, ok)
     return report
 
 

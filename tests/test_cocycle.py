@@ -34,7 +34,6 @@ from autfb import (
     word,
     zeta_eval,
 )
-from autfb.automorphism import equals
 
 S111 = Signature(1, 1, 1)
 S221 = Signature(2, 2, 1)
@@ -175,8 +174,8 @@ def test_jprime_and_membership(ctx111):
 
 
 def test_sigma_is_a_section(ctx111):
-    assert equals(sigma(ctx111, ctx111.zero), identity(S111))
-    assert equals(sigma(ctx111, ctx111.A), con_gen(S111, 2, 1))
+    assert sigma(ctx111, ctx111.zero) == identity(S111)
+    assert sigma(ctx111, ctx111.A) == con_gen(S111, 2, 1)
     rng = random.Random(12)
     for _ in range(40):
         x = tuple(rng.randrange(-3, 4) for _ in ctx111.order)
@@ -185,11 +184,11 @@ def test_sigma_is_a_section(ctx111):
 
 def test_hat_reads_off_the_section_value(ctx111):
     f_m, g = mu_witnesses(ctx111, 1)
-    assert equals(hat(ctx111, f_m), identity(S111))
+    assert hat(ctx111, f_m) == identity(S111)
     c = con_gen(S111, 2, 1)
-    assert equals(hat(ctx111, c), c)
+    assert hat(ctx111, c) == c
     mixed = compose(c, g)
-    assert equals(hat(ctx111, mixed), c)
+    assert hat(ctx111, mixed) == c
 
 
 def _random_kernel(sig, rng, length):
@@ -312,13 +311,102 @@ def test_zeta_is_a_cocycle_in_small_samples(ctx111):
 
 
 # ---------------------------------------------------------------------------
+# the reference route: every translate by explicit composition
+
+
+def _ref_twisted_i_b(ctx, f, x):
+    s = sigma(ctx, x)
+    return i_s(ctx, compose(compose(s, f), inverse(s)), ctx.b)
+
+
+def _ref_support(ctx, r, f):
+    rA = ctx.scale(r, ctx.A)
+    return {tuple(p - q for p, q in zip(rA, v)) for v in i_s(ctx, f, ctx.b).support()}
+
+
+def _ref_zeta(ctx, r, g0, g1, g2):
+    d0, d1, d2 = (compose(g, inverse(hat(ctx, g))) for g in (g0, g1, g2))
+    xs = (
+        _ref_support(ctx, r, d0)
+        | _ref_support(ctx, r, d1)
+        | _ref_support(ctx, 0, d1)
+        | _ref_support(ctx, 0, d2)
+    )
+    rA = ctx.scale(r, ctx.A)
+    total = 0
+    for x in xs:
+        t0, t1, t2 = (_ref_twisted_i_b(ctx, d, x) for d in (d0, d1, d2))
+        zero = ctx.zero
+        total += (t1.coeff(rA) - t0.coeff(rA)) * (t2.coeff(zero) - t1.coeff(zero))
+    return total
+
+
+def _ref_kappa(ctx, r, g0, g1, g2):
+    d0, d1, d2 = (compose(g, inverse(hat(ctx, g))) for g in (g0, g1, g2))
+    rA = ctx.scale(r, ctx.A)
+    i0, i1, i2 = (i_s(ctx, d, ctx.b) for d in (d0, d1, d2))
+    return (i1.coeff(rA) - i0.coeff(rA)) * (i2.coeff(ctx.zero) - i1.coeff(ctx.zero))
+
+
+def _ref_pairing(ctx, r, m):
+    f_m, g = mu_witnesses(ctx, m)
+    xs = (
+        _ref_support(ctx, r, f_m)
+        | _ref_support(ctx, 0, g)
+        | _ref_support(ctx, r, g)
+        | _ref_support(ctx, 0, f_m)
+    )
+    rA = ctx.scale(r, ctx.A)
+    total = 0
+    for x in xs:
+        tf, tg = _ref_twisted_i_b(ctx, f_m, x), _ref_twisted_i_b(ctx, g, x)
+        total += tf.coeff(rA) * tg.coeff(ctx.zero) - tg.coeff(rA) * tf.coeff(ctx.zero)
+    return total
+
+
+@pytest.mark.parametrize("sig, y, a, b", [(S111, 2, 1, 3), (S221, 3, 1, 2)])
+def test_zeta_and_kappa_match_the_composition_route(sig, y, a, b):
+    ctx = PairingContext(sig, y=y, a=a, b=b)
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(30):
+        trip = [_random_kernel(sig, rng, rng.randrange(2, 9)) for _ in range(3)]
+        for g in trip:
+            drop = compose(g, inverse(hat(ctx, g)))
+            assert is_in_l(ctx, drop)
+            assert i_s(ctx, drop, ctx.b) == i_s(ctx, g, ctx.b)
+        for r in range(0, 4):
+            value = zeta_eval(ctx, r, *trip)
+            assert value == _ref_zeta(ctx, r, *trip)
+            assert kappa_eval(ctx, r, *trip) == _ref_kappa(ctx, r, *trip)
+            nonzero += value != 0
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("sig, y, a, b", [(S111, 2, 1, 3), (S221, 3, 1, 2)])
+def test_pairing_matches_the_composition_route(sig, y, a, b):
+    ctx = PairingContext(sig, y=y, a=a, b=b)
+    for r in range(1, 7):
+        for m in range(1, 7):
+            assert pairing(ctx, r, m) == _ref_pairing(ctx, r, m) == 2 * int(r == m)
+
+
+def test_twist_cache_holds_one_entry_per_element():
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    for r in range(1, 7):
+        for m in range(1, 7):
+            pairing(ctx, r, m)
+    assert len(ctx._twist_cache) <= 7
+
+
+# ---------------------------------------------------------------------------
 # witnesses and the pairing
 
 
 def test_witness_pair_commutes(ctx221):
     for m in (1, 3):
         f_m, g = mu_witnesses(ctx221, m)
-        assert equals(compose(f_m, g), compose(g, f_m))
+        assert compose(f_m, g) == compose(g, f_m)
 
 
 def test_pairing_table(ctx111):
