@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 from .freegroup import (
     Word,
+    cyclic_reduce,
     delete_y,
     gen_word,
     invert as invert_word,
-    is_conjugate,
     multiply,
 )
 
@@ -123,7 +123,7 @@ class NamedAut:
 
 
 def _gen_words(sig):
-    return [gen_word(sig, c) for c in sig.gens()]
+    return [Word(sig, (c,), _reduced=True) for c in sig.gens()]
 
 
 def identity(sig):
@@ -217,12 +217,42 @@ def apply(f, u):
     return _apply_table(f.images, u)
 
 
+def _substitute_all(table, words):
+    """[_apply_table(table, w) for w in words], with the reuses that
+    compose describes."""
+    out = []
+    for w in words:
+        lets = w.letters
+        if len(lets) == 1 and lets[0] > 0:
+            out.append(table[lets[0] - 1])
+            continue
+        for c in lets:
+            c = abs(c)
+            if table[c - 1].letters != (c,):
+                out.append(_apply_table(table, w))
+                break
+        else:
+            out.append(w)
+    return out
+
+
 def compose(f, g):
-    """f after g: (f compose g)(s) = f(g(s))."""
+    """f after g: (f compose g)(s) = f(g(s)).
+
+    The images are f's table substituted into each entry of g.images; the
+    inverse images are g's inverse table substituted into each entry of
+    f.inv_images.  Two kinds of entry are reused instead of substituted,
+    and both reuses are exact: an entry that is one positive letter c
+    substitutes to the table's c-th entry, which is already reduced, and
+    an entry whose letters the table all fixes substitutes to itself.
+    When g is an elementary move, every entry of g.images but the moved
+    one is of the first kind, and only the entries of f.inv_images that
+    hold the moved letter can need _apply_table.
+    """
     if f.sig != g.sig:
         raise ValueError(f"signature mismatch: {f.sig} vs {g.sig}")
-    images = [_apply_table(f.images, w) for w in g.images]
-    inv_images = [_apply_table(g.inv_images, w) for w in f.inv_images]
+    images = _substitute_all(f.images, g.images)
+    inv_images = _substitute_all(g.inv_images, f.inv_images)
     return NamedAut(f.sig, f.spelling + g.spelling, images, inv_images)
 
 
@@ -269,7 +299,9 @@ def is_in_autfb(f):
     """Does f fix the conjugacy class of every y and z generator?"""
     sig = f.sig
     for c in list(sig.y_gens()) + list(sig.z_gens()):
-        if not is_conjugate(f.images[c - 1], gen_word(sig, c)):
+        # A word is conjugate to the letter c exactly when its cyclic
+        # core is (c,); no rotation scan is needed.
+        if cyclic_reduce(f.images[c - 1])[0].letters != (c,):
             return False
     return True
 

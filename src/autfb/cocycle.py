@@ -28,6 +28,7 @@ from .automorphism import (
     compose,
     gen_aut,
     identity,
+    inverse,
     is_in_autfb_prime,
     m_name,
     power,
@@ -263,11 +264,16 @@ def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
 
 
 def mu_witnesses(ctx: PairingContext, m: int):
-    """The commuting pair (f_m, g) generating the m-th abelian cycle."""
-    cya = gen_aut(ctx.sig, c_name(ctx.y, ctx.a))
+    """The commuting pair (f_m, g) generating the m-th abelian cycle.
+
+    C[y,a]^m is sigma(mA), cached on the context, and C[y,a]^-m is its
+    inverse, the same two tables swapped, so once sigma(mA) is cached
+    the pair costs three composes.
+    """
+    cya_m = sigma(ctx, ctx.unit(ctx.a, m))
     cay = gen_aut(ctx.sig, c_name(ctx.a, ctx.y))
     cby = gen_aut(ctx.sig, c_name(ctx.b, ctx.y))
-    f_m = compose(compose(power(cya, m), cby), power(cya, -m))
+    f_m = compose(compose(cya_m, cby), inverse(cya_m))
     g = compose(cay, cby)
     return f_m, g
 

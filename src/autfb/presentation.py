@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .automorphism import (
-    GenName,
     c_name,
     compose,
     format_name,
@@ -47,10 +46,14 @@ from .automorphism import (
 
 
 def sym_reduce(letters):
-    """Freely reduce a sequence of GenName letters."""
+    """Freely reduce a sequence of GenName letters.
+
+    Two adjacent letters cancel when their powers are opposite and their
+    first four fields (kind, v, e, w) agree.
+    """
     stack = []
     for s in letters:
-        if stack and stack[-1].base() == s.base() and stack[-1].power == -s.power:
+        if stack and stack[-1].power == -s.power and stack[-1][:4] == s[:4]:
             stack.pop()
         else:
             stack.append(s)
@@ -95,8 +98,10 @@ def _cached_gen_aut(sig, name):
 
 def eval_symbol_word(sig, w):
     """Evaluate a symbol word to an automorphism; leftmost letter last."""
-    acc = identity(sig)
-    for s in w:
+    if not w:
+        return identity(sig)
+    acc = _cached_gen_aut(sig, w[0])
+    for s in w[1:]:
         acc = compose(acc, _cached_gen_aut(sig, s))
     return acc
 
@@ -1408,7 +1413,7 @@ def reduced_sq_words(sig, depth):
         nxt = []
         for w in layer:
             for s in letters:
-                if w and w[-1].base() == s.base() and w[-1].power == -s.power:
+                if w and w[-1].power == -s.power and w[-1][:4] == s[:4]:
                     continue
                 nxt.append(w + (s,))
         words.extend(nxt)

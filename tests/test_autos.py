@@ -18,10 +18,10 @@ from autfb import (
     from_images,
     gen_aut,
     gen_word,
-    i_name,
     identity,
     inv_gen,
     inverse,
+    is_conjugate,
     is_in_autfb,
     is_in_autfb_prime,
     is_in_kernel,
@@ -244,6 +244,54 @@ def test_inverse_from_spelling_reversal(sp):
     f = spelling_aut(SIG, sp)
     assert compose(f, inverse(f)) == identity(SIG)
     assert compose(inverse(f), f) == identity(SIG)
+
+
+# Names that move a y or z letter off its conjugacy class, so that mixed
+# spellings land on both sides of the membership test.
+NON_MEMBERS = (m_name(Y1, 1, X1), m_name(Z2, -1, Y2), m_name(Y2, 1, Z1))
+
+
+def involution(changes):
+    """The automorphism that changes the given entries and is its own inverse."""
+    images = [gen_word(SIG, c) for c in SIG.gens()]
+    for c, text in changes.items():
+        images[c - 1] = w(text)
+    return from_images(SIG, images, images)
+
+
+# Each sends a y or z letter to a single letter other than itself.
+LETTER_MOVES = (
+    involution({Y1: "y1^-1"}),
+    involution({Y1: "y2", Y2: "y1"}),
+    involution({Z1: "y1", Y1: "z1"}),
+)
+
+
+def mixed_spellings(max_len=5):
+    pool = NAME_POOL + list(NON_MEMBERS) * 8
+    return st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))),
+        max_size=max_len,
+    ).map(lambda ps: tuple(n._replace(power=p) for n, p in ps))
+
+
+@settings(max_examples=120)
+@given(mixed_spellings(), st.sampled_from((identity(SIG),) + LETTER_MOVES))
+def test_is_in_autfb_agrees_with_the_rotation_scan(sp, move):
+    f = compose(spelling_aut(SIG, sp), move)
+    expected = all(
+        is_conjugate(f.images[c - 1], gen_word(SIG, c))
+        for c in list(SIG.y_gens()) + list(SIG.z_gens())
+    )
+    assert is_in_autfb(f) == expected
+
+
+def test_is_in_autfb_needs_the_letter_itself_as_cyclic_core():
+    # y1 -> x1 y1 x1^-2, whose cyclic core y1 x1^-1 is not a single letter.
+    assert not is_in_autfb(compose(con_gen(SIG, Y1, X1), mul_gen(SIG, Y1, -1, X1)))
+    for move in LETTER_MOVES:
+        assert not is_in_autfb(move)
+        assert not is_in_autfb(compose(con_gen(SIG, Y2, X1), move))
 
 
 def test_key_distinguishes_image_tables():

@@ -10,6 +10,7 @@ from autfb import (
     Signature,
     alpha,
     alpha_twisted,
+    c_name,
     compose,
     con_gen,
     conjugate,
@@ -27,6 +28,7 @@ from autfb import (
     multiply,
     ny_project,
     pairing,
+    power,
     s_k_symbols,
     sigma,
     support_of_twist,
@@ -389,6 +391,39 @@ def test_pairing_matches_the_composition_route(sig, y, a, b):
     for r in range(1, 7):
         for m in range(1, 7):
             assert pairing(ctx, r, m) == _ref_pairing(ctx, r, m) == 2 * int(r == m)
+
+
+@pytest.mark.parametrize("sig, y, a, b", [(S111, 2, 1, 3), (S221, 3, 1, 2)])
+def test_witnesses_match_linear_powers(sig, y, a, b):
+    ctx = PairingContext(sig, y=y, a=a, b=b)
+    cya = gen_aut(sig, c_name(y, a))
+    cby = gen_aut(sig, c_name(b, y))
+    for m in range(1, 7):
+        f_m, _ = mu_witnesses(ctx, m)
+        ref = compose(compose(power(cya, m), cby), power(cya, -m))
+        assert f_m == ref
+        assert f_m.inv_images == ref.inv_images
+
+
+def test_pairing_table_reuses_its_witness_powers(monkeypatch):
+    import autfb.automorphism as au
+    import autfb.cocycle as co
+
+    calls = [0]
+    real = au.compose
+
+    def counting(f, g):
+        calls[0] += 1
+        return real(f, g)
+
+    monkeypatch.setattr(au, "compose", counting)
+    monkeypatch.setattr(co, "compose", counting)
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    for r in range(1, 25):
+        for m in range(1, 25):
+            assert pairing(ctx, r, m) == 2 * int(r == m)
+    # Rebuilding C[y,a]^m and C[y,a]^-m linearly in every cell took 16,128.
+    assert calls[0] < 16128 // 4
 
 
 def test_twist_cache_holds_one_entry_per_element():

@@ -1,0 +1,138 @@
+"""Incremental compose against the full-substitution reference and an
+independent free-group oracle (sympy.combinatorics.free_groups)."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics.free_groups import free_group
+
+from autfb import (
+    NamedAut,
+    Signature,
+    apply,
+    c_name,
+    compose,
+    gen_aut,
+    identity,
+    inverse,
+    m_name,
+    p_name,
+    i_name,
+    power,
+)
+
+SIGS = (Signature(2, 0, 0), Signature(1, 1, 1), Signature(2, 2, 2))
+
+
+def ref_compose(f, g):
+    """The full-substitution compose: every entry of both tables is
+    substituted, f's table into g.images and g's inverse table into
+    f.inv_images."""
+    images = [apply(f, w) for w in g.images]
+    inv_images = [apply(inverse(g), w) for w in f.inv_images]
+    return NamedAut(f.sig, f.spelling + g.spelling, images, inv_images)
+
+
+def all_names(sig):
+    """Every M, C, P and I name of the signature, with power +1."""
+    codes = list(sig.gens())
+    names = []
+    for v in codes:
+        for w in codes:
+            if v != w:
+                names += [m_name(v, 1, w), m_name(v, -1, w), c_name(v, w)]
+    for i in sig.x_gens():
+        names.append(i_name(i))
+        names += [p_name(i, j) for j in sig.x_gens() if i < j]
+    return names
+
+
+def factors(sig):
+    """An identity factor, one generator to a power, or a short product."""
+    gens = st.builds(
+        lambda name, p: gen_aut(sig, name._replace(power=p)),
+        st.sampled_from(all_names(sig)),
+        st.sampled_from((1, -1)),
+    )
+    powers = st.builds(power, gens, st.integers(-3, 3))
+    products = st.lists(st.one_of(gens, powers), min_size=2, max_size=4).map(
+        lambda fs: _fold(sig, fs)
+    )
+    return st.one_of(st.just(identity(sig)), gens, powers, products)
+
+
+def _fold(sig, fs):
+    acc = identity(sig)
+    for f in fs:
+        acc = ref_compose(acc, f)
+    return acc
+
+
+def pairs():
+    return st.sampled_from(SIGS).flatmap(lambda sig: st.tuples(factors(sig), factors(sig)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs())
+def test_compose_matches_full_substitution(fg):
+    f, g = fg
+    got, ref = compose(f, g), ref_compose(f, g)
+    assert got.images == ref.images
+    assert got.inv_images == ref.inv_images
+    assert got.spelling == ref.spelling
+
+
+def test_compose_reuses_untouched_entries():
+    sig = Signature(2, 2, 2)
+    f = power(gen_aut(sig, c_name(3, 1)), 2)
+    g = gen_aut(sig, m_name(5, 1, 6))
+    h = compose(f, g)
+    for c in sig.gens():
+        if c != 5:
+            assert h.images[c - 1] is f.images[c - 1]
+    # g's one moved entry uses only letters that f fixes.
+    assert h.images[4] is g.images[4]
+    # f's inverse table never mentions the letter g moves.
+    assert all(a is b for a, b in zip(h.inv_images, f.inv_images) if len(b) > 1)
+
+
+def _sympy_group(sig):
+    F, *gens = free_group(", ".join(f"g{c}" for c in sig.gens()))
+    return F, gens
+
+
+def _to_sympy(F, gens, letters):
+    out = F.identity
+    for c in letters:
+        out = out * (gens[c - 1] if c > 0 else gens[-c - 1] ** -1)
+    return out
+
+
+def _substitute(F, gens, table, letters):
+    """A word's image under a table, multiplied out in the sympy group."""
+    out = F.identity
+    for c in letters:
+        img = _to_sympy(F, gens, table[abs(c) - 1].letters)
+        out = out * (img if c > 0 else img**-1)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs())
+def test_compose_agrees_with_the_sympy_free_group(fg):
+    f, g = fg
+    F, gens = _sympy_group(f.sig)
+    h = compose(f, g)
+    for c in f.sig.gens():
+        # h(c) = f(g(c)) and h^-1(c) = g^-1(f^-1(c)), each multiplied out
+        # by sympy's own reduction.
+        g_c = g.images[c - 1].letters
+        assert _to_sympy(F, gens, h.images[c - 1].letters) == _substitute(
+            F, gens, f.images, g_c
+        )
+        fi_c = f.inv_images[c - 1].letters
+        assert _to_sympy(F, gens, h.inv_images[c - 1].letters) == _substitute(
+            F, gens, g.inv_images, fi_c
+        )
+        # The two tables are mutually inverse.
+        assert _substitute(F, gens, h.images, h.inv_images[c - 1].letters) == gens[c - 1]
+

@@ -1,0 +1,47 @@
+"""Every imported name is read somewhere in its module.
+
+Scans src/autfb/*.py and tests/*.py with the standard-library ast module.
+The package's __init__.py is skipped: its imports are the public
+re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    p for p in (ROOT / "src" / "autfb").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source):
+    """(line, name) for each name bound by an import and never read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "from os import path, sep\nimport json\nprint(sep)\n"
+    assert unused_imports(source) == [(1, "path"), (2, "json")]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

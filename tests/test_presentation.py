@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autfb import (
     RelationInstance,
@@ -18,7 +20,6 @@ from autfb import (
     gen_aut,
     i_name,
     identity,
-    inverse,
     lpres_expand,
     m_name,
     mul_gen,
@@ -89,6 +90,43 @@ def test_sym_reduce_cancels_power_pairs():
     assert sym_reduce((a, a.inv(), b)) == (b,)
     assert sym_reduce(()) == ()
     assert sym_mul((a,), (a.inv(),), (b,)) == (b,)
+
+
+def ref_sym_reduce(letters):
+    """Free reduction that compares letters through GenName.base()."""
+    stack = []
+    for s in letters:
+        if stack and stack[-1].base() == s.base() and stack[-1].power == -s.power:
+            stack.pop()
+        else:
+            stack.append(s)
+    return tuple(stack)
+
+
+# For each of the fields kind, v, e and w, two names that differ in that
+# field alone, so a comparison that skipped a field would cancel letters it
+# must keep.
+NEAR_NAMES = (
+    m_name(1, 1, 3),
+    m_name(1, -1, 3),
+    m_name(1, 1, 2),
+    c_name(1, 2),
+    p_name(1, 2),
+    i_name(1),
+    i_name(2),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(NEAR_NAMES), st.sampled_from((1, -1))),
+        max_size=24,
+    )
+)
+def test_sym_reduce_matches_the_base_reference(pairs):
+    letters = tuple(n._replace(power=p) for n, p in pairs)
+    assert sym_reduce(letters) == ref_sym_reduce(letters)
 
 
 def test_sym_inv_pow_conj_comm():

@@ -12,7 +12,6 @@ from autfb import (
     cyclic_reduce,
     delete_y,
     format_word,
-    gen_word,
     invert,
     is_conjugate,
     multiply,
