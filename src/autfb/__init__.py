@@ -32,6 +32,7 @@ from .freegroup import (
     word,
 )
 from .automorphism import (
+    ClaimFailedError,
     GenName,
     NamedAut,
     NotInAutFBError,
@@ -80,6 +81,7 @@ from .presentation import (
     sym_mul,
     sym_pow,
     sym_reduce,
+    symbol_images,
     table5_rows,
     verify_action_consistency,
     verify_relations,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .freegroup import Signature, Word, cyclic_reduce, gen_word, invert, multiply
 from .freegroup import abelianize as ab_vector
-from .automorphism import NamedAut, apply, is_in_kernel
+from .automorphism import ClaimFailedError, NamedAut, apply, is_in_kernel
 from .presentation import s_k_symbols
 
 
@@ -183,7 +183,7 @@ def _conjugating_word(sig, f, c):
     img = apply(f, gen_word(sig, c))
     core, conj = cyclic_reduce(img)
     if core != gen_word(sig, c):
-        raise AssertionError(f"image of letter {c} is not a conjugate of it")
+        raise ClaimFailedError(f"image of letter {c} is not a conjugate of it")
     return conj
 
 

@@ -19,6 +19,7 @@ images.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import NamedTuple
 
@@ -34,6 +35,14 @@ from .freegroup import (
 
 class NotInAutFBError(ValueError):
     """Raised when an operation needs a boundary-preserving automorphism."""
+
+
+class ClaimFailedError(RuntimeError):
+    """Raised when a claim the package proves by computation turns out false.
+
+    Such a failure is a defect in the package, not bad input, so it is
+    not a ValueError.
+    """
 
 
 class GenName(NamedTuple):
@@ -200,7 +209,7 @@ def _apply_table(table, u):
     for c in u.letters:
         img = table[abs(c) - 1].letters
         if c < 0:
-            img = tuple(-d for d in reversed(img))
+            img = map(operator.neg, reversed(img))
         for d in img:
             if out and out[-1] == -d:
                 out.pop()
@@ -263,12 +272,17 @@ def inverse(f):
 
 
 def power(f, m):
-    """f^m for any integer m, by repeated composition."""
+    """f^m for any integer m, by repeated squaring: about 2 log2|m|
+    composes.  The spelling is f's spelling repeated |m| times."""
     if m < 0:
         return power(inverse(f), -m)
     acc = identity(f.sig)
-    for _ in range(m):
-        acc = compose(acc, f)
+    while m:
+        if m & 1:
+            acc = compose(acc, f)
+        m >>= 1
+        if m:
+            f = compose(f, f)
     return acc
 
 

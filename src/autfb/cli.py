@@ -15,7 +15,13 @@ import sys
 import click
 
 from .freegroup import Signature
-from .automorphism import NotInAutFBError, identity, parse_spelling, spelling_aut
+from .automorphism import (
+    ClaimFailedError,
+    NotInAutFBError,
+    identity,
+    parse_spelling,
+    spelling_aut,
+)
 from . import abelianization as ab
 from . import cocycle as co
 from . import presentation as pr
@@ -174,6 +180,9 @@ def johnson(n, k, l, fmt, aut_text, word_file):
                 click.echo(f"J[{sig.letter_name(c)}]\t{cells}")
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    except ClaimFailedError as exc:
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(1)
     sys.exit(0)
 
 
@@ -258,10 +267,10 @@ def expand(n, k, l, fmt, depth):
         raise click.UsageError("--depth must be >= 0")
     words = pr.lpres_expand(sig, depth)
     sound = True
-    idt = identity(sig)
+    idt = identity(sig).images
     for w in words:
         click.echo(pr.format_symbols(sig, w))
-        if pr.eval_symbol_word(sig, w) != idt:
+        if pr.symbol_images(sig, w) != idt:
             sound = False
     status = "PASS" if sound else "FAIL"
     click.echo(f"# relations\t{len(words)}\tall-identity\t{status}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .freegroup import Signature, Word, delete_y, gen_word, invert, multiply
 from .automorphism import (
+    ClaimFailedError,
     NamedAut,
     apply,
     c_name,
@@ -315,9 +316,9 @@ def independence_witness(ctx: PairingContext, m: int, s: int, t: int):
         compose(power(cyt, m), gen_aut(sig, m_name(s, 1, ctx.y))), power(cyt, -m)
     )
     if not is_in_autfb_prime(h_m):
-        raise AssertionError("witness fails to fix the boundary letters")
+        raise ClaimFailedError("witness fails to fix the boundary letters")
     value = i_s(ctx, h_m, s)
     expected = FormalSum.point(ctx.unit(t, m))
     if value != expected:
-        raise AssertionError("witness invariant is not the expected basis point")
+        raise ClaimFailedError("witness invariant is not the expected basis point")
     return h_m, value

@@ -20,7 +20,12 @@ verified by evaluating both sides to concrete automorphisms.
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
-arbitrarily deep relation layers (lpres_expand).
+arbitrarily deep relation layers (lpres_expand).  The expansion codes S_K
+symbols as signed integers, tabulates action_f once per S_Q letter and
+signature, and memoises by suffix: the relators of t w' are t's table
+substituted into those of w', one _apply_table per word and seed.  A
+relator is proved trivial from its forward image table alone
+(symbol_images); eval_symbol_word builds both tables of a NamedAut.
 """
 
 from __future__ import annotations
@@ -28,13 +33,15 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from .freegroup import Signature, Word
 from .automorphism import (
+    _apply_table,
+    _substitute_all,
     c_name,
     compose,
     format_name,
     gen_aut,
     identity,
-    inverse,
     m_name,
     p_name,
     i_name,
@@ -104,6 +111,21 @@ def eval_symbol_word(sig, w):
     for s in w[1:]:
         acc = compose(acc, _cached_gen_aut(sig, s))
     return acc
+
+
+def symbol_images(sig, w):
+    """eval_symbol_word(sig, w).images, without the inverse table.
+
+    A check that compares a symbol word with another, or with the
+    identity, reads only the forward images, so it need not build the
+    inverse table that compose keeps beside them.
+    """
+    if not w:
+        return identity(sig).images
+    acc = _cached_gen_aut(sig, w[0]).images
+    for s in w[1:]:
+        acc = _substitute_all(acc, _cached_gen_aut(sig, s).images)
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1058,7 @@ def verify_relations(family, sig):
             report.skip(tag, "no instances at this signature")
             continue
         for inst in instances:
-            ok = eval_symbol_word(sig, inst.lhs) == eval_symbol_word(sig, inst.rhs)
+            ok = symbol_images(sig, inst.lhs) == symbol_images(sig, inst.rhs)
             report.add(inst.family, inst.params, ok)
     return report
 
@@ -1167,12 +1189,10 @@ def verify_action_consistency(sig):
     for q in syms_q:
         for pw in (1, -1):
             t = q._replace(power=pw)
-            t_aut = eval_symbol_word(sig, (t,))
-            t_inv_aut = inverse(t_aut)
             for s in syms_k:
                 word = action_f(sig, t, s)
-                lhs = eval_symbol_word(sig, word)
-                rhs = compose(compose(t_aut, _cached_gen_aut(sig, s)), t_inv_aut)
+                lhs = symbol_images(sig, word)
+                rhs = symbol_images(sig, (t, s, t.inv()))
                 params = f"t={format_name(sig, t)},s={format_name(sig, s)}"
                 report.add("action", params, lhs == rhs)
                 back = action_extend(sig, (t.inv(),), word)
@@ -1426,6 +1446,14 @@ def lpres_expand(sig, depth):
 
     Returns the deduplicated list of relator words over S_K, in first-seen
     order; depth 0 is exactly the seed set written as lhs rhs^-1.
+
+    The S_K symbol i of s_k_symbols(sig) is coded +-(i+1), so a word over
+    S_K is a Word on len(S_K) free letters.  The action of each S_Q letter
+    t is tabulated once, as the coded action_f images of the S_K symbols.
+    Acting by w = t w' is acting by w' and then by t, and reduced_sq_words
+    lists w' before w, so the relators of w are the table of t substituted
+    into the stored relators of w'; only words shorter than depth are
+    stored.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1433,12 +1461,31 @@ def lpres_expand(sig, depth):
         sym_mul(inst.lhs, sym_inv(inst.rhs))
         for inst in enumerate_relations("rk", sig)
     ]
+    if not seeds:  # S_K may then be empty, and a Signature needs a letter
+        return []
+    syms = s_k_symbols(sig)
+    code = {s: i + 1 for i, s in enumerate(syms)}
+    decode = {}
+    for s, i in code.items():
+        decode[i], decode[-i] = s, s.inv()
+    ksig = Signature(len(syms), 0, 0)
+
+    def encode(u):
+        return Word(ksig, [code[s.base()] * s.power for s in u])
+
+    table = {t: [encode(action_f(sig, t, s)) for s in syms] for t in _sq_letters(sig)}
+    stored = {}
     seen = set()
     out = []
     for w in reduced_sq_words(sig, depth):
-        for r in seeds:
-            v = action_extend(sig, w, r)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
+        if w:
+            rels = [_apply_table(table[w[0]], r) for r in stored[w[1:]]]
+        else:
+            rels = [encode(r) for r in seeds]
+        if len(w) < depth:
+            stored[w] = rels
+        for r in rels:
+            if r.letters not in seen:
+                seen.add(r.letters)
+                out.append(r.letters)
+    return [tuple(decode[c] for c in v) for v in out]

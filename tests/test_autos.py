@@ -121,6 +121,28 @@ def test_power_matches_repeated_composition():
     assert power(f, 0) == identity(SIG)
 
 
+def _power_by_repeated_composition(f, m):
+    """The reference power: |m| composes, one factor at a time."""
+    if m < 0:
+        return _power_by_repeated_composition(inverse(f), -m)
+    acc = identity(f.sig)
+    for _ in range(m):
+        acc = compose(acc, f)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "text", ["C[y1,x1]", "M[x1^+1,y1] C[z1,x2]^-1", "P[1,2] M[x2^-1,z1] I[1]"]
+)
+def test_power_matches_the_linear_reference(text):
+    f = parse_aut(SIG, text)
+    for m in range(-8, 9):
+        got, want = power(f, m), _power_by_repeated_composition(f, m)
+        assert got.images == want.images
+        assert got.inv_images == want.inv_images
+        assert got.spelling == want.spelling
+
+
 def test_from_images_checks_inverse_tables():
     images = [gen_word(SIG, c) for c in SIG.gens()]
     inv_images = [gen_word(SIG, c) for c in SIG.gens()]

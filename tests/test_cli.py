@@ -1,8 +1,18 @@
 """Batch front end: frozen outputs, exit codes, byte determinism."""
 
+import hashlib
+import json
+import os
+
+import pytest
 from click.testing import CliRunner
 
+import autfb.abelianization as abelianization
+import autfb.presentation as presentation
+from autfb import gen_word, m_name
 from autfb.cli import main
+
+DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
 
 runner = CliRunner()
 
@@ -143,6 +153,18 @@ def test_johnson_usage_errors(tmp_path):
     assert bad.exit_code == 2
 
 
+def test_johnson_failed_claim_exits_one(monkeypatch):
+    # Report every image as a conjugate of the wrong letter, so the claim
+    # that a kernel element conjugates each y-letter fails.
+    monkeypatch.setattr(abelianization, "cyclic_reduce", lambda w: (gen_word(w.sig, 1), w))
+    res = runner.invoke(
+        main,
+        ["johnson", "--n", "1", "--k", "1", "--l", "1", "--aut", "M[x1^+1,y1]"],
+    )
+    assert res.exit_code == 1
+    assert "is not a conjugate" in _err(res)
+
+
 def test_pairing_small_table():
     args = ["pairing", "--n", "1", "--k", "1", "--l", "1", "--rmax", "2", "--mmax", "2"]
     res = runner.invoke(main, args)
@@ -213,6 +235,33 @@ def test_expand_depth_one_count():
     lines = res.output.splitlines()
     assert len(lines) == 39
     assert lines[-1] == "# relations\t38\tall-identity\tPASS"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", "3"],
+        ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"],
+    ],
+)
+def test_expand_output_matches_the_recorded_digest(args):
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)[" ".join(args)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == want
+
+
+def test_expand_fails_on_a_nontrivial_relator(monkeypatch):
+    monkeypatch.setattr(presentation, "lpres_expand", lambda sig, depth: [(m_name(1, 1, 2),)])
+    res = runner.invoke(
+        main, ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", "0"]
+    )
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "M[x1^+1,y1]",
+        "# relations\t1\tall-identity\tFAIL",
+    ]
 
 
 def test_expand_rejects_negative_depth():

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import autfb.cocycle as cocycle
 from autfb import (
+    ClaimFailedError,
     FormalSum,
     PairingContext,
     Signature,
@@ -473,3 +475,14 @@ def test_prime_witness_validation(ctx111):
         independence_witness(ctx111, 1, s=1, t=2)  # y conjugator
     with pytest.raises(ValueError):
         independence_witness(ctx111, -1, s=1, t=3)
+
+
+def test_prime_witness_failed_claims_raise_a_typed_error(ctx111, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cocycle, "is_in_autfb_prime", lambda f: False)
+        with pytest.raises(ClaimFailedError, match="boundary letters"):
+            independence_witness(ctx111, 2, s=1, t=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(cocycle, "i_s", lambda ctx, f, s: FormalSum())
+        with pytest.raises(ClaimFailedError, match="basis point"):
+            independence_witness(ctx111, 2, s=1, t=3)

@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autfb.presentation as presentation
 from autfb import (
     RelationInstance,
     Report,
@@ -35,6 +36,7 @@ from autfb import (
     sym_mul,
     sym_pow,
     sym_reduce,
+    symbol_images,
     verify_action_consistency,
     verify_relations,
     verify_table5,
@@ -137,6 +139,32 @@ def test_sym_inv_pow_conj_comm():
     assert sym_pow((a,), -2) == (a.inv(), a.inv())
     assert sym_conj((a,), (b,)) == (b, a, b.inv())
     assert sym_comm((a,), (b,)) == (a, b, a.inv(), b.inv())
+
+
+SYMBOL_POOL = {
+    sig: [
+        s._replace(power=p)
+        for s in s_q_symbols(sig) + s_k_symbols(sig)
+        for p in (1, -1)
+    ]
+    for sig in (S111, S222)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((S111, S222)).flatmap(
+        lambda sig: st.tuples(
+            st.just(sig), st.lists(st.sampled_from(SYMBOL_POOL[sig]), max_size=8)
+        )
+    )
+)
+@example((S111, []))
+@example((S222, []))
+def test_symbol_images_are_the_forward_table(case):
+    sig, letters = case
+    w = tuple(letters)
+    assert symbol_images(sig, w) == eval_symbol_word(sig, w).images
 
 
 def test_eval_symbol_word_instances():
@@ -453,6 +481,53 @@ def test_expansion_output_evaluates_trivially():
     idt = identity(S111)
     for rel in lpres_expand(S111, 1):
         assert eval_symbol_word(S111, rel) == idt
+
+
+def _expand_by_action_extend(sig, depth):
+    """The reference expansion: the whole action chain per S_Q word."""
+    seeds = [sym_mul(i.lhs, sym_inv(i.rhs)) for i in enumerate_relations("rk", sig)]
+    seen = set()
+    out = []
+    for w in reduced_sq_words(sig, depth):
+        for r in seeds:
+            v = action_extend(sig, w, r)
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "sig,depth",
+    [(S111, d) for d in range(4)]
+    + [(Signature(1, 2, 1), d) for d in range(3)]
+    + [(Signature(2, 1, 1), d) for d in range(3)]
+    + [(S222, 1), (Signature(2, 0, 1), 2)],
+)
+def test_expansion_matches_the_action_extend_reference(sig, depth):
+    assert lpres_expand(sig, depth) == _expand_by_action_extend(sig, depth)
+
+
+@pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1)])
+def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
+    calls = {"action_f": 0, "_apply_table": 0}
+
+    def counted(name):
+        original = getattr(presentation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(presentation, name, wrapper)
+
+    counted("action_f")
+    counted("_apply_table")
+    lpres_expand(sig, depth)
+    seeds = enumerate_relations("rk", sig)
+    words = reduced_sq_words(sig, depth)
+    assert calls["action_f"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
+    assert calls["_apply_table"] == (len(words) - 1) * len(seeds)
 
 
 def test_expansion_rejects_negative_depth():
