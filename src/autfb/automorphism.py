@@ -61,11 +61,13 @@ class GenName(NamedTuple):
     w: int
     power: int
 
+    # Both build the tuple directly: _replace goes through _make and a
+    # keyword map, several times slower on the symbol-word hot paths.
     def base(self):
-        return self._replace(power=1)
+        return tuple.__new__(GenName, self[:4] + (1,))
 
     def inv(self):
-        return self._replace(power=-self.power)
+        return tuple.__new__(GenName, self[:4] + (-self.power,))
 
 
 def m_name(v, e, w, power=1):

@@ -18,6 +18,7 @@ from .freegroup import Signature
 from .automorphism import (
     ClaimFailedError,
     NotInAutFBError,
+    format_name,
     identity,
     parse_spelling,
     spelling_aut,
@@ -113,10 +114,8 @@ def verify(family, n, k, l, fmt, summary):
     """Run one verification family and report PASS/FAIL per instance."""
     sig = _signature(n, k, l)
     if family in ("action-table", "inverse-property"):
-        full = pr.verify_action_consistency(sig)
         keep = "action" if family == "action-table" else "inverse"
-        report = pr.Report()
-        report.lines = [ln for ln in full.lines if ln[0] in (keep,) or ln[2] == "SKIP"]
+        report = pr.verify_action_consistency(sig, (keep,))
     elif family == "table5":
         report = pr.verify_table5(sig)
     else:
@@ -266,10 +265,14 @@ def expand(n, k, l, fmt, depth):
     if depth < 0:
         raise click.UsageError("--depth must be >= 0")
     words = pr.lpres_expand(sig, depth)
+    names = {}
+    for s in pr.s_k_symbols(sig):
+        for u in (s, s.inv()):
+            names[u] = format_name(sig, u)
     sound = True
     idt = identity(sig).images
     for w in words:
-        click.echo(pr.format_symbols(sig, w))
+        click.echo(" ".join(names[u] for u in w))
         if pr.symbol_images(sig, w) != idt:
             sound = False
     status = "PASS" if sound else "FAIL"

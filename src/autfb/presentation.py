@@ -20,12 +20,23 @@ verified by evaluating both sides to concrete automorphisms.
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
-arbitrarily deep relation layers (lpres_expand).  The expansion codes S_K
-symbols as signed integers, tabulates action_f once per S_Q letter and
-signature, and memoises by suffix: the relators of t w' are t's table
-substituted into those of w', one _apply_table per word and seed.  A
-relator is proved trivial from its forward image table alone
-(symbol_images); eval_symbol_word builds both tables of a NamedAut.
+arbitrarily deep relation layers (lpres_expand).
+
+_action_table is the one home of the S_K integer coding (symbol i of
+s_k_symbols as +-(i+1)) and of the tabulated action: action_f runs once
+per (S_Q letter, S_K symbol), and acting by one letter on a coded word is
+one _apply_table step.  Three checks read that table:
+
+    lpres_expand               memoises by suffix: the relators of t w'
+                               are t's table substituted into those of w'
+    verify_action_consistency  the "action" line evaluates each entry; the
+                               "inverse" line undoes it by t^-1's table
+    verify_table5              both orders of two letters, one step each
+
+action_letter and action_extend act on GenName words without the table;
+they stay as the public, per-call route.  A relator is proved trivial from
+its forward image table alone (symbol_images); eval_symbol_word builds
+both tables of a NamedAut.
 """
 
 from __future__ import annotations
@@ -33,9 +44,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .freegroup import Signature, Word
+from .freegroup import Signature, Word, invert, multiply
 from .automorphism import (
     _apply_table,
+    _gen_words,
     _substitute_all,
     c_name,
     compose,
@@ -121,7 +133,7 @@ def symbol_images(sig, w):
     inverse table that compose keeps beside them.
     """
     if not w:
-        return identity(sig).images
+        return tuple(_gen_words(sig))
     acc = _cached_gen_aut(sig, w[0]).images
     for s in w[1:]:
         acc = _substitute_all(acc, _cached_gen_aut(sig, s).images)
@@ -1173,30 +1185,71 @@ def action_extend(sig, w, u):
     return u
 
 
-def verify_action_consistency(sig):
+def _action_table(sig, letters):
+    """The action of the given S_Q letters on S_K, on integer codes.
+
+    S_K symbol i of s_k_symbols(sig) is coded +-(i+1), so a word over S_K
+    is a Word on len(S_K) free letters (S_K must not be empty).  Returns
+    (encode, decode, table): encode codes a symbol word, decode maps a
+    sequence of codes back to one, and table[t][i] is the coded
+    action_f(sig, t, s_i).  action_f, and so its validation, runs once per
+    (letter, symbol) pair; acting by t on a coded word u is then
+    _apply_table(table[t], u), because the action is a homomorphism in u.
+    """
+    syms = s_k_symbols(sig)
+    code = {}
+    names = {}
+    for i, s in enumerate(syms, 1):
+        code[s], code[s.inv()] = i, -i
+        names[i], names[-i] = s, s.inv()
+    ksig = Signature(len(syms), 0, 0)
+
+    def encode(u):
+        return Word(ksig, [code[s] for s in u])
+
+    def decode(codes):
+        return tuple(names[c] for c in codes)
+
+    table = {t: [encode(action_f(sig, t, s)) for s in syms] for t in letters}
+    return encode, decode, table
+
+
+ACTION_FAMILIES = ("action", "inverse")
+
+
+def verify_action_consistency(sig, families=ACTION_FAMILIES):
     """Ground truth for the rewriting table, in both senses.
 
     For every S_Q letter t and S_K symbol s: the rewritten word evaluates
-    to the concrete conjugate t s t^-1, and acting by t^-1 undoes acting
-    by t as words over S_K.
+    to the concrete conjugate t s t^-1 ("action"), and acting by t^-1
+    undoes acting by t as words over S_K ("inverse"), checked formally on
+    the coded table.  Only the requested families are reported, in the
+    order given for each (t, s).
     """
+    unknown = set(families) - set(ACTION_FAMILIES)
+    if unknown:
+        raise ValueError(f"unknown action families {sorted(unknown)}")
     report = Report()
-    syms_q = s_q_symbols(sig)
+    letters = _sq_letters(sig)
     syms_k = s_k_symbols(sig)
-    if not syms_q or not syms_k:
+    if not letters or not syms_k:
         report.skip("action", "alphabet empty at this signature")
         return report
-    for q in syms_q:
-        for pw in (1, -1):
-            t = q._replace(power=pw)
-            for s in syms_k:
-                word = action_f(sig, t, s)
-                lhs = symbol_images(sig, word)
-                rhs = symbol_images(sig, (t, s, t.inv()))
-                params = f"t={format_name(sig, t)},s={format_name(sig, s)}"
-                report.add("action", params, lhs == rhs)
-                back = action_extend(sig, (t.inv(),), word)
-                report.add("inverse", params, back == (s,))
+    _, decode, table = _action_table(sig, letters)
+    k_names = [format_name(sig, s) for s in syms_k]
+    for t in letters:
+        t_name = format_name(sig, t)
+        t_inv = t.inv()
+        for i, s in enumerate(syms_k):
+            word = table[t][i]
+            params = f"t={t_name},s={k_names[i]}"
+            for family in families:
+                if family == "action":
+                    lhs = symbol_images(sig, decode(word))
+                    ok = lhs == symbol_images(sig, (t, s, t_inv))
+                else:
+                    ok = _apply_table(table[t_inv], word).letters == (i + 1,)
+                report.add(family, params, ok)
     return report
 
 
@@ -1345,18 +1398,24 @@ def table5_rows(sig):
 
 
 def verify_table5(sig):
-    """Check f(t2 t1, s)^-1 f(t1 t2, s) against the tabulated residues."""
+    """Check f(t2 t1, s)^-1 f(t1 t2, s) against the tabulated residues.
+
+    The comparison is on coded words over S_K, through the action table
+    of the S_Q letters the rows use.
+    """
     report = Report()
     rows = table5_rows(sig)
     if not rows:
         report.skip("table5", "no instances at this signature")
         return report
+    letters = dict.fromkeys(t for row in rows for t in row[2:4])
+    encode, _, table = _action_table(sig, letters)
     for row, params, t1, t2, s, expected in rows:
-        got = sym_mul(
-            sym_inv(action_extend(sig, (t2, t1), (s,))),
-            action_extend(sig, (t1, t2), (s,)),
-        )
-        report.add(f"table5.{row}", params, got == expected)
+        (c,) = encode((s,)).letters
+        t2_t1_s = _apply_table(table[t2], table[t1][c - 1])
+        t1_t2_s = _apply_table(table[t1], table[t2][c - 1])
+        got = multiply(invert(t2_t1_s), t1_t2_s)
+        report.add(f"table5.{row}", params, got == encode(expected))
     return report
 
 
@@ -1447,13 +1506,10 @@ def lpres_expand(sig, depth):
     Returns the deduplicated list of relator words over S_K, in first-seen
     order; depth 0 is exactly the seed set written as lhs rhs^-1.
 
-    The S_K symbol i of s_k_symbols(sig) is coded +-(i+1), so a word over
-    S_K is a Word on len(S_K) free letters.  The action of each S_Q letter
-    t is tabulated once, as the coded action_f images of the S_K symbols.
-    Acting by w = t w' is acting by w' and then by t, and reduced_sq_words
-    lists w' before w, so the relators of w are the table of t substituted
-    into the stored relators of w'; only words shorter than depth are
-    stored.
+    The relators are coded words over S_K (_action_table).  Acting by
+    w = t w' is acting by w' and then by t, and reduced_sq_words lists w'
+    before w, so the relators of w are the table of t substituted into
+    the stored relators of w'; only words shorter than depth are stored.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1463,17 +1519,7 @@ def lpres_expand(sig, depth):
     ]
     if not seeds:  # S_K may then be empty, and a Signature needs a letter
         return []
-    syms = s_k_symbols(sig)
-    code = {s: i + 1 for i, s in enumerate(syms)}
-    decode = {}
-    for s, i in code.items():
-        decode[i], decode[-i] = s, s.inv()
-    ksig = Signature(len(syms), 0, 0)
-
-    def encode(u):
-        return Word(ksig, [code[s.base()] * s.power for s in u])
-
-    table = {t: [encode(action_f(sig, t, s)) for s in syms] for t in _sq_letters(sig)}
+    encode, decode, table = _action_table(sig, _sq_letters(sig))
     stored = {}
     seen = set()
     out = []
@@ -1488,4 +1534,4 @@ def lpres_expand(sig, depth):
             if r.letters not in seen:
                 seen.add(r.letters)
                 out.append(r.letters)
-    return [tuple(decode[c] for c in v) for v in out]
+    return [decode(v) for v in out]

@@ -85,6 +85,28 @@ def test_verify_action_filter_keeps_one_direction():
     assert all(ln.split("\t")[0] == "action" for ln in lines[:-1])
 
 
+def test_verify_inverse_property_tabulates_the_action_once(monkeypatch):
+    calls = {"action_f": 0, "action_extend": 0}
+
+    def counted(name):
+        original = getattr(presentation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(presentation, name, wrapper)
+
+    counted("action_f")
+    counted("action_extend")
+    res = runner.invoke(
+        main, ["verify", "inverse-property", "--n", "2", "--k", "2", "--l", "2"]
+    )
+    assert res.exit_code == 0
+    # 42 S_Q letters (21 symbols at either power) times 22 S_K symbols.
+    assert calls == {"action_f": 42 * 22, "action_extend": 0}
+
+
 def test_verify_rejects_unknown_family():
     res = runner.invoke(main, ["verify", "qx"])
     assert res.exit_code == 2
@@ -237,11 +259,20 @@ def test_expand_depth_one_count():
     assert lines[-1] == "# relations\t38\tall-identity\tPASS"
 
 
+# The signatures at which the benchmark's verify-grid records digests.
+DIGEST_SIGS = ((2, 0, 0), (3, 0, 0), (4, 0, 0), (1, 1, 2), (3, 1, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2))
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", "3"],
         ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"],
+    ]
+    + [
+        ["verify", family, "--n", str(n), "--k", str(k), "--l", str(l)]
+        for family in ("action-table", "inverse-property", "table5")
+        for n, k, l in DIGEST_SIGS
     ],
 )
 def test_expand_output_matches_the_recorded_digest(args):

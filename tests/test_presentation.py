@@ -18,6 +18,7 @@ from autfb import (
     disjointness_conditions,
     enumerate_relations,
     eval_symbol_word,
+    format_name,
     gen_aut,
     i_name,
     identity,
@@ -328,12 +329,106 @@ def test_action_consistency_small_signatures():
     assert rep.counts == {"PASS": 32, "FAIL": 0, "SKIP": 0}
 
 
+def _action_consistency_by_action_extend(sig):
+    """The reference report: one action_f per pair, undone by action_extend
+    on GenName words.  It reads presentation.action_f at call time, so a
+    monkeypatched action_f reaches it as it reaches the tabulated route."""
+    report = Report()
+    syms_q, syms_k = s_q_symbols(sig), s_k_symbols(sig)
+    if not syms_q or not syms_k:
+        report.skip("action", "alphabet empty at this signature")
+        return report
+    for q in syms_q:
+        for pw in (1, -1):
+            t = q._replace(power=pw)
+            for s in syms_k:
+                word = presentation.action_f(sig, t, s)
+                params = f"t={format_name(sig, t)},s={format_name(sig, s)}"
+                ok = symbol_images(sig, word) == symbol_images(sig, (t, s, t.inv()))
+                report.add("action", params, ok)
+                back = action_extend(sig, (t.inv(),), word)
+                report.add("inverse", params, back == (s,))
+    return report
+
+
+def _table5_by_action_extend(sig):
+    """The reference residue check: both orders through action_extend."""
+    report = Report()
+    rows = presentation.table5_rows(sig)
+    if not rows:
+        report.skip("table5", "no instances at this signature")
+        return report
+    for row, params, t1, t2, s, expected in rows:
+        got = sym_mul(
+            sym_inv(action_extend(sig, (t2, t1), (s,))),
+            action_extend(sig, (t1, t2), (s,)),
+        )
+        report.add(f"table5.{row}", params, got == expected)
+    return report
+
+
+def _assert_action_checks_match_the_reference(sig):
+    """Compare line by line; return the action pair's and table5's reports."""
+    ref = _action_consistency_by_action_extend(sig)
+    rep = verify_action_consistency(sig)
+    assert rep.lines == ref.lines, sig
+    for family in ("action", "inverse"):
+        want = [ln for ln in ref.lines if ln[0] == family or ln[2] == "SKIP"]
+        assert verify_action_consistency(sig, (family,)).lines == want, (sig, family)
+    residues = verify_table5(sig)
+    assert residues.lines == _table5_by_action_extend(sig).lines, sig
+    return rep, residues
+
+
 def test_action_consistency_sweep():
     for n in range(0, 4):
         for k in range(1, 4):
             for l in range(0, 4):
-                rep = verify_action_consistency(Signature(n, k, l))
+                rep, residues = _assert_action_checks_match_the_reference(Signature(n, k, l))
                 assert rep.all_passed, (n, k, l)
+                assert residues.all_passed, (n, k, l)
+
+
+def test_action_consistency_skips_an_empty_alphabet_for_each_family():
+    skip = [("action", "alphabet empty at this signature", "SKIP")]
+    for families in (("action",), ("inverse",), ("action", "inverse")):
+        assert verify_action_consistency(Signature(2, 0, 0), families).lines == skip
+    with pytest.raises(ValueError):
+        verify_action_consistency(S111, ("actoin",))
+
+
+def _corrupt_one_pair(monkeypatch, sig, t, s):
+    """action_f with one extra S_K letter on the image of (t, s)."""
+    original = presentation.action_f
+    extra = next(u for u in s_k_symbols(sig) if u != s)
+
+    def wrong(sig_, t_, s_):
+        word = original(sig_, t_, s_)
+        return sym_mul(word, (extra,)) if (t_, s_) == (t, s) else word
+
+    monkeypatch.setattr(presentation, "action_f", wrong)
+
+
+def test_a_wrong_action_word_fails_its_action_line(monkeypatch):
+    t, s = m_name(2, 1, 1, power=-1), m_name(1, 1, 3)
+    _corrupt_one_pair(monkeypatch, S222, t, s)
+    rep = verify_action_consistency(S222, ("action",))
+    failed = [ln for ln in rep.lines if ln[2] == "FAIL"]
+    assert failed == [("action", f"t={format_name(S222, t)},s={format_name(S222, s)}", "FAIL")]
+    assert rep.counts["PASS"] == len(rep.lines) - 1
+    # The tabulated and the action_extend routes agree on the broken table too.
+    _assert_action_checks_match_the_reference(S222)
+    assert not verify_action_consistency(S222, ("inverse",)).all_passed
+
+
+def test_a_corrupted_residue_fails_its_table5_line(monkeypatch):
+    rows = presentation.table5_rows(S222)
+    row, params, t1, t2, s, expected = rows[5]
+    rows[5] = (row, params, t1, t2, s, sym_mul(expected, (s,)))
+    monkeypatch.setattr(presentation, "table5_rows", lambda sig: rows)
+    rep = verify_table5(S222)
+    assert [ln for ln in rep.lines if ln[2] == "FAIL"] == [(f"table5.{row}", params, "FAIL")]
+    assert rep.counts["PASS"] == len(rows) - 1
 
 
 # ---------------------------------------------------------------------------
