@@ -202,8 +202,7 @@ def johnson_y(sig: Signature, f: NamedAut, c: int):
     if sig.klass(c) != "y":
         raise ValueError("y-generator expected")
     v = ab_vector(_conjugating_word(sig, f, c))
-    codes = list(sig.x_gens()) + list(sig.z_gens())
-    return tuple(v[g - 1] for g in codes)
+    return tuple(v[g - 1] for g in sig.xz_gens())
 
 
 # ---------------------------------------------------------------------------

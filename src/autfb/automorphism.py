@@ -314,7 +314,7 @@ def spelling_aut(sig, spelling):
 def is_in_autfb(f):
     """Does f fix the conjugacy class of every y and z generator?"""
     sig = f.sig
-    for c in list(sig.y_gens()) + list(sig.z_gens()):
+    for c in sig.yz_gens():
         # A word is conjugate to the letter c exactly when its cyclic
         # core is (c,); no rotation scan is needed.
         if cyclic_reduce(f.images[c - 1])[0].letters != (c,):
@@ -325,7 +325,7 @@ def is_in_autfb(f):
 def is_in_autfb_prime(f):
     """Does f fix every y and z generator on the nose?"""
     sig = f.sig
-    for c in list(sig.y_gens()) + list(sig.z_gens()):
+    for c in sig.yz_gens():
         if f.images[c - 1] != gen_word(sig, c):
             return False
     return True
@@ -341,7 +341,7 @@ def is_in_kernel(f):
     if not is_in_autfb(f):
         raise NotInAutFBError("not a boundary-preserving automorphism")
     sig = f.sig
-    for c in list(sig.x_gens()) + list(sig.z_gens()):
+    for c in sig.xz_gens():
         if delete_y(f.images[c - 1]) != gen_word(sig, c):
             return False
     return True

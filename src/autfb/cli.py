@@ -195,7 +195,7 @@ def johnson(n, k, l, fmt, aut_text, word_file):
 def pairing(n, k, l, fmt, y_text, a_text, b_text, rmax, mmax):
     """TSV matrix of pairing values; passes iff it is twice the identity."""
     sig = _signature(n, k, l)
-    xz = list(sig.x_gens()) + list(sig.z_gens())
+    xz = sig.xz_gens()
     if sig.k < 1 or len(xz) < 2:
         raise click.UsageError("needs k >= 1 and at least two non-y generators")
     if rmax < 1 or mmax < 1:
@@ -235,7 +235,7 @@ def pairing(n, k, l, fmt, y_text, a_text, b_text, rmax, mmax):
 def isum(n, k, l, fmt, y_text, s_text, aut_text, word_file):
     """The invariant I_s of a kernel element as basis-point lines."""
     sig = _signature(n, k, l)
-    xz = list(sig.x_gens()) + list(sig.z_gens())
+    xz = sig.xz_gens()
     if sig.k < 1 or len(xz) < 2:
         raise click.UsageError("needs k >= 1 and at least two non-y generators")
     y = _gen_code(sig, y_text, "--y") if y_text else list(sig.y_gens())[0]

@@ -107,7 +107,7 @@ class PairingContext:
         self.y = y
         self.a = a
         self.b = b
-        self.order = tuple(list(sig.x_gens()) + list(sig.z_gens()))
+        self.order = tuple(sig.xz_gens())
         self._index = {g: i for i, g in enumerate(self.order)}
         self.A = self.unit(a)
         self.B = self.unit(b)
@@ -267,16 +267,16 @@ def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
 def mu_witnesses(ctx: PairingContext, m: int):
     """The commuting pair (f_m, g) generating the m-th abelian cycle.
 
-    C[y,a]^m is sigma(mA), cached on the context, and C[y,a]^-m is its
-    inverse, the same two tables swapped, so once sigma(mA) is cached
-    the pair costs three composes.
+    f_0 is C[b,y] itself.  C[y,a]^m is sigma(mA), cached on the context,
+    and C[y,a]^-m is its inverse, the same two tables swapped, so once
+    sigma(mA) is cached the pair costs three composes.
     """
-    cya_m = sigma(ctx, ctx.unit(ctx.a, m))
-    cay = gen_aut(ctx.sig, c_name(ctx.a, ctx.y))
     cby = gen_aut(ctx.sig, c_name(ctx.b, ctx.y))
-    f_m = compose(compose(cya_m, cby), inverse(cya_m))
-    g = compose(cay, cby)
-    return f_m, g
+    g = compose(gen_aut(ctx.sig, c_name(ctx.a, ctx.y)), cby)
+    if m == 0:
+        return cby, g
+    cya_m = sigma(ctx, ctx.unit(ctx.a, m))
+    return compose(compose(cya_m, cby), inverse(cya_m)), g
 
 
 def pairing(ctx: PairingContext, r: int, m: int) -> int:
@@ -284,13 +284,16 @@ def pairing(ctx: PairingContext, r: int, m: int) -> int:
 
     Summed over x, the f_m-translate at rA times the g-translate at 0,
     minus the same with f_m and g swapped: two correlations at rA.
+    f_m is f_0 conjugated by sigma(mA), so I_b(f_m) is I_b(f_0) shifted
+    by mA (see _i_b), and no witness is built for m itself.
     """
     if r < 1 or m < 1:
         raise ValueError("both indices must be positive")
-    f_m, g = mu_witnesses(ctx, m)
-    for f in (f_m, g):
+    f_0, g = mu_witnesses(ctx, 0)
+    for f in (f_0, g):
         _require_l(ctx, f)
-    i_f, i_g = _i_b(ctx, f_m), _i_b(ctx, g)
+    i_f = _i_b(ctx, f_0).shifted(ctx.scale(m, ctx.A))
+    i_g = _i_b(ctx, g)
     rA = ctx.scale(r, ctx.A)
     return _corr(i_f, i_g, rA) - _corr(i_g, i_f, rA)
 

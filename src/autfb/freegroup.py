@@ -61,6 +61,14 @@ class Signature(namedtuple("Signature", "n k l")):
     def z_gens(self):
         return range(self.n + self.k + 1, self.ngens + 1)
 
+    def xz_gens(self):
+        """The x's then the z's: the letters that survive deleting y."""
+        return [*self.x_gens(), *self.z_gens()]
+
+    def yz_gens(self):
+        """The y's then the z's: the letters whose classes are fixed."""
+        return [*self.y_gens(), *self.z_gens()]
+
     def klass(self, code):
         """'x', 'y' or 'z' for a letter code (sign ignored)."""
         i = abs(code)

@@ -6,6 +6,13 @@ formal power +-1, freely reduced (only an adjacent letter and its formal
 inverse cancel; P and I are involutions in the group but not in the free
 group on symbols).
 
+The relation tables, table5_rows and action_f spell each word as the
+paper does: every letter carries its own power (c_name(z, v, e),
+name.inv()), and a conjugation is a literal tuple of letters, reduced
+once by _inst or sym_comm.  _perm_apply is the one P/I relabeling of the
+x's a symbol mentions; a multiplier relabeled to w^-1 becomes the power on
+the name, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1.
+
 Alphabets:
 
     S_N   swaps, inversions, and Nielsen moves among the x's
@@ -191,22 +198,22 @@ def s_k_symbols(sig):
     return out
 
 
+def _perm_letters(sig):
+    """The swaps P[i,j] (i < j), then the inversions I[i]."""
+    xs = sig.x_gens()
+    return [p_name(i, j) for i in xs for j in xs if i < j] + [i_name(i) for i in xs]
+
+
 def s_q_symbols(sig):
     """S_Q in a fixed deterministic order."""
-    out = []
-    for i in sig.x_gens():
-        for j in sig.x_gens():
-            if i < j:
-                out.append(p_name(i, j))
-    for i in sig.x_gens():
-        out.append(i_name(i))
+    out = _perm_letters(sig)
     for z in sig.z_gens():
-        for v in list(sig.x_gens()) + list(sig.z_gens()):
+        for v in sig.xz_gens():
             if v != z:
                 out.append(c_name(z, v))
     for x in sig.x_gens():
         for e in (1, -1):
-            for v in list(sig.x_gens()) + list(sig.z_gens()):
+            for v in sig.xz_gens():
                 if v != x:
                     out.append(m_name(x, e, v))
     return out
@@ -233,32 +240,12 @@ class RelationInstance(NamedTuple):
     rhs: tuple
 
 
-def _w(*letters):
-    return sym_reduce(letters)
-
-
 def _inst(family, params, lhs, rhs=()):
     return RelationInstance(family, params, sym_reduce(lhs), sym_reduce(rhs))
 
 
 def _comm_inst(family, params, a, b):
     return _inst(family, params, sym_comm(a, b))
-
-
-def _signed(sig, code, sign):
-    return sig.letter_name(code if sign == 1 else -code)
-
-
-# The extended naming M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1
-# is normalized into formal powers right here.
-
-
-def _make_m(v, e, w_code, w_sign=1, power=1):
-    return m_name(v, e, w_code, power * w_sign)
-
-
-def _make_c(v, w_code, w_sign=1, power=1):
-    return c_name(v, w_code, power * w_sign)
 
 
 def _perm_apply(name, code, sign):
@@ -310,22 +297,24 @@ def _n1_instances(sig):
         for b in xs:
             for c in xs:
                 if len({a, b, c}) == 3:
+                    p = p_name(a, b)
                     out.append(
                         _inst(
                             "N1",
                             f"PPP=P,a={a},b={b},c={c}",
-                            sym_conj((p_name(b, c),), (p_name(a, b),)),
+                            (p, p_name(b, c), p.inv()),
                             (p_name(a, c),),
                         )
                     )
     for a in xs:
         for b in xs:
             if a != b:
+                p = p_name(a, b)
                 out.append(
                     _inst(
                         "N1",
                         f"PIP=I,a={a},b={b}",
-                        sym_conj((i_name(a),), (p_name(a, b),)),
+                        (p, i_name(a), p.inv()),
                         (i_name(b),),
                     )
                 )
@@ -347,41 +336,21 @@ def _n1_instances(sig):
 def _n2_instances(sig):
     out = []
     xs = list(sig.x_gens())
-    for a in xs:
-        for b in xs:
-            if a >= b:
-                continue
-            p = p_name(a, b)
-            for x in xs:
-                for y in xs:
-                    if x == y:
-                        continue
-                    for e in (1, -1):
-                        xi, xe = _perm_apply(p, x, e)
-                        yi, ye = _perm_apply(p, y, 1)
-                        out.append(
-                            _inst(
-                                "N2",
-                                f"P,a={a},b={b},x={x},e={e:+d},y={y}",
-                                sym_conj((m_name(x, e, y),), (p,)),
-                                (_make_m(xi, xe, yi, ye),),
-                            )
-                        )
-    for a in xs:
-        ia = i_name(a)
+    for t in _perm_letters(sig):
+        head = f"P,a={t.v},b={t.w}" if t.kind == "P" else f"I,a={t.v}"
         for x in xs:
             for y in xs:
                 if x == y:
                     continue
+                yi, ye = _perm_apply(t, y, 1)
                 for e in (1, -1):
-                    xi, xe = _perm_apply(ia, x, e)
-                    yi, ye = _perm_apply(ia, y, 1)
+                    xi, xe = _perm_apply(t, x, e)
                     out.append(
                         _inst(
                             "N2",
-                            f"I,a={a},x={x},e={e:+d},y={y}",
-                            sym_conj((m_name(x, e, y),), (ia,)),
-                            (_make_m(xi, xe, yi, ye),),
+                            f"{head},x={x},e={e:+d},y={y}",
+                            (t, m_name(x, e, y), t.inv()),
+                            (m_name(xi, xe, yi, ye),),
                         )
                     )
     return out
@@ -394,19 +363,11 @@ def _n3_instances(sig):
         for b in xs:
             if a == b:
                 continue
-            lhs1 = _w(
-                m_name(a, -1, b, -1),
-                m_name(b, -1, a),
-                m_name(a, 1, b),
-            )
+            lhs1 = (m_name(a, -1, b, -1), m_name(b, -1, a), m_name(a, 1, b))
             out.append(
                 _inst("N3", f"form1,a={a},b={b}", lhs1, (i_name(a), p_name(a, b)))
             )
-            lhs2 = _w(
-                m_name(a, -1, b),
-                m_name(b, 1, a),
-                m_name(a, 1, b, -1),
-            )
+            lhs2 = (m_name(a, -1, b), m_name(b, 1, a), m_name(a, 1, b, -1))
             out.append(
                 _inst("N3", f"form2,a={a},b={b}", lhs2, (i_name(b), p_name(a, b)))
             )
@@ -452,30 +413,22 @@ def _n5_instances(sig):
                     continue
                 for e in (1, -1):
                     for f in (1, -1):
-                        mba = m_name(b, e, a)
-                        mcb = (m_name(c, f, b),)
-                        lhs = sym_mul((mba,), sym_pow(mcb, e))
-                        rhs = sym_mul(sym_pow(mcb, e), (mba,), (m_name(c, f, a),))
+                        mba, mcb = m_name(b, e, a), m_name(c, f, b, e)
                         out.append(
                             _inst(
-                                "N5", f"a={a},b={b},c={c},e={e:+d},f={f:+d}", lhs, rhs
+                                "N5",
+                                f"a={a},b={b},c={c},e={e:+d},f={f:+d}",
+                                (mba, mcb),
+                                (mcb, mba, m_name(c, f, a)),
                             )
                         )
     return out
 
 
-def _yz_gens(sig):
-    return list(sig.y_gens()) + list(sig.z_gens())
-
-
-def _xz_gens(sig):
-    return list(sig.x_gens()) + list(sig.z_gens())
-
-
 def _q2_instances(sig):
     out = []
     xs = list(sig.x_gens())
-    yz = _yz_gens(sig)
+    yz = sig.yz_gens()
     for x in xs:
         for v in xs:
             if x == v:
@@ -541,52 +494,29 @@ def _q3_instances(sig):
     # Includes the index-disjoint commuting instances: for x not moved by
     # the swap or inversion the right side is just the original symbol.
     out = []
-    xs = list(sig.x_gens())
-    yz = _yz_gens(sig)
-    ps = [p_name(i, j) for i in xs for j in xs if i < j]
-    for p in ps:
-        for x in xs:
+    yz = sig.yz_gens()
+    for t in _perm_letters(sig):
+        if t.kind == "P":
+            m_tag, c_tag, head = "Q3.1", "Q3.2", f"i={t.v},j={t.w}"
+        else:
+            m_tag, c_tag, head = "Q3.3", "Q3.4", f"i={t.v}"
+        for x in sig.x_gens():
             for z in yz:
                 for e in (1, -1):
-                    xi, xe = _perm_apply(p, x, e)
                     out.append(
                         _inst(
-                            "Q3.1",
-                            f"i={p.v},j={p.w},x={x},e={e:+d},z={z}",
-                            sym_conj((m_name(x, e, z),), (p,)),
-                            (m_name(xi, xe, z),),
+                            m_tag,
+                            f"{head},x={x},e={e:+d},z={z}",
+                            (t, m_name(x, e, z), t.inv()),
+                            (m_name(*_perm_apply(t, x, e), z),),
                         )
                     )
-                xi, xe = _perm_apply(p, x, 1)
                 out.append(
                     _inst(
-                        "Q3.2",
-                        f"i={p.v},j={p.w},x={x},z={z}",
-                        sym_conj((c_name(z, x),), (p,)),
-                        (_make_c(z, xi, xe),),
-                    )
-                )
-    for a in xs:
-        ia = i_name(a)
-        for x in xs:
-            for z in yz:
-                for e in (1, -1):
-                    xi, xe = _perm_apply(ia, x, e)
-                    out.append(
-                        _inst(
-                            "Q3.3",
-                            f"i={a},x={x},e={e:+d},z={z}",
-                            sym_conj((m_name(x, e, z),), (ia,)),
-                            (m_name(xi, xe, z),),
-                        )
-                    )
-                xi, xe = _perm_apply(ia, x, 1)
-                out.append(
-                    _inst(
-                        "Q3.4",
-                        f"i={a},x={x},z={z}",
-                        sym_conj((c_name(z, x),), (ia,)),
-                        (_make_c(z, xi, xe),),
+                        c_tag,
+                        f"{head},x={x},z={z}",
+                        (t, c_name(z, x), t.inv()),
+                        (c_name(z, *_perm_apply(t, x, 1)),),
                     )
                 )
     return out
@@ -595,7 +525,7 @@ def _q3_instances(sig):
 def _q4_instances(sig):
     out = []
     xs = list(sig.x_gens())
-    yz = _yz_gens(sig)
+    yz = sig.yz_gens()
     allg = list(sig.gens())
     for x in xs:
         for w in xs:
@@ -606,15 +536,12 @@ def _q4_instances(sig):
                     continue
                 for e in (1, -1):
                     for d in (1, -1):
-                        mxw = (m_name(x, e, w),)
-                        lhs = sym_mul(
-                            sym_pow(mxw, -d), (m_name(w, d, v),), sym_pow(mxw, d)
-                        )
+                        mxw = m_name(x, e, w, -d)
                         out.append(
                             _inst(
                                 "Q4.1",
                                 f"x={x},w={w},v={v},e={e:+d},d={d:+d}",
-                                lhs,
+                                (mxw, m_name(w, d, v), mxw.inv()),
                                 (m_name(x, e, v), m_name(w, d, v)),
                             )
                         )
@@ -624,15 +551,11 @@ def _q4_instances(sig):
                 if v == x or v == z:
                     continue
                 for e in (1, -1):
-                    czx = (c_name(z, x),)
-                    lhs = sym_mul(
-                        sym_pow(czx, -e), (m_name(x, e, v),), sym_pow(czx, e)
-                    )
                     out.append(
                         _inst(
                             "Q4.1'",
                             f"z={z},x={x},v={v},e={e:+d}",
-                            lhs,
+                            (c_name(z, x, -e), m_name(x, e, v), c_name(z, x, e)),
                             (c_name(z, v), m_name(x, e, v)),
                         )
                     )
@@ -645,20 +568,13 @@ def _q4_instances(sig):
                     continue
                 for e in (1, -1):
                     for d in (1, -1):
-                        czv = (c_name(z, v),)
-                        mxv = (m_name(x, d, v),)
-                        lhs = sym_mul(
-                            sym_pow(czv, e), (m_name(x, d, z),), sym_pow(czv, -e)
-                        )
-                        rhs = sym_mul(
-                            sym_pow(mxv, -e), (m_name(x, d, z),), sym_pow(mxv, e)
-                        )
+                        mxz = m_name(x, d, z)
                         out.append(
                             _inst(
                                 "Q4.2",
                                 f"z={z},v={v},x={x},e={e:+d},d={d:+d}",
-                                lhs,
-                                rhs,
+                                (c_name(z, v, e), mxz, c_name(z, v, -e)),
+                                (m_name(x, d, v, -e), mxz, m_name(x, d, v, e)),
                             )
                         )
     for z in yz:
@@ -669,16 +585,13 @@ def _q4_instances(sig):
                 if v == z or v == w:
                     continue
                 for e in (1, -1):
-                    czv = (c_name(z, v),)
-                    cwv = (c_name(w, v),)
-                    lhs = sym_mul(sym_pow(czv, e), (c_name(w, z),), sym_pow(czv, -e))
-                    rhs = sym_mul(sym_pow(cwv, -e), (c_name(w, z),), sym_pow(cwv, e))
+                    cwz = c_name(w, z)
                     out.append(
                         _inst(
                             "Q4.2'",
                             f"z={z},w={w},v={v},e={e:+d}",
-                            lhs,
-                            rhs,
+                            (c_name(z, v, e), cwz, c_name(z, v, -e)),
+                            (c_name(w, v, -e), cwz, c_name(w, v, e)),
                         )
                     )
     return out
@@ -687,16 +600,14 @@ def _q4_instances(sig):
 def _q5_instances(sig):
     out = []
     for x in sig.x_gens():
-        for v in _yz_gens(sig):
+        for v in sig.yz_gens():
             for e in (1, -1):
-                cvx = (c_name(v, x),)
-                lhs = sym_mul(sym_pow(cvx, -e), (m_name(x, -e, v),), sym_pow(cvx, e))
                 out.append(
                     _inst(
                         "Q5",
                         f"x={x},v={v},e={e:+d}",
-                        lhs,
-                        (m_name(x, e, v, power=-1),),
+                        (c_name(v, x, -e), m_name(x, -e, v), c_name(v, x, e)),
+                        (m_name(x, e, v, -1),),
                     )
                 )
     return out
@@ -758,15 +669,11 @@ def _r2_instances(sig):
                 if v == z:
                     continue
                 for e in (1, -1):
-                    cvx = (c_name(v, x),)
-                    lhs = sym_mul(
-                        sym_pow(cvx, -e), (m_name(x, e, z),), sym_pow(cvx, e)
-                    )
                     out.append(
                         _inst(
                             "R2",
                             f"x={x},e={e:+d},v={v},z={z}",
-                            lhs,
+                            (c_name(v, x, -e), m_name(x, e, z), c_name(v, x, e)),
                             (c_name(v, z), m_name(x, e, z)),
                         )
                     )
@@ -782,20 +689,13 @@ def _r3_instances(sig):
                     continue
                 for e in (1, -1):
                     for d in (1, -1):
-                        cvz = (c_name(v, z),)
-                        mxz = (m_name(x, d, z),)
-                        lhs = sym_mul(
-                            sym_pow(cvz, e), (m_name(x, d, v),), sym_pow(cvz, -e)
-                        )
-                        rhs = sym_mul(
-                            sym_pow(mxz, -e), (m_name(x, d, v),), sym_pow(mxz, e)
-                        )
+                        mxv = m_name(x, d, v)
                         out.append(
                             _inst(
                                 "R3",
                                 f"x={x},d={d:+d},v={v},z={z},e={e:+d}",
-                                lhs,
-                                rhs,
+                                (c_name(v, z, e), mxv, c_name(v, z, -e)),
+                                (m_name(x, d, z, -e), mxv, m_name(x, d, z, e)),
                             )
                         )
     return out
@@ -803,7 +703,7 @@ def _r3_instances(sig):
 
 def _r4_instances(sig):
     out = []
-    yz = _yz_gens(sig)
+    yz = sig.yz_gens()
     for v in yz:
         for w in yz:
             if w == v:
@@ -815,10 +715,13 @@ def _r4_instances(sig):
                 if not (in_s_k(sig, c_vz) and in_s_k(sig, c_wv) and in_s_k(sig, c_wz)):
                     continue
                 for e in (1, -1):
-                    lhs = sym_mul(sym_pow((c_vz,), e), (c_wv,), sym_pow((c_vz,), -e))
-                    rhs = sym_mul(sym_pow((c_wz,), -e), (c_wv,), sym_pow((c_wz,), e))
                     out.append(
-                        _inst("R4", f"v={v},z={z},w={w},e={e:+d}", lhs, rhs)
+                        _inst(
+                            "R4",
+                            f"v={v},z={z},w={w},e={e:+d}",
+                            (c_name(v, z, e), c_wv, c_name(v, z, -e)),
+                            (c_name(w, z, -e), c_wv, c_name(w, z, e)),
+                        )
                     )
     return out
 
@@ -828,14 +731,12 @@ def _r5_instances(sig):
     for x in sig.x_gens():
         for y in sig.y_gens():
             for e in (1, -1):
-                cyx = (c_name(y, x),)
-                lhs = sym_mul(sym_pow(cyx, -e), (m_name(x, -e, y),), sym_pow(cyx, e))
                 out.append(
                     _inst(
                         "R5",
                         f"x={x},y={y},e={e:+d}",
-                        lhs,
-                        (m_name(x, e, y, power=-1),),
+                        (c_name(y, x, -e), m_name(x, -e, y), c_name(y, x, e)),
+                        (m_name(x, e, y, -1),),
                     )
                 )
     return out
@@ -844,8 +745,8 @@ def _r5_instances(sig):
 def _c1_instances(sig):
     out = []
     xs = list(sig.x_gens())
-    yz = _yz_gens(sig)
-    xz = _xz_gens(sig)
+    yz = sig.yz_gens()
+    xz = sig.xz_gens()
     for y in sig.y_gens():
         for a in xs:
             for b in xs:
@@ -857,16 +758,12 @@ def _c1_instances(sig):
                             if v == a or v == b:
                                 continue
                             for e in (1, -1):
-                                left = sym_mul(
-                                    sym_pow((c_name(y, v),), e),
-                                    (m_name(a, dd, y),),
-                                    sym_pow((c_name(y, v),), -e),
-                                )
+                                cyv = c_name(y, v, e)
                                 out.append(
                                     _comm_inst(
                                         "C1.1",
                                         f"y={y},a={a},d={dd:+d},b={b},zeta={zz:+d},v={v},e={e:+d}",
-                                        left,
+                                        (cyv, m_name(a, dd, y), cyv.inv()),
                                         (m_name(b, zz, y),),
                                     )
                                 )
@@ -878,17 +775,13 @@ def _c1_instances(sig):
                     if v == z or v == x:
                         continue
                     for e in (1, -1):
+                        cyv = c_name(y, v, e)
                         for d in (1, -1):
-                            left = sym_mul(
-                                sym_pow((c_name(y, v),), e),
-                                (m_name(x, d, y),),
-                                sym_pow((c_name(y, v),), -e),
-                            )
                             out.append(
                                 _comm_inst(
                                     "C1.2",
                                     f"y={y},x={x},d={d:+d},z={z},v={v},e={e:+d}",
-                                    left,
+                                    (cyv, m_name(x, d, y), cyv.inv()),
                                     (c_name(z, y),),
                                 )
                             )
@@ -905,16 +798,12 @@ def _c1_instances(sig):
                     if v == z or v == w:
                         continue
                     for e in (1, -1):
-                        left = sym_mul(
-                            sym_pow((c_name(y, v),), e),
-                            (c_name(z, y),),
-                            sym_pow((c_name(y, v),), -e),
-                        )
+                        cyv = c_name(y, v, e)
                         out.append(
                             _comm_inst(
                                 "C1.3",
                                 f"y={y},z={z},w={w},v={v},e={e:+d}",
-                                left,
+                                (cyv, c_name(z, y), cyv.inv()),
                                 (c_name(w, y),),
                             )
                         )
@@ -928,16 +817,11 @@ def _c2_instances(sig):
             for x in sig.x_gens():
                 for e in (1, -1):
                     for d in (1, -1):
-                        left = sym_mul(
-                            sym_pow((c_name(y, z),), e),
-                            (m_name(x, d, y),),
-                            sym_pow((c_name(y, z),), -e),
-                        )
                         out.append(
                             _comm_inst(
                                 "C2.1",
                                 f"y={y},z={z},x={x},e={e:+d},d={d:+d}",
-                                left,
+                                (c_name(y, z, e), m_name(x, d, y), c_name(y, z, -e)),
                                 (c_name(z, y), m_name(x, d, y)),
                             )
                         )
@@ -945,16 +829,11 @@ def _c2_instances(sig):
                 if w == z:
                     continue
                 for e in (1, -1):
-                    left = sym_mul(
-                        sym_pow((c_name(y, z),), e),
-                        (c_name(w, y),),
-                        sym_pow((c_name(y, z),), -e),
-                    )
                     out.append(
                         _comm_inst(
                             "C2.2",
                             f"y={y},z={z},w={w},e={e:+d}",
-                            left,
+                            (c_name(y, z, e), c_name(w, y), c_name(y, z, -e)),
                             (c_name(z, y), c_name(w, y)),
                         )
                     )
@@ -1090,77 +969,33 @@ def action_f(sig, t, s):
         raise ValueError(f"not an S_Q letter: {t}")
     if not (in_s_k(sig, s) and s.power == 1):
         raise ValueError(f"not an S_K symbol: {s}")
+    if t.kind in ("P", "I"):
+        # relabel the x that s moves (M[x^e,y]) or conjugates by (C[y,x])
+        if s.kind == "M":
+            return (m_name(*_perm_apply(t, s.v, s.e), s.w),)
+        return (c_name(s.v, *_perm_apply(t, s.w, 1)),)
     p = t.power
-    if s.kind == "M":
-        xa, eps, y = s.v, s.e, s.w
-        if t.kind == "M":
-            if t.v == xa and t.e == eps:
-                u = t.w
-                return _w(c_name(y, u, -p), s, c_name(y, u, p))
-            if t.w == xa:
-                if p == eps:
-                    return _w(
-                        s,
-                        c_name(y, xa, -eps),
-                        m_name(t.v, t.e, y, -1),
-                        c_name(y, xa, eps),
-                    )
-                return _w(s, m_name(t.v, t.e, y))
+    if sig.klass(s.v) == "y":
+        # s = C[y,u] is moved only when t moves u itself
+        y, u = s.v, s.w
+        if t.v != u:
             return (s,)
         if t.kind == "C":
-            if t.w == xa:
-                if p == eps:
-                    return _w(
-                        s,
-                        c_name(y, xa, -eps),
-                        c_name(t.v, y, -1),
-                        c_name(y, xa, eps),
-                    )
-                return _w(s, c_name(t.v, y))
-            return (s,)
-        if t.kind == "P":
-            if xa == t.v:
-                return (m_name(t.w, eps, y),)
-            if xa == t.w:
-                return (m_name(t.v, eps, y),)
-            return (s,)
-        if t.kind == "I":
-            if xa == t.v:
-                return (m_name(xa, -eps, y),)
-            return (s,)
-    # s is a conjugation symbol from here on
-    if sig.klass(s.v) == "y":
-        y, u = s.v, s.w
-        if sig.klass(u) == "x":
-            if t.kind == "M" and t.v == u:
-                eps, d = t.e, t.power
-                inner = _w(c_name(y, u, eps), c_name(y, t.w, d))
-                return inner if eps == 1 else sym_inv(inner)
-            if t.kind == "P":
-                if u == t.v:
-                    return (c_name(y, t.w),)
-                if u == t.w:
-                    return (c_name(y, t.v),)
-                return (s,)
-            if t.kind == "I":
-                if u == t.v:
-                    return (c_name(y, u, -1),)
-                return (s,)
-            return (s,)
-        if sig.klass(u) == "z":
-            if t.kind == "C" and t.v == u:
-                return _w(c_name(y, t.w, -p), s, c_name(y, t.w, p))
-            return (s,)
-        return (s,)  # conjugation of one y by another: fixed by everything
-    # s = C[z_i, y]
-    zi, y = s.v, s.w
-    if t.kind == "C" and t.v == zi:
-        return _w(c_name(y, t.w, -p), s, c_name(y, t.w, p))
-    if t.kind == "C" and t.w == zi:
-        return sym_mul((s,), sym_comm((c_name(t.v, y),), (c_name(y, zi, -p),)))
-    if t.kind == "M" and t.w == zi:
-        return sym_mul((s,), sym_comm((m_name(t.v, t.e, y),), (c_name(y, zi, -p),)))
-    return (s,)
+            return (c_name(y, t.w, -p), s, c_name(y, t.w, p))
+        return (s, c_name(y, t.w, p)) if t.e == 1 else (c_name(y, t.w, -p), s)
+    # s = M[x^eps,y] or C[z,y] moves its letter v by y
+    v, y = s.v, s.w
+    if (t.v, t.e) == (v, s.e):  # t moves the same signed letter
+        return (c_name(y, t.w, -p), s, c_name(y, t.w, p))
+    if t.w != v:
+        return (s,)
+    # t moves t.v by v; t_y is the same move by y
+    t_y = m_name(t.v, t.e, y) if t.kind == "M" else c_name(t.v, y)
+    if s.kind == "C":
+        return (s, t_y, c_name(y, v, -p), t_y.inv(), c_name(y, v, p))
+    if p == s.e:
+        return (s, c_name(y, v, -p), t_y.inv(), c_name(y, v, p))
+    return (s, t_y)
 
 
 def action_letter(sig, t, u):
@@ -1272,15 +1107,16 @@ def table5_rows(sig):
     zs = list(sig.z_gens())
     for y in sig.y_gens():
         for a in xs:
-            cya = (c_name(y, a),)
+            cya = c_name(y, a)
             for s_eps in (1, -1):
                 s = m_name(a, s_eps, y)
                 base = "1" if s_eps == 1 else "4"
 
                 def residue(u, v):
+                    """C[y,a]^-1 [u,v] C[y,a] for s = M[a,y], else [u^-1,v^-1]."""
                     if s_eps == 1:
-                        return sym_conj(sym_comm(u, v), sym_inv(cya))
-                    return sym_comm(sym_inv(u), sym_inv(v))
+                        return (cya.inv(), u, v, u.inv(), v.inv(), cya)
+                    return (u.inv(), v.inv(), u, v)
 
                 for b in xs:
                     if b == a:
@@ -1299,9 +1135,7 @@ def table5_rows(sig):
                                         m_name(b, e, a),
                                         m_name(c, d, a),
                                         s,
-                                        residue(
-                                            (m_name(b, e, y),), (m_name(c, d, y),)
-                                        ),
+                                        residue(m_name(b, e, y), m_name(c, d, y)),
                                     )
                                 )
                 row2 = f"row{int(base) + 1}"
@@ -1317,7 +1151,7 @@ def table5_rows(sig):
                                     m_name(b, e, a),
                                     c_name(i, a),
                                     s,
-                                    residue((m_name(b, e, y),), (c_name(i, y),)),
+                                    residue(m_name(b, e, y), c_name(i, y)),
                                 )
                             )
                 row3 = f"row{int(base) + 2}"
@@ -1332,12 +1166,17 @@ def table5_rows(sig):
                                 c_name(i, a),
                                 c_name(j, a),
                                 s,
-                                residue((c_name(i, y),), (c_name(j, y),)),
+                                residue(c_name(i, y), c_name(j, y)),
                             )
                         )
         for i in zs:
             s = c_name(i, y)
-            cyi = (c_name(y, i),)
+            cyi = c_name(y, i)
+
+            def bracket(u, v):
+                """[[C[y,i], u], [C[y,i], v]]"""
+                return sym_comm(sym_comm((cyi,), (u,)), sym_comm((cyi,), (v,)))
+
             for a in xs:
                 for b in xs:
                     for e in (1, -1):
@@ -1351,10 +1190,7 @@ def table5_rows(sig):
                                     m_name(a, e, i, -1),
                                     m_name(b, d, i, -1),
                                     s,
-                                    sym_comm(
-                                        sym_comm(cyi, (m_name(a, e, y),)),
-                                        sym_comm(cyi, (m_name(b, d, y),)),
-                                    ),
+                                    bracket(m_name(a, e, y), m_name(b, d, y)),
                                 )
                             )
             for a in xs:
@@ -1369,10 +1205,7 @@ def table5_rows(sig):
                                 m_name(a, e, i, -1),
                                 c_name(j, i, -1),
                                 s,
-                                sym_comm(
-                                    sym_comm(cyi, (m_name(a, e, y),)),
-                                    sym_comm(cyi, (c_name(j, y),)),
-                                ),
+                                bracket(m_name(a, e, y), c_name(j, y)),
                             )
                         )
             for j in zs:
@@ -1388,10 +1221,7 @@ def table5_rows(sig):
                             c_name(j, i, -1),
                             c_name(m, i, -1),
                             s,
-                            sym_comm(
-                                sym_comm(cyi, (c_name(j, y),)),
-                                sym_comm(cyi, (c_name(m, y),)),
-                            ),
+                            bracket(c_name(j, y), c_name(m, y)),
                         )
                     )
     return out

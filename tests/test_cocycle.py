@@ -400,7 +400,7 @@ def test_witnesses_match_linear_powers(sig, y, a, b):
     ctx = PairingContext(sig, y=y, a=a, b=b)
     cya = gen_aut(sig, c_name(y, a))
     cby = gen_aut(sig, c_name(b, y))
-    for m in range(1, 7):
+    for m in range(0, 7):
         f_m, _ = mu_witnesses(ctx, m)
         ref = compose(compose(power(cya, m), cby), power(cya, -m))
         assert f_m == ref
@@ -434,6 +434,15 @@ def test_twist_cache_holds_one_entry_per_element():
         for m in range(1, 7):
             pairing(ctx, r, m)
     assert len(ctx._twist_cache) <= 7
+
+
+def test_pairing_table_builds_no_section_per_cycle():
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    for r in range(1, 25):
+        for m in range(1, 25):
+            assert pairing(ctx, r, m) == 2 * int(r == m)
+    # Every m is read off I_b(f_0) shifted by mA, so no sigma(mA) is built.
+    assert len(ctx._sigma_cache) <= 1
 
 
 # ---------------------------------------------------------------------------

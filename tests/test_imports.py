@@ -1,8 +1,9 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and every private
+function of the package is used somewhere in the package.
 
 Scans src/autfb/*.py and tests/*.py with the standard-library ast module.
-The package's __init__.py is skipped: its imports are the public
-re-exports.
+The package's __init__.py is skipped by the import scan: its imports are
+the public re-exports.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "autfb").glob("*.py"))
 SOURCES = sorted(
     p for p in (ROOT / "src" / "autfb").glob("*.py") if p.name != "__init__.py"
 ) + sorted((ROOT / "tests").glob("*.py"))
@@ -45,3 +47,39 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_functions(sources):
+    """Names of private top-level functions that no module reads.
+
+    A name counts as read when it is loaded as a bare name or as an
+    attribute anywhere in the given sources.
+    """
+    trees = [ast.parse(source) for source in sources]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_the_scan_finds_an_unused_private_function():
+    used = "def _a():\n    return 1\n"
+    assert unused_private_functions([used, "def _b():\n    return _a()\n"]) == ["_b"]
+    assert unused_private_functions([used, "import m\nm._a()\n"]) == []
+    assert unused_private_functions(["def __getattr__(name):\n    pass\n"]) == []
+
+
+def test_no_unused_private_functions():
+    assert unused_private_functions([p.read_text() for p in PACKAGE]) == []

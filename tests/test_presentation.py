@@ -1,5 +1,7 @@
 """Relation tables, the rewriting action, support bounds, expansion."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -206,6 +208,41 @@ def test_instances_carry_reduced_sides():
         assert isinstance(inst, RelationInstance)
         assert sym_reduce(inst.lhs) == inst.lhs
         assert sym_reduce(inst.rhs) == inst.rhs
+
+
+WORD_DIGEST = (
+    102_176,
+    "37f7330392d8aace975b1f00681dec12de7f28a174ad8b78ce13bac1bc20d650",
+)
+
+
+def _word_tables(sig):
+    """repr of every instance, residue row and action word at sig."""
+    for build in presentation._SUBFAMILIES.values():
+        for inst in build(sig):
+            yield repr((sig, tuple(inst)))
+    for row in presentation.table5_rows(sig):
+        yield repr((sig, row))
+    syms = s_k_symbols(sig)
+    for t in presentation._sq_letters(sig):
+        for s in syms:
+            yield repr((sig, t, s, action_f(sig, t, s)))
+
+
+def test_relation_and_action_words_match_the_recorded_digest():
+    """Every word the tables spell, letter for letter, at n, k, l in 0..3.
+
+    Any change to a letter, a power or the order of the instances, residue
+    rows or action words changes the sha256 of their concatenated reprs.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if n + k + l:
+            for item in _word_tables(Signature(n, k, l)):
+                digest.update(item.encode())
+                count += 1
+    assert (count, digest.hexdigest()) == WORD_DIGEST
 
 
 def test_second_multiplier_move_obstructs_commuting():
