@@ -20,6 +20,7 @@ from __future__ import annotations
 from .freegroup import Signature, Word, cyclic_reduce, gen_word, invert, multiply
 from .freegroup import abelianize as ab_vector
 from .automorphism import ClaimFailedError, NamedAut, apply, is_in_kernel
+from .automorphism import _cached_gen_aut
 from .presentation import s_k_symbols
 
 
@@ -258,8 +259,6 @@ def abelianization_rank(sig: Signature) -> int:
     """Exact rank of the span of the generator images."""
     if sig.k < 1:
         raise ValueError("needs at least one y-generator")
-    from .presentation import _cached_gen_aut
-
     rows = [
         generator_image_row(sig, _cached_gen_aut(sig, s)) for s in s_k_symbols(sig)
     ]

@@ -15,12 +15,17 @@ tables and reverses the spelling, and never solves equations.
 Equality of automorphisms is extensional (image tables), not spelling
 equality; that is what makes a relation a pair of spellings with equal
 images.
+
+_cached_gen_aut is the one source of a named generator's automorphism:
+spelling_aut, symbol_images, the rank rows and the cocycle witnesses all
+read it, so each (signature, name) is built once per process.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .freegroup import (
@@ -303,12 +308,16 @@ def gen_aut(sig, name):
     return inverse(f) if name.power == -1 else f
 
 
+@lru_cache(maxsize=None)
+def _cached_gen_aut(sig, name):
+    return gen_aut(sig, name)
+
+
 def spelling_aut(sig, spelling):
-    """Evaluate a spelling (leftmost name applied last)."""
-    acc = identity(sig)
-    for name in spelling:
-        acc = compose(acc, gen_aut(sig, name))
-    return acc
+    """Evaluate a spelling (leftmost name applied last), folding from its
+    first generator; the empty spelling is the identity."""
+    auts = [_cached_gen_aut(sig, name) for name in spelling]
+    return reduce(compose, auts) if auts else identity(sig)
 
 
 def is_in_autfb(f):

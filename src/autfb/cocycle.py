@@ -15,7 +15,8 @@ conjugation generators in the fixed order x_1 ... x_n z_1 ... z_l, and
 each element's invariant I_b is computed once and cached on the context,
 keyed by the automorphism's image table.  Every lattice translate is read
 off that one sum (see _i_b), so zeta_r and the pairing are finite
-correlations of invariants.
+correlations of invariants; the pairing's two witness sums are taken once
+per context.  Generators come from automorphism._cached_gen_aut.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .freegroup import Signature, Word, delete_y, gen_word, invert, multiply
 from .automorphism import (
     ClaimFailedError,
     NamedAut,
+    _cached_gen_aut,
     apply,
     c_name,
     compose,
-    gen_aut,
     identity,
     inverse,
     is_in_autfb_prime,
@@ -113,6 +114,7 @@ class PairingContext:
         self.B = self.unit(b)
         self._sigma_cache = {}
         self._twist_cache = {}
+        self._witness_sums = None
 
     def unit(self, g, c=1):
         v = [0] * len(self.order)
@@ -177,7 +179,7 @@ def sigma(ctx: PairingContext, x) -> NamedAut:
         acc = identity(ctx.sig)
         for g, exp in zip(ctx.order, x):
             if exp:
-                acc = compose(acc, power(gen_aut(ctx.sig, c_name(ctx.y, g)), exp))
+                acc = compose(acc, power(_cached_gen_aut(ctx.sig, c_name(ctx.y, g)), exp))
         ctx._sigma_cache[x] = cached = acc
     return cached
 
@@ -271,8 +273,8 @@ def mu_witnesses(ctx: PairingContext, m: int):
     and C[y,a]^-m is its inverse, the same two tables swapped, so once
     sigma(mA) is cached the pair costs three composes.
     """
-    cby = gen_aut(ctx.sig, c_name(ctx.b, ctx.y))
-    g = compose(gen_aut(ctx.sig, c_name(ctx.a, ctx.y)), cby)
+    cby = _cached_gen_aut(ctx.sig, c_name(ctx.b, ctx.y))
+    g = compose(_cached_gen_aut(ctx.sig, c_name(ctx.a, ctx.y)), cby)
     if m == 0:
         return cby, g
     cya_m = sigma(ctx, ctx.unit(ctx.a, m))
@@ -284,18 +286,20 @@ def pairing(ctx: PairingContext, r: int, m: int) -> int:
 
     Summed over x, the f_m-translate at rA times the g-translate at 0,
     minus the same with f_m and g swapped: two correlations at rA.
-    f_m is f_0 conjugated by sigma(mA), so I_b(f_m) is I_b(f_0) shifted
-    by mA (see _i_b), and no witness is built for m itself.
+    f_m is f_0 conjugated by sigma(mA), so I_b(f_m) is P = I_b(f_0)
+    shifted by mA (see _i_b).  With Q = I_b(g), folding that shift into
+    the offsets gives corr(P, Q, (r-m)A) - corr(Q, P, (r+m)A).  P and Q
+    are taken once per context, after both witnesses are checked in L.
     """
     if r < 1 or m < 1:
         raise ValueError("both indices must be positive")
-    f_0, g = mu_witnesses(ctx, 0)
-    for f in (f_0, g):
-        _require_l(ctx, f)
-    i_f = _i_b(ctx, f_0).shifted(ctx.scale(m, ctx.A))
-    i_g = _i_b(ctx, g)
-    rA = ctx.scale(r, ctx.A)
-    return _corr(i_f, i_g, rA) - _corr(i_g, i_f, rA)
+    if ctx._witness_sums is None:
+        f_0, g = mu_witnesses(ctx, 0)
+        for f in (f_0, g):
+            _require_l(ctx, f)
+        ctx._witness_sums = (_i_b(ctx, f_0), _i_b(ctx, g))
+    p, q = ctx._witness_sums
+    return _corr(p, q, ctx.scale(r - m, ctx.A)) - _corr(q, p, ctx.scale(r + m, ctx.A))
 
 
 def independence_witness(ctx: PairingContext, m: int, s: int, t: int):
@@ -314,10 +318,9 @@ def independence_witness(ctx: PairingContext, m: int, s: int, t: int):
         raise ValueError("the two generators must differ")
     if m < 0:
         raise ValueError("nonnegative power expected")
-    cyt = gen_aut(sig, c_name(ctx.y, t))
-    h_m = compose(
-        compose(power(cyt, m), gen_aut(sig, m_name(s, 1, ctx.y))), power(cyt, -m)
-    )
+    cyt = _cached_gen_aut(sig, c_name(ctx.y, t))
+    move = _cached_gen_aut(sig, m_name(s, 1, ctx.y))
+    h_m = compose(compose(power(cyt, m), move), power(cyt, -m))
     if not is_in_autfb_prime(h_m):
         raise ClaimFailedError("witness fails to fix the boundary letters")
     value = i_s(ctx, h_m, s)

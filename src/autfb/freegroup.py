@@ -179,10 +179,6 @@ def reduce(sig, raw):
     return Word(sig, raw)
 
 
-def identity(sig):
-    return Word(sig, (), _reduced=True)
-
-
 def gen_word(sig, code):
     """The one-letter word for a (possibly negative) letter code."""
     _check_letters(sig, (code,))

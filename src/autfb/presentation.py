@@ -42,28 +42,26 @@ one _apply_table step.  Three checks read that table:
 
 action_letter and action_extend act on GenName words without the table;
 they stay as the public, per-call route.  A relator is proved trivial from
-its forward image table alone (symbol_images); eval_symbol_word builds
-both tables of a NamedAut.
+its forward image table alone (symbol_images); eval_symbol_word is
+automorphism.spelling_aut, which builds both tables of a NamedAut.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .freegroup import Signature, Word, invert, multiply
 from .automorphism import (
     _apply_table,
+    _cached_gen_aut,
     _gen_words,
     _substitute_all,
     c_name,
-    compose,
     format_name,
-    gen_aut,
-    identity,
     m_name,
     p_name,
     i_name,
+    spelling_aut,
 )
 
 
@@ -117,19 +115,9 @@ def format_symbols(sig, w):
     return " ".join(format_name(sig, s) for s in w)
 
 
-@lru_cache(maxsize=None)
-def _cached_gen_aut(sig, name):
-    return gen_aut(sig, name)
-
-
 def eval_symbol_word(sig, w):
     """Evaluate a symbol word to an automorphism; leftmost letter last."""
-    if not w:
-        return identity(sig)
-    acc = _cached_gen_aut(sig, w[0])
-    for s in w[1:]:
-        acc = compose(acc, _cached_gen_aut(sig, s))
-    return acc
+    return spelling_aut(sig, w)
 
 
 def symbol_images(sig, w):

@@ -445,6 +445,28 @@ def test_pairing_table_builds_no_section_per_cycle():
     assert len(ctx._sigma_cache) <= 1
 
 
+def test_pairing_table_builds_its_witness_pair_once(monkeypatch):
+    counts = {"compose": 0, "johnson_y": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cocycle, "compose", counting("compose", cocycle.compose))
+    monkeypatch.setattr(cocycle, "johnson_y", counting("johnson_y", cocycle.johnson_y))
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    for r in range(1, 25):
+        for m in range(1, 25):
+            assert pairing(ctx, r, m) == 2 * int(r == m)
+    # Rebuilding and re-checking the pair in every cell took 576 composes
+    # and 1,152 johnson_y calls.
+    assert counts["compose"] <= 1
+    assert counts["johnson_y"] <= 2
+
+
 # ---------------------------------------------------------------------------
 # witnesses and the pairing
 

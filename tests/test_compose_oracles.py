@@ -1,10 +1,12 @@
 """Incremental compose against the full-substitution reference and an
-independent free-group oracle (sympy.combinatorics.free_groups)."""
+independent free-group oracle (sympy.combinatorics.free_groups), and the
+cached spelling evaluator against the identity fold."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics.free_groups import free_group
 
+import autfb.automorphism as automorphism
 from autfb import (
     NamedAut,
     Signature,
@@ -18,6 +20,7 @@ from autfb import (
     p_name,
     i_name,
     power,
+    spelling_aut,
 )
 
 SIGS = (Signature(2, 0, 0), Signature(1, 1, 1), Signature(2, 2, 2))
@@ -136,3 +139,56 @@ def test_compose_agrees_with_the_sympy_free_group(fg):
         # The two tables are mutually inverse.
         assert _substitute(F, gens, h.images, h.inv_images[c - 1].letters) == gens[c - 1]
 
+
+
+def ref_spelling_aut(sig, spelling):
+    """The identity fold: every letter built afresh by gen_aut and composed
+    onto the identity."""
+    acc = identity(sig)
+    for name in spelling:
+        acc = compose(acc, gen_aut(sig, name))
+    return acc
+
+
+def spellings():
+    def at(sig):
+        names = st.builds(
+            lambda name, p: name._replace(power=p),
+            st.sampled_from(all_names(sig)),
+            st.sampled_from((1, -1)),
+        )
+        return st.tuples(st.just(sig), st.lists(names, max_size=6))
+
+    return st.sampled_from(SIGS).flatmap(at)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spellings())
+@example((SIGS[0], []))
+@example((SIGS[1], [i_name(1, -1), c_name(2, 1, -1), i_name(1)]))
+@example((SIGS[2], [p_name(1, 2, -1), i_name(2), m_name(1, -1, 3, -1), p_name(1, 2)]))
+def test_spelling_aut_matches_the_identity_fold(case):
+    sig, spelling = case
+    ref = ref_spelling_aut(sig, spelling)
+    # Any iterable of names is a spelling, a one-shot iterator included.
+    for got in (spelling_aut(sig, spelling), spelling_aut(sig, iter(spelling))):
+        assert got.images == ref.images
+        assert got.inv_images == ref.inv_images
+        assert got.spelling == ref.spelling
+
+
+def test_spellings_build_each_generator_once(monkeypatch):
+    sig = Signature(4, 1, 2)  # evaluated by no other test, so its cache is cold
+    calls = []
+    real = automorphism.gen_aut
+
+    def counting(s, name):
+        calls.append((s, name))
+        return real(s, name)
+
+    monkeypatch.setattr(automorphism, "gen_aut", counting)
+    a, b, c, d = m_name(1, 1, 5), c_name(6, 2), p_name(1, 4), i_name(3)
+    spelling_aut(sig, (a, b, a, c, a.inv()))
+    spelling_aut(sig, (c, d, b, b, a))
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(sig, name) for name in (a, b, c, d, a.inv())}

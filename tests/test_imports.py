@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module, and every private
-function of the package is used somewhere in the package.
+"""Every imported name is read somewhere in its module, every private
+function of the package is used somewhere in the package, and no function
+of the package imports inside its body.
 
 Scans src/autfb/*.py and tests/*.py with the standard-library ast module.
 The package's __init__.py is skipped by the import scan: its imports are
@@ -83,3 +84,28 @@ def test_the_scan_finds_an_unused_private_function():
 
 def test_no_unused_private_functions():
     assert unused_private_functions([p.read_text() for p in PACKAGE]) == []
+
+
+def imports_inside_functions(source):
+    """(line, function) for each import statement inside a function body."""
+    tree = ast.parse(source)
+    return sorted(
+        {
+            (node.lineno, func.name)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_the_scan_finds_an_import_inside_a_function():
+    source = "import os\ndef f():\n    from json import dumps\n    return dumps\n"
+    assert imports_inside_functions(source) == [(3, "f")]
+    assert imports_inside_functions("import os\ndef f():\n    return os\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_imports_inside_functions(path):
+    assert imports_inside_functions(path.read_text()) == []
