@@ -12,6 +12,10 @@ the leftmost name is applied last.  A NamedAut always carries both its
 image table and the image table of its inverse; inversion just swaps the
 tables and reverses the spelling, and never solves equations.
 
+gen_aut builds both tables of a named generator by one rule, _gen_images,
+at the name and at name.inv(); that rule is also the one check of a name
+against a signature.  Spelling tokens read letters by Signature.letter_code.
+
 Equality of automorphisms is extensional (image tables), not spelling
 equality; that is what makes a relation a pair of spellings with equal
 images.
@@ -34,7 +38,6 @@ from .freegroup import (
     delete_y,
     gen_word,
     invert as invert_word,
-    multiply,
 )
 
 
@@ -75,36 +78,38 @@ class GenName(NamedTuple):
         return tuple.__new__(GenName, self[:4] + (-self.power,))
 
 
+def _name(kind, v, e, w, power, *indices):
+    """The checks every constructor shares: power +-1, positive indices."""
+    if power not in (1, -1):
+        raise ValueError("power must be +-1")
+    if min(indices) <= 0:
+        raise ValueError("generator codes must be positive")
+    return GenName(kind, v, e, w, power)
+
+
 def m_name(v, e, w, power=1):
     if v == w:
         raise ValueError("M[v^e,w] needs v != w")
-    if e not in (1, -1) or power not in (1, -1):
+    if e not in (1, -1):
         raise ValueError("signs must be +-1")
-    if v <= 0 or w <= 0:
-        raise ValueError("generator codes must be positive")
-    return GenName("M", v, e, w, power)
+    return _name("M", v, e, w, power, v, w)
 
 
 def c_name(v, w, power=1):
     if v == w:
         raise ValueError("C[v,w] needs v != w")
-    if power not in (1, -1):
-        raise ValueError("power must be +-1")
-    if v <= 0 or w <= 0:
-        raise ValueError("generator codes must be positive")
-    return GenName("C", v, 0, w, power)
+    return _name("C", v, 0, w, power, v, w)
 
 
 def p_name(i, j, power=1):
     if i == j:
         raise ValueError("P[i,j] needs i != j")
-    if i > j:
-        i, j = j, i  # P[i,j] and P[j,i] are tacitly the same name
-    return GenName("P", i, 0, j, power)
+    # P[i,j] and P[j,i] are tacitly the same name
+    return _name("P", min(i, j), 0, max(i, j), power, i, j)
 
 
 def i_name(i, power=1):
-    return GenName("I", i, 0, 0, power)
+    return _name("I", i, 0, 0, power, i)
 
 
 class NamedAut:
@@ -147,50 +152,64 @@ def identity(sig):
     return NamedAut(sig, (), base, list(base))
 
 
+def _gen_images(sig, name):
+    """The image table of one named generator at its power: the one rule
+    for every kind, and the one check of a name.  Each branch passes the
+    fields to the kind's constructor, which checks a hand-built GenName,
+    and then the codes are checked against the signature.
+
+        M[v^e,w]^p   v -> w^p v (e = +1)  or  v -> v w^-p (e = -1)
+        C[v,w]^p     v -> w^p v w^-p
+        P[i,j]       x_i <-> x_j          (either power)
+        I[i]         x_i -> x_i^-1        (either power)
+    """
+    kind, v, e, w, p = name
+    if kind == "M":
+        m_name(v, e, w, p)
+        moved = {v: (w * p, v) if e == 1 else (v, -w * p)}
+    elif kind == "C":
+        c_name(v, w, p)
+        moved = {v: (w * p, v, -w * p)}
+    elif kind == "P":
+        p_name(v, w, p)
+        moved = {v: (w,), w: (v,)}
+    elif kind == "I":
+        i_name(v, p)
+        moved = {v: (-v,)}
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if kind in ("P", "I") and any(sig.klass(i) != "x" for i in moved):
+        raise ValueError(f"{kind} indices must be x's for {sig}")
+    images = _gen_words(sig)
+    for c, letters in moved.items():
+        images[c - 1] = Word(sig, letters)
+    return images
+
+
+def gen_aut(sig, name):
+    """Realize one GenName (with its power) as a NamedAut; both tables
+    come from _gen_images, at name and at name.inv()."""
+    return NamedAut(sig, (name,), _gen_images(sig, name), _gen_images(sig, name.inv()))
+
+
 def mul_gen(sig, v, e, w):
     """M[v^e,w]: v -> w v (e = +1) or v -> v w^-1 (e = -1), rest fixed."""
-    name = m_name(v, e, w)
-    images = _gen_words(sig)
-    inv_images = _gen_words(sig)
-    vv, ww = gen_word(sig, v), gen_word(sig, w)
-    if e == 1:
-        images[v - 1] = multiply(ww, vv)
-        inv_images[v - 1] = multiply(invert_word(ww), vv)
-    else:
-        images[v - 1] = multiply(vv, invert_word(ww))
-        inv_images[v - 1] = multiply(vv, ww)
-    return NamedAut(sig, (name,), images, inv_images)
+    return gen_aut(sig, m_name(v, e, w))
 
 
 def con_gen(sig, v, w):
     """C[v,w]: v -> w v w^-1, rest fixed."""
-    name = c_name(v, w)
-    images = _gen_words(sig)
-    inv_images = _gen_words(sig)
-    vv, ww = gen_word(sig, v), gen_word(sig, w)
-    images[v - 1] = multiply(multiply(ww, vv), invert_word(ww))
-    inv_images[v - 1] = multiply(multiply(invert_word(ww), vv), ww)
-    return NamedAut(sig, (name,), images, inv_images)
+    return gen_aut(sig, c_name(v, w))
 
 
 def swap_gen(sig, i, j):
     """P[i,j]: x_i <-> x_j; an involution."""
-    name = p_name(i, j)
-    if not (1 <= i <= sig.n and 1 <= j <= sig.n):
-        raise ValueError(f"P indices out of range for {sig}")
-    images = _gen_words(sig)
-    images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-    return NamedAut(sig, (name,), images, list(images))
+    return gen_aut(sig, p_name(i, j))
 
 
 def inv_gen(sig, i):
     """I[i]: x_i -> x_i^-1; an involution."""
-    name = i_name(i)
-    if not 1 <= i <= sig.n:
-        raise ValueError(f"I index out of range for {sig}")
-    images = _gen_words(sig)
-    images[i - 1] = invert_word(images[i - 1])
-    return NamedAut(sig, (name,), images, list(images))
+    return gen_aut(sig, i_name(i))
 
 
 def from_images(sig, images, inv_images, spelling=()):
@@ -293,21 +312,6 @@ def power(f, m):
     return acc
 
 
-def gen_aut(sig, name):
-    """Realize one GenName (with its power) as a NamedAut."""
-    if name.kind == "M":
-        f = mul_gen(sig, name.v, name.e, name.w)
-    elif name.kind == "C":
-        f = con_gen(sig, name.v, name.w)
-    elif name.kind == "P":
-        f = swap_gen(sig, name.v, name.w)
-    elif name.kind == "I":
-        f = inv_gen(sig, name.v)
-    else:
-        raise ValueError(f"unknown generator kind {name.kind!r}")
-    return inverse(f) if name.power == -1 else f
-
-
 @lru_cache(maxsize=None)
 def _cached_gen_aut(sig, name):
     return gen_aut(sig, name)
@@ -361,45 +365,33 @@ def is_in_kernel(f):
 # token; an optional `^-1` inside the second slot of M/C is normalized into
 # the token power (so M[x1^+1,y1^-1] means M[x1^+1,y1]^-1).
 
-_M_RE = re.compile(r"M\[([xyz]\d+)\^(\+?1|-1),([xyz]\d+)(\^-1)?\](\^-1)?$")
-_C_RE = re.compile(r"C\[([xyz]\d+),([xyz]\d+)(\^-1)?\](\^-1)?$")
+_M_RE = re.compile(r"M\[(\w+)\^(\+?1|-1),([\w^-]+)\](\^-1)?$")
+_C_RE = re.compile(r"C\[(\w+),([\w^-]+)\](\^-1)?$")
 _P_RE = re.compile(r"P\[(\d+),(\d+)\](\^-1)?$")
 _I_RE = re.compile(r"I\[(\d+)\](\^-1)?$")
 
 
-def _parse_gen(sig, text):
-    m = re.match(r"([xyz])(\d+)$", text)
-    if not m:
-        raise ValueError(f"bad generator token {text!r}")
-    return sig.gen_code(m.group(1), int(m.group(2)))
-
-
 def parse_name(sig, tok):
+    """One spelling token; its letters are read by Signature.letter_code
+    and its P/I indices by Signature.gen_code, so both are range-checked."""
     m = _M_RE.match(tok)
     if m:
-        v = _parse_gen(sig, m.group(1))
+        w = sig.letter_code(m.group(3))
         e = -1 if m.group(2) == "-1" else 1
-        w = _parse_gen(sig, m.group(3))
-        pw = (-1 if m.group(4) else 1) * (-1 if m.group(5) else 1)
-        return m_name(v, e, w, pw)
+        pw = (-1 if w < 0 else 1) * (-1 if m.group(4) else 1)
+        return m_name(sig.letter_code(m.group(1)), e, abs(w), pw)
     m = _C_RE.match(tok)
     if m:
-        v = _parse_gen(sig, m.group(1))
-        w = _parse_gen(sig, m.group(2))
-        pw = (-1 if m.group(3) else 1) * (-1 if m.group(4) else 1)
-        return c_name(v, w, pw)
+        w = sig.letter_code(m.group(2))
+        pw = (-1 if w < 0 else 1) * (-1 if m.group(3) else 1)
+        return c_name(sig.letter_code(m.group(1)), abs(w), pw)
     m = _P_RE.match(tok)
     if m:
-        i, j = int(m.group(1)), int(m.group(2))
-        if not (1 <= i <= sig.n and 1 <= j <= sig.n):
-            raise ValueError(f"P indices out of range in {tok!r}")
+        i, j = (sig.gen_code("x", int(g)) for g in m.group(1, 2))
         return p_name(i, j, -1 if m.group(3) else 1)
     m = _I_RE.match(tok)
     if m:
-        i = int(m.group(1))
-        if not 1 <= i <= sig.n:
-            raise ValueError(f"I index out of range in {tok!r}")
-        return i_name(i, -1 if m.group(2) else 1)
+        return i_name(sig.gen_code("x", int(m.group(1))), -1 if m.group(2) else 1)
     raise ValueError(f"bad automorphism token {tok!r}")
 
 

@@ -9,7 +9,6 @@ check passes, 1 when a verification fails, 2 on a usage error.
 
 from __future__ import annotations
 
-import re
 import sys
 
 import click
@@ -35,17 +34,14 @@ def _signature(n, k, l):
         raise click.UsageError(str(exc))
 
 
-_GEN_RE = re.compile(r"^([xyz])([0-9]+)$")
-
-
 def _gen_code(sig, text, what):
-    m = _GEN_RE.match(text.strip())
-    if not m:
-        raise click.UsageError(f"{what}: expected a generator like x1 or z2, got {text!r}")
     try:
-        return sig.gen_code(m.group(1), int(m.group(2)))
+        code = sig.letter_code(text.strip())
     except ValueError as exc:
         raise click.UsageError(f"{what}: {exc}")
+    if code < 0:
+        raise click.UsageError(f"{what}: expected a generator like x1 or z2, got {text!r}")
+    return code
 
 
 def _aut_from_options(sig, aut_text, word_file, what="--aut"):

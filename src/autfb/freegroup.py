@@ -9,7 +9,9 @@ The group is free on three blocks of generators
 A letter is a nonzero integer: codes 1..n are the x's, n+1..n+k the y's,
 n+k+1..n+k+l the z's, and a negative code is the inverse of the positive
 one.  A Word wraps a tuple of letters that is always freely reduced, so
-equality of group elements is plain tuple equality.
+equality of group elements is plain tuple equality.  Signature.letter_code,
+the inverse of letter_name, is the one letter grammar: parse_word, the
+spelling parser and the command line all read letters through it.
 
 Conventions used throughout the package: conjugation is
 conjugate(u, w) = w u w^-1, and commutator(u, v) = u v u^-1 v^-1.
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+
+_LETTER_RE = re.compile(r"([xyz])(\d+)(\^-?1)?")
 
 
 class Signature(namedtuple("Signature", "n k l")):
@@ -106,6 +110,15 @@ class Signature(namedtuple("Signature", "n k l")):
         elif klass == "z":
             i -= self.n + self.k
         return f"{klass}{i}" + ("^-1" if code < 0 else "")
+
+    def letter_code(self, text):
+        """Inverse of letter_name, and the one letter grammar: reads 'x2',
+        'z1^-1' and 'x1^1'; any other exponent is an error."""
+        m = _LETTER_RE.fullmatch(text)
+        if not m:
+            raise ValueError(f"expected a generator like x1 or z2, got {text!r}")
+        code = self.gen_code(m.group(1), int(m.group(2)))
+        return -code if m.group(3) == "^-1" else code
 
 
 class Word:
@@ -262,26 +275,13 @@ def delete_y(u):
     return Word(sig, tuple(c for c in u.letters if not sig.is_y(c)))
 
 
-_TOKEN_RE = re.compile(r"([xyz])(\d+)(\^(-?\d+))?$")
-
-
 def parse_word(sig, text):
     """Parse the word grammar: whitespace-separated `x1`, `y2^-1`, ...
 
     The empty string is the identity.  Exponents other than +-1 are
     rejected; write powers as repeated tokens.
     """
-    letters = []
-    for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad word token {tok!r}")
-        klass, idx, _, exp = m.groups()
-        if exp is not None and exp not in ("1", "-1"):
-            raise ValueError(f"bad exponent in token {tok!r}: only ^-1 allowed")
-        code = sig.gen_code(klass, int(idx))
-        letters.append(-code if exp == "-1" else code)
-    return Word(sig, letters)
+    return Word(sig, [sig.letter_code(tok) for tok in text.split()])
 
 
 def word(sig, text):

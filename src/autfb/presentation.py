@@ -13,7 +13,8 @@ once by _inst or sym_comm.  _perm_apply is the one P/I relabeling of the
 x's a symbol mentions; a multiplier relabeled to w^-1 becomes the power on
 the name, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1.
 
-Alphabets:
+Alphabets (in_s_k and in_s_q test membership in s_k_symbols and
+s_q_symbols, at either formal power):
 
     S_N   swaps, inversions, and Nielsen moves among the x's
     S_Q   S_N plus conjugations C[z,v] and Nielsen moves M[x^e,v] with
@@ -48,6 +49,7 @@ automorphism.spelling_aut, which builds both tables of a NamedAut.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .freegroup import Signature, Word, invert, multiply
@@ -139,34 +141,23 @@ def symbol_images(sig, w):
 # alphabets
 
 
+@lru_cache(maxsize=16)
+def _alphabet_sets(sig):
+    """S_K and S_Q at sig as sets, each letter at both formal powers."""
+    return tuple(
+        frozenset(u for s in symbols(sig) for u in (s, s.inv()))
+        for symbols in (s_k_symbols, s_q_symbols)
+    )
+
+
 def in_s_k(sig, name):
-    """Admissibility in S_K (power ignored)."""
-    if name.kind == "M":
-        return sig.klass(name.v) == "x" and sig.klass(name.w) == "y"
-    if name.kind == "C":
-        if sig.klass(name.v) == "z":
-            return sig.klass(name.w) == "y"
-        return sig.klass(name.v) == "y" and name.v != name.w
-    return False
+    """Admissibility in S_K (power ignored): membership in s_k_symbols."""
+    return name in _alphabet_sets(sig)[0]
 
 
 def in_s_q(sig, name):
-    """Admissibility in S_Q (power ignored)."""
-    if name.kind in ("P", "I"):
-        return True
-    if name.kind == "M":
-        return (
-            sig.klass(name.v) == "x"
-            and sig.klass(name.w) in ("x", "z")
-            and name.v != name.w
-        )
-    if name.kind == "C":
-        return (
-            sig.klass(name.v) == "z"
-            and sig.klass(name.w) in ("x", "z")
-            and name.v != name.w
-        )
-    return False
+    """Admissibility in S_Q (power ignored): membership in s_q_symbols."""
+    return name in _alphabet_sets(sig)[1]
 
 
 def s_k_symbols(sig):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autfb import (
+    GenName,
+    NamedAut,
     NotInAutFBError,
     Signature,
     apply,
@@ -18,8 +20,10 @@ from autfb import (
     from_images,
     gen_aut,
     gen_word,
+    i_name,
     identity,
     inv_gen,
+    invert,
     inverse,
     is_conjugate,
     is_in_autfb,
@@ -92,10 +96,128 @@ def test_name_constructors_validate():
         swap_gen(SIG, 1, 3)
     with pytest.raises(ValueError):
         inv_gen(SIG, 5)
+    # every constructor rejects a non-positive index and a power other than +-1
+    bad = [
+        lambda: i_name(0),
+        lambda: i_name(-1),
+        lambda: p_name(0, 2),
+        lambda: p_name(1, -2),
+        lambda: m_name(0, 1, 2),
+        lambda: c_name(1, 0),
+        lambda: i_name(1, power=2),
+        lambda: p_name(1, 2, power=0),
+        lambda: c_name(1, 2, power=-2),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_p_name_is_unordered():
     assert p_name(2, 1) == p_name(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the one image rule against hand-written constructors
+
+
+def _ref_tables(sig):
+    return [gen_word(sig, c) for c in sig.gens()], [gen_word(sig, c) for c in sig.gens()]
+
+
+def ref_mul_gen(sig, v, e, w):
+    images, inv_images = _ref_tables(sig)
+    vv, ww = gen_word(sig, v), gen_word(sig, w)
+    if e == 1:
+        images[v - 1] = multiply(ww, vv)
+        inv_images[v - 1] = multiply(invert(ww), vv)
+    else:
+        images[v - 1] = multiply(vv, invert(ww))
+        inv_images[v - 1] = multiply(vv, ww)
+    return NamedAut(sig, (m_name(v, e, w),), images, inv_images)
+
+
+def ref_con_gen(sig, v, w):
+    images, inv_images = _ref_tables(sig)
+    vv, ww = gen_word(sig, v), gen_word(sig, w)
+    images[v - 1] = multiply(multiply(ww, vv), invert(ww))
+    inv_images[v - 1] = multiply(multiply(invert(ww), vv), ww)
+    return NamedAut(sig, (c_name(v, w),), images, inv_images)
+
+
+def ref_swap_gen(sig, i, j):
+    if not (1 <= i <= sig.n and 1 <= j <= sig.n):
+        raise ValueError(f"P indices out of range for {sig}")
+    images, _ = _ref_tables(sig)
+    images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
+    return NamedAut(sig, (p_name(i, j),), images, list(images))
+
+
+def ref_inv_gen(sig, i):
+    if not 1 <= i <= sig.n:
+        raise ValueError(f"I index out of range for {sig}")
+    images, _ = _ref_tables(sig)
+    images[i - 1] = invert(images[i - 1])
+    return NamedAut(sig, (i_name(i),), images, list(images))
+
+
+def ref_gen_aut(sig, name):
+    """Each kind written out at power +1; power -1 swaps the tables."""
+    if name.kind == "M":
+        f = ref_mul_gen(sig, name.v, name.e, name.w)
+    elif name.kind == "C":
+        f = ref_con_gen(sig, name.v, name.w)
+    elif name.kind == "P":
+        f = ref_swap_gen(sig, name.v, name.w)
+    else:
+        f = ref_inv_gen(sig, name.v)
+    if name.power == -1:
+        return NamedAut(sig, (name,), f.inv_images, f.images)
+    return f
+
+
+def _names_up_to(top):
+    """Every M, C, P and I name whose codes or indices are at most top."""
+    for v in range(1, top + 1):
+        yield i_name(v)
+        for w in range(1, top + 1):
+            if v != w:
+                yield m_name(v, 1, w)
+                yield m_name(v, -1, w)
+                yield c_name(v, w)
+                if v < w:
+                    yield p_name(v, w)
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(2, 0, 0), Signature(1, 1, 1), Signature(2, 2, 2), Signature(3, 1, 2)]
+)
+def test_gen_aut_matches_the_hand_written_constructors(sig):
+    for base in _names_up_to(sig.ngens + 1):
+        # M and C take any letter; P and I take x indices only.
+        valid = max(base.v, base.w) <= (sig.ngens if base.kind in ("M", "C") else sig.n)
+        for name in (base, base.inv()):
+            if valid:
+                got, ref = gen_aut(sig, name), ref_gen_aut(sig, name)
+                assert got.images == ref.images
+                assert got.inv_images == ref.inv_images
+                assert got.spelling == ref.spelling == (name,)
+            else:
+                with pytest.raises(ValueError):
+                    gen_aut(sig, name)
+                with pytest.raises(ValueError):
+                    ref_gen_aut(sig, name)
+    # A GenName built by hand is checked as its constructor would check it.
+    for name in (
+        GenName("M", 1, 1, 1, 1),
+        GenName("M", 1, 0, 2, 1),
+        GenName("C", 2, 0, 2, -1),
+        GenName("C", 1, 0, 2, 2),
+        GenName("P", 1, 0, 1, 1),
+        GenName("I", 1, 0, 0, 0),
+    ):
+        with pytest.raises(ValueError):
+            gen_aut(sig, name)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from autfb import gen_word, m_name
 from autfb.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 runner = CliRunner()
 
@@ -239,6 +241,20 @@ def test_isum_guards():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["isum", "--s", "x1^-1", "--aut", ""],
+        ["pairing", "--y", "y1^-1"],
+    ],
+    ids=["isum", "pairing"],
+)
+def test_generator_options_reject_an_inverse_letter(args):
+    res = runner.invoke(main, args + ["--n", "1", "--k", "1", "--l", "1"])
+    assert res.exit_code == 2
+    assert "expected a generator like x1 or z2" in _err(res)
+
+
 def test_expand_depth_zero():
     res = runner.invoke(
         main, ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", "0"]
@@ -309,3 +325,40 @@ def test_verification_output_is_byte_stable():
     assert first.exit_code == 0
     assert first.output == second.output
     assert first.output.splitlines()[-1] == "# total\t82\tpass\t82\tfail\t0\tskip\t0"
+
+
+def _readme_examples():
+    """(command, shown lines) for each indented `$ autfb ...` block of the
+    README; a block ends at the first line that is not indented."""
+    examples, shown = [], None
+    with open(README, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("    $ autfb "):
+                shown = []
+                examples.append((line[len("    $ autfb ") :], shown))
+            elif shown is not None and line.startswith("    "):
+                shown.append(line[4:])
+            else:
+                shown = None
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_six_examples():
+    assert len(README_EXAMPLES) == 6
+
+
+@pytest.mark.parametrize(
+    "command,shown", README_EXAMPLES, ids=[c.split()[0] for c, _ in README_EXAMPLES]
+)
+def test_readme_example_prints_what_it_shows(command, shown):
+    command, _, pipe = command.partition(" | ")
+    res = runner.invoke(main, shlex.split(command))
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    if pipe:
+        assert pipe.startswith("tail -")
+        lines = lines[-int(pipe[len("tail -") :]) :]
+    assert lines == shown

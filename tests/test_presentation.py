@@ -69,13 +69,28 @@ def test_alphabet_sizes():
 
 
 def test_alphabet_admissibility():
-    for sig in (S111, S222):
-        for s in s_k_symbols(sig):
-            assert in_s_k(sig, s) and not in_s_q(sig, s)
-        for t in s_q_symbols(sig):
-            assert in_s_q(sig, t) and not in_s_k(sig, t)
-    # powers are ignored by admissibility
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if n + k + l:
+            sig = Signature(n, k, l)
+            # powers are ignored by admissibility
+            for s in s_k_symbols(sig):
+                for u in (s, s.inv()):
+                    assert in_s_k(sig, u) and not in_s_q(sig, u)
+            for t in s_q_symbols(sig):
+                for u in (t, t.inv()):
+                    assert in_s_q(sig, u) and not in_s_k(sig, u)
     assert in_s_k(S222, c_name(5, 3, power=-1))
+
+
+def test_s_q_admits_no_swap_or_inversion_off_the_x_block():
+    # P[1,4] would swap x1 with the boundary letter z1; I[4] would invert
+    # z1; P[1,9] names a letter the signature does not have.
+    sig = Signature(2, 1, 1)
+    for t in (p_name(1, 4), i_name(4), p_name(1, 9)):
+        for u in (t, t.inv()):
+            assert not in_s_q(sig, u)
+            with pytest.raises(ValueError):
+                action_f(sig, u, m_name(1, 1, 3))
 
 
 def test_alphabet_order_is_deterministic():

@@ -138,6 +138,26 @@ def test_parser_rejects_general_exponents():
         parse_word(SIG, "y3")
 
 
+@pytest.mark.parametrize(
+    "sig",
+    [Signature(1, 0, 0), Signature(0, 2, 1), Signature(1, 1, 1), SIG, Signature(3, 1, 2)],
+)
+def test_letter_code_inverts_letter_name(sig):
+    for g in sig.gens():
+        for c in (g, -g):
+            assert sig.letter_code(sig.letter_name(c)) == c
+
+
+def test_letter_code_reads_the_letter_grammar():
+    assert SIG.letter_code("x2") == 2
+    assert SIG.letter_code("z1^-1") == -5
+    assert SIG.letter_code("x1^1") == 1
+    bad = ("x1^2", "x1^+1", "x1^-2", "w1", "x3", "y0", "z3^-1", "", "x1 ", "x1\n")
+    for text in bad:
+        with pytest.raises(ValueError):
+            SIG.letter_code(text)
+
+
 # ---------------------------------------------------------------------------
 # algebraic laws on random words
 
