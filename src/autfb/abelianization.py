@@ -17,9 +17,9 @@ No floating point anywhere; ranks come from fraction-free elimination.
 
 from __future__ import annotations
 
-from .freegroup import Signature, Word, cyclic_reduce, gen_word, invert, multiply
+from .freegroup import Signature, Word, cyclic_reduce, gen_word, multiply
 from .freegroup import abelianize as ab_vector
-from .automorphism import ClaimFailedError, NamedAut, apply, is_in_kernel
+from .automorphism import ClaimFailedError, NamedAut, is_in_kernel
 from .automorphism import _cached_gen_aut
 from .presentation import s_k_symbols
 
@@ -30,8 +30,9 @@ from .presentation import s_k_symbols
 
 def ab_matrix(sig: Signature, f: NamedAut):
     """Matrix of the abelianized action, rows and columns by code - 1."""
+    _require_sig(sig, f)
     n = sig.ngens
-    cols = [ab_vector(apply(f, gen_word(sig, c))) for c in sig.gens()]
+    cols = [ab_vector(f.image(c)) for c in sig.gens()]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -144,20 +145,26 @@ def wedge_push(matrix, w: WedgeElement):
 # the homomorphisms
 
 
-def _require_kernel(f):
+def _require_sig(sig, f):
+    if f.sig != sig:
+        raise ValueError(f"signature mismatch: {f.sig} vs {sig}")
+
+
+def _require_kernel(sig, f):
+    _require_sig(sig, f)
     if not is_in_kernel(f):
         raise ValueError("automorphism is not in the kernel")
 
 
 def act_hom(sig: Signature, f: NamedAut):
     """k x n matrix: row per y-generator, column per x-generator."""
-    _require_kernel(f)
+    _require_kernel(sig, f)
     rows = list(sig.y_gens())
     out = []
     for y in rows:
         out.append([0] * sig.n)
     for idx, x in enumerate(sig.x_gens()):
-        v = ab_vector(apply(f, gen_word(sig, x)))
+        v = ab_vector(f.image(x))
         for r, y in enumerate(rows):
             out[r][idx] = v[y - 1]
     return tuple(tuple(r) for r in out)
@@ -165,32 +172,29 @@ def act_hom(sig: Signature, f: NamedAut):
 
 def johnson_class(sig: Signature, f: NamedAut, c: int) -> WedgeElement:
     """Wedge class of f(c) c^-1 at a boundary letter c."""
-    _require_kernel(f)
+    _require_kernel(sig, f)
     if sig.klass(c) not in ("y", "z"):
         raise ValueError("boundary letter expected")
-    u = multiply(apply(f, gen_word(sig, c)), invert(gen_word(sig, c)))
-    return wedge_class(u)
+    return wedge_class(multiply(f.image(c), gen_word(sig, -c)))
 
 
 def johnson_full(sig: Signature, f: NamedAut):
     """Per-boundary-letter wedge classes; a homomorphism only when n = 0."""
     if sig.n != 0:
         raise ValueError("defined as a homomorphism only with no x-generators")
-    _require_kernel(f)
     return {c: johnson_class(sig, f, c) for c in sig.gens()}
 
 
 def _conjugating_word(sig, f, c):
-    img = apply(f, gen_word(sig, c))
-    core, conj = cyclic_reduce(img)
-    if core != gen_word(sig, c):
+    core, conj = cyclic_reduce(f.image(c))
+    if core.letters != (c,):
         raise ClaimFailedError(f"image of letter {c} is not a conjugate of it")
     return conj
 
 
 def johnson_z(sig: Signature, f: NamedAut, c: int):
     """y-block exponent vector of the word conjugating a z-letter."""
-    _require_kernel(f)
+    _require_kernel(sig, f)
     if sig.klass(c) != "z":
         raise ValueError("z-generator expected")
     v = ab_vector(_conjugating_word(sig, f, c))
@@ -199,7 +203,7 @@ def johnson_z(sig: Signature, f: NamedAut, c: int):
 
 def johnson_y(sig: Signature, f: NamedAut, c: int):
     """(x,z)-block exponent vector of the word conjugating a y-letter."""
-    _require_kernel(f)
+    _require_kernel(sig, f)
     if sig.klass(c) != "y":
         raise ValueError("y-generator expected")
     v = ab_vector(_conjugating_word(sig, f, c))

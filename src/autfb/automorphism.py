@@ -32,13 +32,7 @@ import re
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .freegroup import (
-    Word,
-    cyclic_reduce,
-    delete_y,
-    gen_word,
-    invert as invert_word,
-)
+from .freegroup import Word, cyclic_reduce, delete_y, invert as invert_word
 
 
 class NotInAutFBError(ValueError):
@@ -220,11 +214,9 @@ def from_images(sig, images, inv_images, spelling=()):
     """
     f = NamedAut(sig, spelling, images, inv_images)
     for c in sig.gens():
-        target = gen_word(sig, c)
-        if _apply_table(f.images, f.inv_images[c - 1]) != target:
-            raise ValueError("image tables are not mutually inverse")
-        if _apply_table(f.inv_images, f.images[c - 1]) != target:
-            raise ValueError("image tables are not mutually inverse")
+        for table, other in ((f.images, f.inv_images), (f.inv_images, f.images)):
+            if _apply_table(table, other[c - 1]).letters != (c,):
+                raise ValueError("image tables are not mutually inverse")
     return f
 
 
@@ -337,9 +329,8 @@ def is_in_autfb(f):
 
 def is_in_autfb_prime(f):
     """Does f fix every y and z generator on the nose?"""
-    sig = f.sig
-    for c in sig.yz_gens():
-        if f.images[c - 1] != gen_word(sig, c):
+    for c in f.sig.yz_gens():
+        if f.images[c - 1].letters != (c,):
             return False
     return True
 
@@ -353,9 +344,8 @@ def is_in_kernel(f):
     """
     if not is_in_autfb(f):
         raise NotInAutFBError("not a boundary-preserving automorphism")
-    sig = f.sig
-    for c in sig.xz_gens():
-        if delete_y(f.images[c - 1]) != gen_word(sig, c):
+    for c in f.sig.xz_gens():
+        if delete_y(f.images[c - 1]).letters != (c,):
             return False
     return True
 
@@ -365,31 +355,31 @@ def is_in_kernel(f):
 # token; an optional `^-1` inside the second slot of M/C is normalized into
 # the token power (so M[x1^+1,y1^-1] means M[x1^+1,y1]^-1).
 
-_M_RE = re.compile(r"M\[(\w+)\^(\+?1|-1),([\w^-]+)\](\^-1)?$")
-_C_RE = re.compile(r"C\[(\w+),([\w^-]+)\](\^-1)?$")
-_P_RE = re.compile(r"P\[(\d+),(\d+)\](\^-1)?$")
-_I_RE = re.compile(r"I\[(\d+)\](\^-1)?$")
+_M_RE = re.compile(r"M\[(\w+)\^(\+?1|-1),([\w^-]+)\](\^-1)?")
+_C_RE = re.compile(r"C\[(\w+),([\w^-]+)\](\^-1)?")
+_P_RE = re.compile(r"P\[([1-9][0-9]*),([1-9][0-9]*)\](\^-1)?")
+_I_RE = re.compile(r"I\[([1-9][0-9]*)\](\^-1)?")
 
 
 def parse_name(sig, tok):
     """One spelling token; its letters are read by Signature.letter_code
     and its P/I indices by Signature.gen_code, so both are range-checked."""
-    m = _M_RE.match(tok)
+    m = _M_RE.fullmatch(tok)
     if m:
         w = sig.letter_code(m.group(3))
         e = -1 if m.group(2) == "-1" else 1
         pw = (-1 if w < 0 else 1) * (-1 if m.group(4) else 1)
         return m_name(sig.letter_code(m.group(1)), e, abs(w), pw)
-    m = _C_RE.match(tok)
+    m = _C_RE.fullmatch(tok)
     if m:
         w = sig.letter_code(m.group(2))
         pw = (-1 if w < 0 else 1) * (-1 if m.group(3) else 1)
         return c_name(sig.letter_code(m.group(1)), abs(w), pw)
-    m = _P_RE.match(tok)
+    m = _P_RE.fullmatch(tok)
     if m:
         i, j = (sig.gen_code("x", int(g)) for g in m.group(1, 2))
         return p_name(i, j, -1 if m.group(3) else 1)
-    m = _I_RE.match(tok)
+    m = _I_RE.fullmatch(tok)
     if m:
         return i_name(sig.gen_code("x", int(m.group(1))), -1 if m.group(2) else 1)
     raise ValueError(f"bad automorphism token {tok!r}")

@@ -14,14 +14,7 @@ import sys
 import click
 
 from .freegroup import Signature
-from .automorphism import (
-    ClaimFailedError,
-    NotInAutFBError,
-    format_name,
-    identity,
-    parse_spelling,
-    spelling_aut,
-)
+from .automorphism import ClaimFailedError, format_name, identity, parse_aut
 from . import abelianization as ab
 from . import cocycle as co
 from . import presentation as pr
@@ -53,8 +46,22 @@ def _aut_from_options(sig, aut_text, word_file, what="--aut"):
         with open(word_file, "r", encoding="utf-8") as fh:
             aut_text = fh.read()
     try:
-        spelling = parse_spelling(sig, aut_text)
-        return spelling_aut(sig, spelling)
+        return parse_aut(sig, aut_text)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _pairing_context(sig, y_text, a_text=None, b_text=None):
+    """The pairing stage named by --y/--a/--b, defaulting to y1 and the
+    first two of X, Z."""
+    xz = sig.xz_gens()
+    if sig.k < 1 or len(xz) < 2:
+        raise click.UsageError("needs k >= 1 and at least two non-y generators")
+    y = _gen_code(sig, y_text, "--y") if y_text else sig.y_gens()[0]
+    a = _gen_code(sig, a_text, "--a") if a_text else xz[0]
+    b = _gen_code(sig, b_text, "--b") if b_text else xz[1]
+    try:
+        return co.PairingContext(sig, y=y, a=a, b=b)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -91,15 +98,7 @@ def main():
     """Symbolic toolkit for boundary-respecting free-group automorphisms."""
 
 
-FAMILY_CHOICES = (
-    "nielsen",
-    "jensen-wahl",
-    "rk",
-    "c-lemma",
-    "action-table",
-    "table5",
-    "inverse-property",
-)
+FAMILY_CHOICES = (*pr.FAMILY_GROUPS, "action-table", "table5", "inverse-property")
 
 
 @main.command()
@@ -190,19 +189,9 @@ def johnson(n, k, l, fmt, aut_text, word_file):
 @click.option("--mmax", default=6, show_default=True)
 def pairing(n, k, l, fmt, y_text, a_text, b_text, rmax, mmax):
     """TSV matrix of pairing values; passes iff it is twice the identity."""
-    sig = _signature(n, k, l)
-    xz = sig.xz_gens()
-    if sig.k < 1 or len(xz) < 2:
-        raise click.UsageError("needs k >= 1 and at least two non-y generators")
+    ctx = _pairing_context(_signature(n, k, l), y_text, a_text, b_text)
     if rmax < 1 or mmax < 1:
         raise click.UsageError("--rmax and --mmax must be positive")
-    y = _gen_code(sig, y_text, "--y") if y_text else list(sig.y_gens())[0]
-    a = _gen_code(sig, a_text, "--a") if a_text else xz[0]
-    b = _gen_code(sig, b_text, "--b") if b_text else xz[1]
-    try:
-        ctx = co.PairingContext(sig, y=y, a=a, b=b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     if fmt == "text":
         click.echo("# rows r = 1..%d, columns m = 1..%d" % (rmax, mmax))
     ok = True
@@ -231,16 +220,12 @@ def pairing(n, k, l, fmt, y_text, a_text, b_text, rmax, mmax):
 def isum(n, k, l, fmt, y_text, s_text, aut_text, word_file):
     """The invariant I_s of a kernel element as basis-point lines."""
     sig = _signature(n, k, l)
-    xz = sig.xz_gens()
-    if sig.k < 1 or len(xz) < 2:
-        raise click.UsageError("needs k >= 1 and at least two non-y generators")
-    y = _gen_code(sig, y_text, "--y") if y_text else list(sig.y_gens())[0]
+    ctx = _pairing_context(sig, y_text)
     s = _gen_code(sig, s_text, "--s")
     f = _aut_from_options(sig, aut_text, word_file)
     try:
-        ctx = co.PairingContext(sig, y=y, a=xz[0], b=xz[1])
         value = co.i_s(ctx, f, s)
-    except (ValueError, NotInAutFBError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "text":
         click.echo("# lattice point\tcoefficient")

@@ -21,12 +21,11 @@ per context.  Generators come from automorphism._cached_gen_aut.
 
 from __future__ import annotations
 
-from .freegroup import Signature, Word, delete_y, gen_word, invert, multiply
+from .freegroup import Signature, Word, delete_y, gen_word, multiply
 from .automorphism import (
     ClaimFailedError,
     NamedAut,
     _cached_gen_aut,
-    apply,
     c_name,
     compose,
     identity,
@@ -155,11 +154,10 @@ def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
 
 def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
     """Projection of f(s) s^-1; s ranges over the x- and z-generators."""
-    _require_kernel(f)
+    _require_kernel(ctx.sig, f)
     if s not in ctx._index:
         raise ValueError(f"{s} is not an x- or z-generator code")
-    sw = gen_word(ctx.sig, s)
-    return ny_project(ctx, multiply(apply(f, sw), invert(sw)))
+    return ny_project(ctx, multiply(f.image(s), gen_word(ctx.sig, -s)))
 
 
 def jprime_y(ctx: PairingContext, f: NamedAut):
@@ -186,7 +184,6 @@ def sigma(ctx: PairingContext, x) -> NamedAut:
 
 def hat(ctx: PairingContext, g: NamedAut) -> NamedAut:
     """The section applied to g's own jprime_y value."""
-    _require_kernel(g)
     return sigma(ctx, jprime_y(ctx, g))
 
 

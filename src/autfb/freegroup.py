@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-_LETTER_RE = re.compile(r"([xyz])(\d+)(\^-?1)?")
+_LETTER_RE = re.compile(r"([xyz])([1-9][0-9]*)(\^-?1)?")
 
 
 class Signature(namedtuple("Signature", "n k l")):
@@ -113,7 +113,8 @@ class Signature(namedtuple("Signature", "n k l")):
 
     def letter_code(self, text):
         """Inverse of letter_name, and the one letter grammar: reads 'x2',
-        'z1^-1' and 'x1^1'; any other exponent is an error."""
+        'z1^-1' and 'x1^1'; any other exponent, and an index with a leading
+        zero or a non-ASCII digit, is an error."""
         m = _LETTER_RE.fullmatch(text)
         if not m:
             raise ValueError(f"expected a generator like x1 or z2, got {text!r}")
@@ -222,13 +223,11 @@ def invert(u):
 
 def conjugate(u, w):
     """w u w^-1 (the convention u^w)."""
-    _same_sig(u, w)
-    return multiply(multiply(w, u), invert(w))
+    return multiply(w, multiply(u, invert(w)))
 
 
 def commutator(u, v):
     """u v u^-1 v^-1."""
-    _same_sig(u, v)
     return multiply(multiply(u, v), multiply(invert(u), invert(v)))
 
 

@@ -60,6 +60,7 @@ from .automorphism import (
     _substitute_all,
     c_name,
     format_name,
+    format_spelling,
     m_name,
     p_name,
     i_name,
@@ -114,7 +115,7 @@ def sym_comm(u, v):
 
 
 def format_symbols(sig, w):
-    return " ".join(format_name(sig, s) for s in w)
+    return format_spelling(sig, w)
 
 
 def eval_symbol_word(sig, w):
@@ -1247,9 +1248,7 @@ def support_letter(name):
 
 def mult_letter(name):
     """Letter codes a symbol multiplies or conjugates by."""
-    if name.kind == "M":
-        return frozenset({name.w})
-    if name.kind == "C":
+    if name.kind in ("M", "C"):
         return frozenset({name.w})
     if name.kind == "P":
         return frozenset({name.v, name.w})

@@ -35,6 +35,7 @@ from autfb import (
     wedge_push,
     word,
 )
+from autfb import abelianization, automorphism, freegroup, presentation
 from autfb.abelianization import wedge_single
 
 S022 = Signature(0, 2, 2)
@@ -170,6 +171,19 @@ def test_johnson_argument_validation():
         johnson_class(S222, mul_gen(S222, 1, 1, 5), 3)
 
 
+def test_maps_reject_an_automorphism_of_another_signature():
+    f = identity(Signature(1, 1, 1))
+    for call in (
+        lambda: ab_matrix(S222, f),
+        lambda: act_hom(S222, f),
+        lambda: johnson_class(S222, f, 3),
+        lambda: johnson_y(S222, f, 3),
+        lambda: johnson_z(S222, f, 5),
+    ):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            call()
+
+
 def _random_kernel_element(sig, rng, length):
     pool = s_k_symbols(sig)
     f = identity(sig)
@@ -275,6 +289,23 @@ def test_rank_closed_form():
     assert closed_form_rank(Signature(2, 1, 3)) == 10
     for sig in (Signature(0, 1, 1), Signature(1, 2, 0), Signature(2, 2, 2)):
         assert abelianization_rank(sig) == closed_form_rank(sig)
+
+
+def test_rank_rows_read_the_stored_generator_images(monkeypatch):
+    """With the generator cache warm, every rank row reads the images its
+    generator already holds and builds no one-letter word."""
+    abelianization_rank(S222)
+    calls = []
+
+    def counted(sig, code):
+        calls.append(code)
+        return gen_word(sig, code)
+
+    for mod in (freegroup, automorphism, abelianization, presentation):
+        if getattr(mod, "gen_word", None) is gen_word:
+            monkeypatch.setattr(mod, "gen_word", counted)
+    assert abelianization_rank(S222) == closed_form_rank(S222)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

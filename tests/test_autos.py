@@ -328,8 +328,12 @@ def test_parse_name_normalizes_extended_notation():
     assert parse_name(SIG, "P[2,1]") == p_name(1, 2)
     with pytest.raises(ValueError):
         parse_name(SIG, "M[x1,y1]")
-    with pytest.raises(ValueError):
-        parse_name(SIG, "I[3]")
+    for tok in (
+        "I[3]", "I[0]", "P[01,2]", "P[1,02]", "I[\u0661]", "I[1]\n", "P[1,2]^-1\n",
+        "M[x01^+1,y1]", "M[x1^+1,y1]\n", "C[y1,x\u0661]", "C[y1,x1]\n",
+    ):
+        with pytest.raises(ValueError):
+            parse_name(SIG, tok)
 
 
 def test_spelling_roundtrip():

@@ -255,6 +255,37 @@ def test_generator_options_reject_an_inverse_letter(args):
     assert "expected a generator like x1 or z2" in _err(res)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["isum", "--s", "x01", "--aut", ""],
+        ["isum", "--s", "x\u0661", "--aut", ""],
+        ["pairing", "--a", "z01"],
+    ],
+    ids=["isum-leading-zero", "isum-non-ascii-digit", "pairing-leading-zero"],
+)
+def test_generator_options_read_ascii_indices_without_leading_zeros(args):
+    res = runner.invoke(main, args + ["--n", "1", "--k", "1", "--l", "1"])
+    assert res.exit_code == 2
+    assert "expected a generator like x1 or z2" in _err(res)
+
+
+@pytest.mark.parametrize(
+    "args", [["pairing"], ["isum", "--s", "x1", "--aut", ""]], ids=["pairing", "isum"]
+)
+def test_pairing_stage_rejects_a_non_y_chosen_letter(args):
+    res = runner.invoke(main, args + ["--y", "x1", "--n", "1", "--k", "1", "--l", "1"])
+    assert res.exit_code == 2
+    assert "is not a y-generator code" in _err(res)
+
+
+def test_verify_help_lists_the_families_in_order():
+    res = runner.invoke(main, ["verify", "--help"])
+    assert res.exit_code == 0
+    listed = "{nielsen|jensen-wahl|rk|c-lemma|action-table|table5|inverse-property}"
+    assert listed in "".join(res.output.split())
+
+
 def test_expand_depth_zero():
     res = runner.invoke(
         main, ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", "0"]

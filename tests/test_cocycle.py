@@ -166,6 +166,8 @@ def test_i_s_validates_its_arguments(ctx111):
         i_s(ctx111, identity(S111), 2)  # y code
     with pytest.raises(ValueError):
         i_s(ctx111, mul_gen(S111, 1, 1, 3), 1)  # not in the kernel
+    with pytest.raises(ValueError, match="signature mismatch"):
+        i_s(ctx111, identity(S221), 1)
 
 
 def test_jprime_and_membership(ctx111):

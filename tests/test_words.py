@@ -1,9 +1,12 @@
 """Free-group word layer: reduction, arithmetic, conjugacy, projections."""
 
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autfb.freegroup
 from autfb import (
     Signature,
     abelianize,
@@ -152,10 +155,19 @@ def test_letter_code_reads_the_letter_grammar():
     assert SIG.letter_code("x2") == 2
     assert SIG.letter_code("z1^-1") == -5
     assert SIG.letter_code("x1^1") == 1
-    bad = ("x1^2", "x1^+1", "x1^-2", "w1", "x3", "y0", "z3^-1", "", "x1 ", "x1\n")
+    bad = (
+        "x1^2", "x1^+1", "x1^-2", "w1", "x3", "y0", "z3^-1", "", "x1 ", "x1\n",
+        "x01", "y001^-1", "x\u0661", "z\uff11",
+    )
     for text in bad:
         with pytest.raises(ValueError):
             SIG.letter_code(text)
+
+
+def test_module_docstring_example_runs():
+    result = doctest.testmod(autfb.freegroup)
+    assert result.failed == 0
+    assert result.attempted > 0
 
 
 # ---------------------------------------------------------------------------
