@@ -70,6 +70,7 @@ from .presentation import (
     enumerate_relations,
     eval_symbol_word,
     lpres_expand,
+    lpres_expand_proved,
     mult_set,
     s_k_symbols,
     s_n_symbols,

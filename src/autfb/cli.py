@@ -14,7 +14,7 @@ import sys
 import click
 
 from .freegroup import Signature
-from .automorphism import ClaimFailedError, format_name, identity, parse_aut
+from .automorphism import ClaimFailedError, format_name, parse_aut
 from . import abelianization as ab
 from . import cocycle as co
 from . import presentation as pr
@@ -241,21 +241,23 @@ def isum(n, k, l, fmt, y_text, s_text, aut_text, word_file):
 @_with_sig_options
 @click.option("--depth", default=1, show_default=True, help="expansion depth >= 0")
 def expand(n, k, l, fmt, depth):
-    """Expand the seed relations and check each expanded word is trivial."""
+    """Expand the seed relations and prove every relator trivial.
+
+    The all-identity verdict is proved from the seeds and the action
+    table: every expanded relator is a conjugate of a seed (lpres_expand's
+    induction), so the seeds are evaluated and, at depth >= 1, each action
+    table entry, not the relators one by one.
+    """
     sig = _signature(n, k, l)
     if depth < 0:
         raise click.UsageError("--depth must be >= 0")
-    words = pr.lpres_expand(sig, depth)
+    words, sound = pr.lpres_expand_proved(sig, depth)
     names = {}
     for s in pr.s_k_symbols(sig):
         for u in (s, s.inv()):
             names[u] = format_name(sig, u)
-    sound = True
-    idt = identity(sig).images
-    for w in words:
-        click.echo(" ".join(names[u] for u in w))
-        if pr.symbol_images(sig, w) != idt:
-            sound = False
+    for i in range(0, len(words), 256):  # an echo per line costs ~6 us
+        click.echo("\n".join(" ".join(names[u] for u in w) for w in words[i : i + 256]))
     status = "PASS" if sound else "FAIL"
     click.echo(f"# relations\t{len(words)}\tall-identity\t{status}")
     sys.exit(0 if sound else 1)

@@ -41,10 +41,13 @@ one _apply_table step.  Three checks read that table:
                                "inverse" line undoes it by t^-1's table
     verify_table5              both orders of two letters, one step each
 
-action_letter and action_extend act on GenName words without the table;
-they stay as the public, per-call route.  A relator is proved trivial from
-its forward image table alone (symbol_images); eval_symbol_word is
-automorphism.spelling_aut, which builds both tables of a NamedAut.
+lpres_expand_proved decides that every relator is trivial by transport:
+it evaluates the seeds and each "action" entry (_conjugates), not the
+relators.  action_letter and action_extend act on GenName words without
+the table; they stay as the public, per-call route.  A word is compared
+with another by its forward image table alone (symbol_images);
+eval_symbol_word is automorphism.spelling_aut, which builds both tables of
+a NamedAut.
 """
 
 from __future__ import annotations
@@ -1029,6 +1032,11 @@ def _action_table(sig, letters):
     return encode, decode, table
 
 
+def _conjugates(sig, word, t, s):
+    """Whether the symbol word evaluates to t s t^-1: one "action" entry."""
+    return symbol_images(sig, word) == symbol_images(sig, (t, s, t.inv()))
+
+
 ACTION_FAMILIES = ("action", "inverse")
 
 
@@ -1060,8 +1068,7 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
             params = f"t={t_name},s={k_names[i]}"
             for family in families:
                 if family == "action":
-                    lhs = symbol_images(sig, decode(word))
-                    ok = lhs == symbol_images(sig, (t, s, t_inv))
+                    ok = _conjugates(sig, decode(word), t, s)
                 else:
                     ok = _apply_table(table[t_inv], word).letters == (i + 1,)
                 report.add(family, params, ok)
@@ -1308,16 +1315,12 @@ def reduced_sq_words(sig, depth):
     return words
 
 
-def lpres_expand(sig, depth):
-    """Expand the seed relations through all S_Q words of length <= depth.
+def _lpres_expand(sig, depth):
+    """lpres_expand's relators, with the seeds and the table they came from.
 
-    Returns the deduplicated list of relator words over S_K, in first-seen
-    order; depth 0 is exactly the seed set written as lhs rhs^-1.
-
-    The relators are coded words over S_K (_action_table).  Acting by
-    w = t w' is acting by w' and then by t, and reduced_sq_words lists w'
-    before w, so the relators of w are the table of t substituted into
-    the stored relators of w'; only words shorter than depth are stored.
+    Returns (relators, seeds, decode, table): table is the coded action
+    table of every S_Q letter and decode its inverse coding (None and {}
+    when there are no seeds).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1326,7 +1329,7 @@ def lpres_expand(sig, depth):
         for inst in enumerate_relations("rk", sig)
     ]
     if not seeds:  # S_K may then be empty, and a Signature needs a letter
-        return []
+        return [], seeds, None, {}
     encode, decode, table = _action_table(sig, _sq_letters(sig))
     stored = {}
     seen = set()
@@ -1342,4 +1345,47 @@ def lpres_expand(sig, depth):
             if r.letters not in seen:
                 seen.add(r.letters)
                 out.append(r.letters)
-    return [decode(v) for v in out]
+    return [decode(v) for v in out], seeds, decode, table
+
+
+def lpres_expand(sig, depth):
+    """Expand the seed relations through all S_Q words of length <= depth.
+
+    Returns the deduplicated list of relator words over S_K, in first-seen
+    order; depth 0 is exactly the seed set written as lhs rhs^-1.
+
+    The relators are coded words over S_K (_action_table).  Acting by
+    w = t w' is acting by w' and then by t, and reduced_sq_words lists w'
+    before w, so the relators of w are the table of t substituted into
+    the stored relators of w'; only words shorter than depth are stored.
+
+    So every relator is trivial once every seed is and every table entry
+    is right.  If each entry table[t][i] evaluates to t s_i t^-1, then the
+    relator _apply_table(table[t], r') of t w' evaluates to
+    t eval(r') t^-1, because evaluation is a homomorphism on words over
+    S_K.  By induction on the length of w, the relator that w makes from a
+    seed r evaluates to w eval(r) w^-1.  lpres_expand_proved decides its
+    verdict this way.
+    """
+    return _lpres_expand(sig, depth)[0]
+
+
+def lpres_expand_proved(sig, depth):
+    """(lpres_expand(sig, depth), whether every relator is trivial).
+
+    The verdict is proved by lpres_expand's induction, not by evaluating
+    the relators: every seed must evaluate to the identity, and at depth
+    >= 1 every action table entry must evaluate to its conjugate t s t^-1
+    (the "action" line of verify_action_consistency).
+    """
+    relators, seeds, decode, table = _lpres_expand(sig, depth)
+    idt = tuple(_gen_words(sig))
+    sound = all(symbol_images(sig, r) == idt for r in seeds)
+    if sound and depth >= 1:
+        syms = s_k_symbols(sig)
+        sound = all(
+            _conjugates(sig, decode(word), t, s)
+            for t, row in table.items()
+            for word, s in zip(row, syms)
+        )
+    return relators, sound

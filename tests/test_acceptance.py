@@ -177,6 +177,7 @@ def test_a06_seed_relation_expansion():
     for w in words:
         assert eval_symbol_word(S222, w) == idt
     elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE 06 elapsed {elapsed:.1f} s, budget 300 s")
     assert elapsed < 300.0
     _report(6, "seed relation expansion stays trivial")
 

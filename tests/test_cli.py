@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import autfb.abelianization as abelianization
 import autfb.presentation as presentation
-from autfb import gen_word, m_name
+from autfb import Signature, c_name, gen_word, m_name
 from autfb.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
@@ -330,16 +330,63 @@ def test_expand_output_matches_the_recorded_digest(args):
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == want
 
 
-def test_expand_fails_on_a_nontrivial_relator(monkeypatch):
-    monkeypatch.setattr(presentation, "lpres_expand", lambda sig, depth: [(m_name(1, 1, 2),)])
-    res = runner.invoke(
-        main, ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", "0"]
+def _expand_111(depth):
+    return runner.invoke(
+        main, ["expand", "--n", "1", "--k", "1", "--l", "1", "--depth", str(depth)]
     )
-    assert res.exit_code == 1
-    assert res.output.splitlines() == [
-        "M[x1^+1,y1]",
-        "# relations\t1\tall-identity\tFAIL",
-    ]
+
+
+def _assert_expand_verdict(res, status):
+    lines = res.output.splitlines()
+    assert lines[-1] == f"# relations\t{len(lines) - 1}\tall-identity\t{status}"
+    assert res.exit_code == (0 if status == "PASS" else 1)
+
+
+def test_expand_fails_on_a_wrong_action_entry(monkeypatch):
+    # One (t, s) pair of the action gets an extra S_K letter: C[y1,x1].
+    t, s = m_name(1, 1, 3), m_name(1, 1, 2)
+    original = presentation.action_f
+
+    def wrong(sig, t_, s_):
+        word = original(sig, t_, s_)
+        return word + (c_name(2, 1),) if (t_, s_) == (t, s) else word
+
+    monkeypatch.setattr(presentation, "action_f", wrong)
+    _assert_expand_verdict(_expand_111(1), "FAIL")
+    # At depth 0 no relator is made through the table, so it is not read.
+    _assert_expand_verdict(_expand_111(0), "PASS")
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_expand_fails_on_a_corrupted_seed(monkeypatch, depth):
+    original = presentation.enumerate_relations
+
+    def corrupted(family, sig):
+        insts = original(family, sig)
+        if family == "rk":
+            first = insts[0]
+            insts = [first._replace(lhs=first.lhs + (m_name(1, 1, 2),)), *insts[1:]]
+        return insts
+
+    monkeypatch.setattr(presentation, "enumerate_relations", corrupted)
+    _assert_expand_verdict(_expand_111(depth), "FAIL")
+
+
+def test_expand_evaluates_the_seeds_and_the_action_entries_only(monkeypatch):
+    sig = Signature(2, 2, 2)
+    calls = []
+    original = presentation.symbol_images
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(presentation, "symbol_images", counted)
+    res = runner.invoke(main, ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"])
+    _assert_expand_verdict(res, "PASS")
+    seeds = presentation.enumerate_relations("rk", sig)
+    entries = len(presentation._sq_letters(sig)) * len(presentation.s_k_symbols(sig))
+    assert len(calls) <= len(seeds) + 2 * entries
 
 
 def test_expand_rejects_negative_depth():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from autfb import (
     i_name,
     identity,
     lpres_expand,
+    lpres_expand_proved,
     m_name,
     mul_gen,
     mult_set,
@@ -644,6 +646,12 @@ def _expand_by_action_extend(sig, depth):
     return out
 
 
+def _all_relators_trivial(sig, relators):
+    """The reference verdict: every relator evaluated to its image table."""
+    idt = identity(sig).images
+    return all(symbol_images(sig, r) == idt for r in relators)
+
+
 @pytest.mark.parametrize(
     "sig,depth",
     [(S111, d) for d in range(4)]
@@ -652,7 +660,39 @@ def _expand_by_action_extend(sig, depth):
     + [(S222, 1), (Signature(2, 0, 1), 2)],
 )
 def test_expansion_matches_the_action_extend_reference(sig, depth):
-    assert lpres_expand(sig, depth) == _expand_by_action_extend(sig, depth)
+    want = _expand_by_action_extend(sig, depth)
+    assert lpres_expand(sig, depth) == want
+    # Both verdicts pass on the true table: relator by relator, and by transport.
+    assert _all_relators_trivial(sig, want)
+    assert lpres_expand_proved(sig, depth) == (want, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from([(S111, 2), (Signature(2, 1, 1), 1)]), data=st.data())
+def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
+    """One action entry gets up to three extra S_K letters; the transport
+    verdict fails exactly when that entry no longer evaluates to t s t^-1,
+    and always when the relator-by-relator reference finds a nontrivial
+    relator."""
+    sig, depth = case
+    syms = s_k_symbols(sig)
+    t = data.draw(st.sampled_from(presentation._sq_letters(sig)))
+    s = data.draw(st.sampled_from(syms))
+    extra = tuple(
+        data.draw(st.lists(st.sampled_from(syms + [u.inv() for u in syms]), min_size=1, max_size=3))
+    )
+    original = presentation.action_f
+
+    def wrong(sig_, t_, s_):
+        word = original(sig_, t_, s_)
+        return sym_mul(word, extra) if (t_, s_) == (t, s) else word
+
+    with mock.patch.object(presentation, "action_f", wrong):
+        relators, sound = lpres_expand_proved(sig, depth)
+    entry_holds = symbol_images(sig, wrong(sig, t, s)) == symbol_images(sig, (t, s, t.inv()))
+    assert sound == entry_holds
+    if not _all_relators_trivial(sig, relators):
+        assert not sound
 
 
 @pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1)])
