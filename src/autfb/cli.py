@@ -14,7 +14,7 @@ import sys
 import click
 
 from .freegroup import Signature
-from .automorphism import ClaimFailedError, format_name, parse_aut
+from .automorphism import ClaimFailedError, parse_aut
 from . import abelianization as ab
 from . import cocycle as co
 from . import presentation as pr
@@ -252,12 +252,9 @@ def expand(n, k, l, fmt, depth):
     if depth < 0:
         raise click.UsageError("--depth must be >= 0")
     words, sound = pr.lpres_expand_proved(sig, depth)
-    names = {}
-    for s in pr.s_k_symbols(sig):
-        for u in (s, s.inv()):
-            names[u] = format_name(sig, u)
+    text = pr._alphabet(sig).text
     for i in range(0, len(words), 256):  # an echo per line costs ~6 us
-        click.echo("\n".join(" ".join(names[u] for u in w) for w in words[i : i + 256]))
+        click.echo("\n".join(" ".join(text[c] for c in w) for w in words[i : i + 256]))
     status = "PASS" if sound else "FAIL"
     click.echo(f"# relations\t{len(words)}\tall-identity\t{status}")
     sys.exit(0 if sound else 1)

@@ -135,7 +135,8 @@ class Word:
         if _reduced:
             lets = tuple(letters)
         else:
-            lets = _reduce_tuple(sig, letters)
+            _check_letters(sig, letters)
+            lets = _free_reduce(letters)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "letters", lets)
 
@@ -177,8 +178,8 @@ def _check_letters(sig, letters):
             raise ValueError(f"letter code {c} out of range for {sig}")
 
 
-def _reduce_tuple(sig, letters):
-    _check_letters(sig, letters)
+def _free_reduce(letters):
+    """Cancel adjacent inverse pairs of letters already known to be valid."""
     stack = []
     for c in letters:
         if stack and stack[-1] == -c:
@@ -271,7 +272,7 @@ def abelianize(u):
 def delete_y(u):
     """Kill every y letter, then reduce; the boundary projection."""
     sig = u.sig
-    return Word(sig, tuple(c for c in u.letters if not sig.is_y(c)))
+    return Word(sig, _free_reduce(c for c in u.letters if not sig.is_y(c)), _reduced=True)
 
 
 def parse_word(sig, text):

@@ -30,10 +30,10 @@ symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
 arbitrarily deep relation layers (lpres_expand).
 
-_action_table is the one home of the S_K integer coding (symbol i of
-s_k_symbols as +-(i+1)) and of the tabulated action: action_f runs once
-per (S_Q letter, S_K symbol), and acting by one letter on a coded word is
-one _apply_table step.  Three checks read that table:
+_alphabet is the one home of the S_K integer coding (symbol i of
+s_k_symbols as +-(i+1)).  _action_table is the action on those codes:
+action_f runs once per (S_Q letter, S_K symbol), and acting by one letter
+on a coded word is one _apply_table step.  Three checks read the table:
 
     lpres_expand               memoises by suffix: the relators of t w'
                                are t's table substituted into those of w'
@@ -43,15 +43,16 @@ one _apply_table step.  Three checks read that table:
 
 lpres_expand_proved decides that every relator is trivial by transport:
 it evaluates the seeds and each "action" entry (_conjugates), not the
-relators.  action_letter and action_extend act on GenName words without
-the table; they stay as the public, per-call route.  A word is compared
-with another by its forward image table alone (symbol_images);
-eval_symbol_word is automorphism.spelling_aut, which builds both tables of
-a NamedAut.
+relators, and leaves them coded for the command line to spell.
+action_letter and action_extend act on GenName words without the table;
+they stay as the public, per-call route.  A word is compared with another
+by its forward image table alone (symbol_images); eval_symbol_word is
+automorphism.spelling_aut, which builds both tables of a NamedAut.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -145,23 +146,40 @@ def symbol_images(sig, w):
 # alphabets
 
 
+class _Alphabet(namedtuple("_Alphabet", "s_k code letter text s_q ksig")):
+    def encode(self, u):
+        return Word(self.ksig, [self.code[s] for s in u])
+
+    def decode(self, codes):
+        return tuple(self.letter[c] for c in codes)
+
+
 @lru_cache(maxsize=16)
-def _alphabet_sets(sig):
-    """S_K and S_Q at sig as sets, each letter at both formal powers."""
-    return tuple(
-        frozenset(u for s in symbols(sig) for u in (s, s.inv()))
-        for symbols in (s_k_symbols, s_q_symbols)
+def _alphabet(sig):
+    """S_K, S_Q at both powers, and the one S_K coding: s_k_symbols(sig)[i]
+    at power +-1 is code +-(i+1) of ksig = Signature(|S_K|, 0, 0), None
+    when S_K is empty.  code maps a letter to its code; letter and text map
+    a code to its letter and to its format_name."""
+    s_k = tuple(s_k_symbols(sig))
+    letter = {c: u for i, s in enumerate(s_k, 1) for c, u in ((i, s), (-i, s.inv()))}
+    return _Alphabet(
+        s_k,
+        {u: c for c, u in letter.items()},
+        letter,
+        {c: format_name(sig, u) for c, u in letter.items()},
+        frozenset(u for s in s_q_symbols(sig) for u in (s, s.inv())),
+        Signature(len(s_k), 0, 0) if s_k else None,
     )
 
 
 def in_s_k(sig, name):
     """Admissibility in S_K (power ignored): membership in s_k_symbols."""
-    return name in _alphabet_sets(sig)[0]
+    return name in _alphabet(sig).code
 
 
 def in_s_q(sig, name):
     """Admissibility in S_Q (power ignored): membership in s_q_symbols."""
-    return name in _alphabet_sets(sig)[1]
+    return name in _alphabet(sig).s_q
 
 
 def s_k_symbols(sig):
@@ -1004,36 +1022,20 @@ def action_extend(sig, w, u):
 
 
 def _action_table(sig, letters):
-    """The action of the given S_Q letters on S_K, on integer codes.
+    """The action of the given S_Q letters on S_K codes (_alphabet).
 
-    S_K symbol i of s_k_symbols(sig) is coded +-(i+1), so a word over S_K
-    is a Word on len(S_K) free letters (S_K must not be empty).  Returns
-    (encode, decode, table): encode codes a symbol word, decode maps a
-    sequence of codes back to one, and table[t][i] is the coded
-    action_f(sig, t, s_i).  action_f, and so its validation, runs once per
-    (letter, symbol) pair; acting by t on a coded word u is then
-    _apply_table(table[t], u), because the action is a homomorphism in u.
+    table[t][i] is the coded action_f(sig, t, s_i), so action_f and its
+    validation run once per (letter, symbol) pair, and acting by t on a
+    coded word u is _apply_table(table[t], u): the action is a
+    homomorphism in u.  The expansion's relators are such S_K codes.
     """
-    syms = s_k_symbols(sig)
-    code = {}
-    names = {}
-    for i, s in enumerate(syms, 1):
-        code[s], code[s.inv()] = i, -i
-        names[i], names[-i] = s, s.inv()
-    ksig = Signature(len(syms), 0, 0)
-
-    def encode(u):
-        return Word(ksig, [code[s] for s in u])
-
-    def decode(codes):
-        return tuple(names[c] for c in codes)
-
-    table = {t: [encode(action_f(sig, t, s)) for s in syms] for t in letters}
-    return encode, decode, table
+    alpha = _alphabet(sig)
+    return {t: [alpha.encode(action_f(sig, t, s)) for s in alpha.s_k] for t in letters}
 
 
 def _conjugates(sig, word, t, s):
-    """Whether the symbol word evaluates to t s t^-1: one "action" entry."""
+    """Whether the coded word evaluates to t s t^-1: one "action" entry."""
+    word = _alphabet(sig).decode(word.letters)
     return symbol_images(sig, word) == symbol_images(sig, (t, s, t.inv()))
 
 
@@ -1054,21 +1056,20 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
         raise ValueError(f"unknown action families {sorted(unknown)}")
     report = Report()
     letters = _sq_letters(sig)
-    syms_k = s_k_symbols(sig)
-    if not letters or not syms_k:
+    alpha = _alphabet(sig)
+    if not letters or not alpha.s_k:
         report.skip("action", "alphabet empty at this signature")
         return report
-    _, decode, table = _action_table(sig, letters)
-    k_names = [format_name(sig, s) for s in syms_k]
+    table = _action_table(sig, letters)
     for t in letters:
         t_name = format_name(sig, t)
         t_inv = t.inv()
-        for i, s in enumerate(syms_k):
+        for i, s in enumerate(alpha.s_k):
             word = table[t][i]
-            params = f"t={t_name},s={k_names[i]}"
+            params = f"t={t_name},s={alpha.text[i + 1]}"
             for family in families:
                 if family == "action":
-                    ok = _conjugates(sig, decode(word), t, s)
+                    ok = _conjugates(sig, word, t, s)
                 else:
                     ok = _apply_table(table[t_inv], word).letters == (i + 1,)
                 report.add(family, params, ok)
@@ -1226,13 +1227,14 @@ def verify_table5(sig):
         report.skip("table5", "no instances at this signature")
         return report
     letters = dict.fromkeys(t for row in rows for t in row[2:4])
-    encode, _, table = _action_table(sig, letters)
+    alpha = _alphabet(sig)
+    table = _action_table(sig, letters)
     for row, params, t1, t2, s, expected in rows:
-        (c,) = encode((s,)).letters
-        t2_t1_s = _apply_table(table[t2], table[t1][c - 1])
-        t1_t2_s = _apply_table(table[t1], table[t2][c - 1])
+        i = alpha.code[s] - 1
+        t2_t1_s = _apply_table(table[t2], table[t1][i])
+        t1_t2_s = _apply_table(table[t1], table[t2][i])
         got = multiply(invert(t2_t1_s), t1_t2_s)
-        report.add(f"table5.{row}", params, got == encode(expected))
+        report.add(f"table5.{row}", params, got == alpha.encode(expected))
     return report
 
 
@@ -1318,9 +1320,9 @@ def reduced_sq_words(sig, depth):
 def _lpres_expand(sig, depth):
     """lpres_expand's relators, with the seeds and the table they came from.
 
-    Returns (relators, seeds, decode, table): table is the coded action
-    table of every S_Q letter and decode its inverse coding (None and {}
-    when there are no seeds).
+    Returns (relators, seeds, table): the relators are tuples of S_K codes
+    (_alphabet) and table is the coded action table of every S_Q letter
+    ({} when there are no seeds).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1328,9 +1330,9 @@ def _lpres_expand(sig, depth):
         sym_mul(inst.lhs, sym_inv(inst.rhs))
         for inst in enumerate_relations("rk", sig)
     ]
-    if not seeds:  # S_K may then be empty, and a Signature needs a letter
-        return [], seeds, None, {}
-    encode, decode, table = _action_table(sig, _sq_letters(sig))
+    if not seeds:  # S_K may then be empty, and so have no coding
+        return [], seeds, {}
+    table = _action_table(sig, _sq_letters(sig))
     stored = {}
     seen = set()
     out = []
@@ -1338,14 +1340,14 @@ def _lpres_expand(sig, depth):
         if w:
             rels = [_apply_table(table[w[0]], r) for r in stored[w[1:]]]
         else:
-            rels = [encode(r) for r in seeds]
+            rels = [_alphabet(sig).encode(r) for r in seeds]
         if len(w) < depth:
             stored[w] = rels
         for r in rels:
             if r.letters not in seen:
                 seen.add(r.letters)
                 out.append(r.letters)
-    return [decode(v) for v in out], seeds, decode, table
+    return out, seeds, table
 
 
 def lpres_expand(sig, depth):
@@ -1354,10 +1356,10 @@ def lpres_expand(sig, depth):
     Returns the deduplicated list of relator words over S_K, in first-seen
     order; depth 0 is exactly the seed set written as lhs rhs^-1.
 
-    The relators are coded words over S_K (_action_table).  Acting by
-    w = t w' is acting by w' and then by t, and reduced_sq_words lists w'
-    before w, so the relators of w are the table of t substituted into
-    the stored relators of w'; only words shorter than depth are stored.
+    The relators are built as S_K codes (_alphabet), decoded on return.
+    Acting by w = t w' is acting by w' and then by t, and reduced_sq_words
+    lists w' before w, so the relators of w are the table of t substituted
+    into the stored relators of w'; only words shorter than depth are stored.
 
     So every relator is trivial once every seed is and every table entry
     is right.  If each entry table[t][i] evaluates to t s_i t^-1, then the
@@ -1367,25 +1369,24 @@ def lpres_expand(sig, depth):
     seed r evaluates to w eval(r) w^-1.  lpres_expand_proved decides its
     verdict this way.
     """
-    return _lpres_expand(sig, depth)[0]
+    return list(map(_alphabet(sig).decode, _lpres_expand(sig, depth)[0]))
 
 
 def lpres_expand_proved(sig, depth):
-    """(lpres_expand(sig, depth), whether every relator is trivial).
+    """(lpres_expand's relators as S_K codes, whether every one is trivial).
 
     The verdict is proved by lpres_expand's induction, not by evaluating
     the relators: every seed must evaluate to the identity, and at depth
     >= 1 every action table entry must evaluate to its conjugate t s t^-1
     (the "action" line of verify_action_consistency).
     """
-    relators, seeds, decode, table = _lpres_expand(sig, depth)
+    relators, seeds, table = _lpres_expand(sig, depth)
     idt = tuple(_gen_words(sig))
     sound = all(symbol_images(sig, r) == idt for r in seeds)
     if sound and depth >= 1:
-        syms = s_k_symbols(sig)
         sound = all(
-            _conjugates(sig, decode(word), t, s)
+            _conjugates(sig, word, t, s)
             for t, row in table.items()
-            for word, s in zip(row, syms)
+            for word, s in zip(row, _alphabet(sig).s_k)
         )
     return relators, sound

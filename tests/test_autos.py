@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autfb.automorphism as automorphism
 from autfb import (
     GenName,
     NamedAut,
@@ -218,6 +219,15 @@ def test_gen_aut_matches_the_hand_written_constructors(sig):
     ):
         with pytest.raises(ValueError):
             gen_aut(sig, name)
+
+
+def test_the_generator_cache_is_bounded():
+    """A fixed bound, far above the 558 (signature, name) pairs that the
+    benchmark's verify grid builds, so a long-lived process cannot grow
+    the cache without limit while no run of the verify families evicts."""
+    info = automorphism._cached_gen_aut.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 4 * 558
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import autfb.abelianization as abelianization
 import autfb.presentation as presentation
-from autfb import Signature, c_name, gen_word, m_name
+from autfb import Signature, c_name, format_spelling, gen_word, m_name
 from autfb.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
@@ -328,6 +328,20 @@ def test_expand_output_matches_the_recorded_digest(args):
     res = runner.invoke(main, args)
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("sig,depth", [((0, 2, 2), 1), ((2, 1, 0), 2), ((1, 2, 1), 2), ((3, 1, 1), 1)])
+def test_expand_lines_spell_the_library_relators(sig, depth):
+    """The text path, at signatures the recorded digests do not cover:
+    each body line is the library's relator spelled by format_spelling."""
+    n, k, l = sig
+    res = runner.invoke(
+        main, ["expand", "--n", str(n), "--k", str(k), "--l", str(l), "--depth", str(depth)]
+    )
+    _assert_expand_verdict(res, "PASS")
+    words = presentation.lpres_expand(Signature(*sig), depth)
+    assert words
+    assert res.output.splitlines()[:-1] == [format_spelling(Signature(*sig), w) for w in words]
 
 
 def _expand_111(depth):

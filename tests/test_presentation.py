@@ -84,6 +84,33 @@ def test_alphabet_admissibility():
     assert in_s_k(S222, c_name(5, 3, power=-1))
 
 
+def test_s_k_coding_round_trips_every_letter():
+    """Each S_K letter at either power has one code, +-(i+1) for symbol i,
+    which maps back to the letter and to its format_name."""
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if not n + k + l:
+            continue
+        sig = Signature(n, k, l)
+        alpha = presentation._alphabet(sig)
+        syms = s_k_symbols(sig)
+        assert alpha.s_k == tuple(syms)
+        assert alpha.ksig == (Signature(len(syms), 0, 0) if syms else None)
+        for i, s in enumerate(syms, 1):
+            for u, c in ((s, i), (s.inv(), -i)):
+                assert alpha.code[u] == c
+                assert alpha.letter[c] == u
+                assert alpha.text[c] == format_name(sig, u)
+                assert alpha.decode(alpha.encode((u,)).letters) == (u,)
+        assert len(alpha.code) == len(alpha.letter) == len(alpha.text) == 2 * len(syms)
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 0, 1), Signature(3, 0, 0), Signature(0, 0, 2)])
+def test_in_s_k_is_false_without_y_letters(sig):
+    assert presentation._alphabet(sig).ksig is None
+    for name in (m_name(1, 1, 2), c_name(2, 1), c_name(1, 2, power=-1)):
+        assert in_s_k(sig, name) is False
+
+
 def test_s_q_admits_no_swap_or_inversion_off_the_x_block():
     # P[1,4] would swap x1 with the boundary letter z1; I[4] would invert
     # z1; P[1,9] names a letter the signature does not have.
@@ -646,6 +673,11 @@ def _expand_by_action_extend(sig, depth):
     return out
 
 
+def _decoded(sig, relators):
+    """lpres_expand_proved's S_K codes as symbol words."""
+    return [presentation._alphabet(sig).decode(r) for r in relators]
+
+
 def _all_relators_trivial(sig, relators):
     """The reference verdict: every relator evaluated to its image table."""
     idt = identity(sig).images
@@ -664,7 +696,8 @@ def test_expansion_matches_the_action_extend_reference(sig, depth):
     assert lpres_expand(sig, depth) == want
     # Both verdicts pass on the true table: relator by relator, and by transport.
     assert _all_relators_trivial(sig, want)
-    assert lpres_expand_proved(sig, depth) == (want, True)
+    relators, sound = lpres_expand_proved(sig, depth)
+    assert (_decoded(sig, relators), sound) == (want, True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -689,6 +722,7 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
 
     with mock.patch.object(presentation, "action_f", wrong):
         relators, sound = lpres_expand_proved(sig, depth)
+    relators = _decoded(sig, relators)
     entry_holds = symbol_images(sig, wrong(sig, t, s)) == symbol_images(sig, (t, s, t.inv()))
     assert sound == entry_holds
     if not _all_relators_trivial(sig, relators):

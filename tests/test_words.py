@@ -121,6 +121,24 @@ def test_delete_y_instances():
     assert delete_y(w("x1 y1 z1 y1^-1 x1")) == w("x1 z1 x1")
 
 
+def test_delete_y_does_not_recheck_a_valid_word(monkeypatch):
+    u = w("x1 y1 z1 y1^-1 x1 y2")
+    checked = []
+    original = autfb.freegroup._check_letters
+
+    def counted(sig, letters):
+        checked.append(letters)
+        return original(sig, letters)
+
+    monkeypatch.setattr(autfb.freegroup, "_check_letters", counted)
+    assert delete_y(u).letters == (1, 5, 1)
+    assert checked == []
+    # The constructors that take raw letters still check them.
+    reduce(SIG, [1, -1, 3])
+    parse_word(SIG, "x1")
+    assert len(checked) == 2
+
+
 # ---------------------------------------------------------------------------
 # text grammar
 
