@@ -23,6 +23,11 @@ images.
 _cached_gen_aut is the one source of a named generator's automorphism:
 spelling_aut, symbol_images, the rank rows and the cocycle witnesses all
 read it, and it keeps the 4,096 most recently used (signature, name).
+
+_substitute over a _signed list (each row beside its inverse, inverted
+once) is the one substitution on letter tuples: the coded action tables
+and the symbol image tables of presentation.  apply, compose and
+from_images substitute Word tables by _apply_table.
 """
 
 from __future__ import annotations
@@ -234,6 +239,39 @@ def _apply_table(table, u):
             else:
                 out.append(d)
     return Word(u.sig, tuple(out), _reduced=True)
+
+
+def _inverted(row):
+    return tuple(map(operator.neg, reversed(row)))
+
+
+def _signed(rows):
+    """A substitution indexed by signed code: sub[c] is rows[c - 1] and
+    sub[-c] (list index 2m + 1 - c) is its inverse, inverted once here, so
+    a substitution never inverts and its letters are the table's own ints.
+    rows are reduced letter tuples."""
+    return [(), *rows, *map(_inverted, reversed(rows))]
+
+
+def _substitute(sub, letters):
+    """The reduced tuple of sub[c] over the letters c of a word.
+
+    Two reduced images can cancel only at their junction, so each image is
+    cancelled against the tail of the output and then spliced in whole.
+    """
+    out = []
+    for c in letters:
+        img = sub[c]
+        if out and img and out[-1] == -img[0]:
+            out.pop()
+            k = 1
+            while out and k < len(img) and out[-1] == -img[k]:
+                out.pop()
+                k += 1
+            out.extend(img[k:])
+        else:
+            out.extend(img)
+    return tuple(out)
 
 
 def apply(f, u):

@@ -32,8 +32,10 @@ arbitrarily deep relation layers (lpres_expand).
 
 _alphabet is the one home of the S_K integer coding (symbol i of
 s_k_symbols as +-(i+1)).  _action_table is the action on those codes:
-action_f runs once per (S_Q letter, S_K symbol), and acting by one letter
-on a coded word is one _apply_table step.  Three checks read the table:
+action_f runs once per (S_Q letter, S_K symbol), each letter's rows are
+kept signed (automorphism._signed: every row beside its inverse), and
+acting by one letter on a coded word is one _substitute step.  Three
+checks read the table:
 
     lpres_expand               memoises by suffix: the relators of t w'
                                are t's table substituted into those of w'
@@ -46,8 +48,10 @@ it evaluates the seeds and each "action" entry (_conjugates), not the
 relators, and leaves them coded for the command line to spell.
 action_letter and action_extend act on GenName words without the table;
 they stay as the public, per-call route.  A word is compared with another
-by its forward image table alone (symbol_images); eval_symbol_word is
-automorphism.spelling_aut, which builds both tables of a NamedAut.
+by its forward image table alone (_images, the letter tuples of
+symbol_images), which rewrites per letter only the entries that letter's
+generator moves; eval_symbol_word is automorphism.spelling_aut, which
+builds both tables of a NamedAut.
 """
 
 from __future__ import annotations
@@ -56,12 +60,12 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
-from .freegroup import Signature, Word, invert, multiply
+from .freegroup import Signature, Word, _free_reduce
 from .automorphism import (
-    _apply_table,
     _cached_gen_aut,
-    _gen_words,
-    _substitute_all,
+    _inverted,
+    _signed,
+    _substitute,
     c_name,
     format_name,
     format_spelling,
@@ -128,18 +132,35 @@ def eval_symbol_word(sig, w):
 
 
 def symbol_images(sig, w):
-    """eval_symbol_word(sig, w).images, without the inverse table.
+    """eval_symbol_word(sig, w).images, without the inverse table."""
+    return tuple(Word(sig, img, _reduced=True) for img in _images(sig, w))
 
-    A check that compares a symbol word with another, or with the
-    identity, reads only the forward images, so it need not build the
-    inverse table that compose keeps beside them.
+
+def _images(sig, w):
+    """symbol_images(sig, w) as letter tuples: what a check compares.
+
+    The signed images (_signed) of w[:j] are substituted into w[j]'s
+    stored images of the letters it moves, v and also w for P
+    (automorphism._gen_images); no other entry changes, and the inverse
+    automorphism's table is never built.
     """
-    if not w:
-        return tuple(_gen_words(sig))
-    acc = _cached_gen_aut(sig, w[0]).images
-    for s in w[1:]:
-        acc = _substitute_all(acc, _cached_gen_aut(sig, s).images)
-    return tuple(acc)
+    acc = list(_identity_rows(sig))
+    for s in w:
+        images = _cached_gen_aut(sig, s).images
+        moved = [
+            (c, _substitute(acc, images[c - 1].letters))
+            for c in ((s.v, s.w) if s.kind == "P" else (s.v,))
+        ]
+        for c, img in moved:
+            acc[c] = img
+            acc[-c] = _inverted(img)
+    return tuple(acc[1 : sig.ngens + 1])
+
+
+@lru_cache(maxsize=16)
+def _identity_rows(sig):
+    """The signed identity table, which _images copies as its start."""
+    return tuple(_signed([(c,) for c in sig.gens()]))
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +971,7 @@ def verify_relations(family, sig):
             report.skip(tag, "no instances at this signature")
             continue
         for inst in instances:
-            ok = symbol_images(sig, inst.lhs) == symbol_images(sig, inst.rhs)
+            ok = _images(sig, inst.lhs) == _images(sig, inst.rhs)
             report.add(inst.family, inst.params, ok)
     return report
 
@@ -1024,19 +1045,23 @@ def action_extend(sig, w, u):
 def _action_table(sig, letters):
     """The action of the given S_Q letters on S_K codes (_alphabet).
 
-    table[t][i] is the coded action_f(sig, t, s_i), so action_f and its
-    validation run once per (letter, symbol) pair, and acting by t on a
-    coded word u is _apply_table(table[t], u): the action is a
-    homomorphism in u.  The expansion's relators are such S_K codes.
+    table[t] is the signed list (_signed) of t's rows: table[t][c] is the
+    coded action_f(sig, t, s_c) and table[t][-c] its inverse, so action_f
+    and its validation run once per (letter, symbol) pair, each row is
+    inverted once, and acting by t on a coded word u is
+    _substitute(table[t], u): the action is a homomorphism in u.  The
+    expansion's relators are such S_K codes.
     """
     alpha = _alphabet(sig)
-    return {t: [alpha.encode(action_f(sig, t, s)) for s in alpha.s_k] for t in letters}
+    return {
+        t: _signed([alpha.encode(action_f(sig, t, s)).letters for s in alpha.s_k])
+        for t in letters
+    }
 
 
 def _conjugates(sig, word, t, s):
     """Whether the coded word evaluates to t s t^-1: one "action" entry."""
-    word = _alphabet(sig).decode(word.letters)
-    return symbol_images(sig, word) == symbol_images(sig, (t, s, t.inv()))
+    return _images(sig, _alphabet(sig).decode(word)) == _images(sig, (t, s, t.inv()))
 
 
 ACTION_FAMILIES = ("action", "inverse")
@@ -1064,14 +1089,14 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
     for t in letters:
         t_name = format_name(sig, t)
         t_inv = t.inv()
-        for i, s in enumerate(alpha.s_k):
-            word = table[t][i]
-            params = f"t={t_name},s={alpha.text[i + 1]}"
+        for c, s in enumerate(alpha.s_k, 1):
+            word = table[t][c]
+            params = f"t={t_name},s={alpha.text[c]}"
             for family in families:
                 if family == "action":
                     ok = _conjugates(sig, word, t, s)
                 else:
-                    ok = _apply_table(table[t_inv], word).letters == (i + 1,)
+                    ok = _substitute(table[t_inv], word) == (c,)
                 report.add(family, params, ok)
     return report
 
@@ -1230,11 +1255,12 @@ def verify_table5(sig):
     alpha = _alphabet(sig)
     table = _action_table(sig, letters)
     for row, params, t1, t2, s, expected in rows:
-        i = alpha.code[s] - 1
-        t2_t1_s = _apply_table(table[t2], table[t1][i])
-        t1_t2_s = _apply_table(table[t1], table[t2][i])
-        got = multiply(invert(t2_t1_s), t1_t2_s)
-        report.add(f"table5.{row}", params, got == alpha.encode(expected))
+        c = alpha.code[s]
+        # f(t2 t1, s)^-1 is t2's table on the inverse row of t1
+        t2_t1_s_inv = _substitute(table[t2], table[t1][-c])
+        t1_t2_s = _substitute(table[t1], table[t2][c])
+        got = _free_reduce(t2_t1_s_inv + t1_t2_s)
+        report.add(f"table5.{row}", params, got == alpha.encode(expected).letters)
     return report
 
 
@@ -1321,8 +1347,8 @@ def _lpres_expand(sig, depth):
     """lpres_expand's relators, with the seeds and the table they came from.
 
     Returns (relators, seeds, table): the relators are tuples of S_K codes
-    (_alphabet) and table is the coded action table of every S_Q letter
-    ({} when there are no seeds).
+    (_alphabet) whose ints are the table's or the coding's, and table is
+    the signed action table of every S_Q letter ({} when there are no seeds).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1338,15 +1364,16 @@ def _lpres_expand(sig, depth):
     out = []
     for w in reduced_sq_words(sig, depth):
         if w:
-            rels = [_apply_table(table[w[0]], r) for r in stored[w[1:]]]
+            sub = table[w[0]]
+            rels = [_substitute(sub, r) for r in stored[w[1:]]]
         else:
-            rels = [_alphabet(sig).encode(r) for r in seeds]
+            rels = [_alphabet(sig).encode(r).letters for r in seeds]
         if len(w) < depth:
             stored[w] = rels
         for r in rels:
-            if r.letters not in seen:
-                seen.add(r.letters)
-                out.append(r.letters)
+            if r not in seen:
+                seen.add(r)
+                out.append(r)
     return out, seeds, table
 
 
@@ -1358,12 +1385,14 @@ def lpres_expand(sig, depth):
 
     The relators are built as S_K codes (_alphabet), decoded on return.
     Acting by w = t w' is acting by w' and then by t, and reduced_sq_words
-    lists w' before w, so the relators of w are the table of t substituted
-    into the stored relators of w'; only words shorter than depth are stored.
+    lists w' before w, so the relators of w are t's signed rows substituted
+    into the stored relators of w' (_substitute: a letter -c reads the row
+    of c inverted once when the table was built); only words shorter than
+    depth are stored.
 
     So every relator is trivial once every seed is and every table entry
-    is right.  If each entry table[t][i] evaluates to t s_i t^-1, then the
-    relator _apply_table(table[t], r') of t w' evaluates to
+    is right.  If each entry table[t][c] evaluates to t s_c t^-1, then the
+    relator _substitute(table[t], r') of t w' evaluates to
     t eval(r') t^-1, because evaluation is a homomorphism on words over
     S_K.  By induction on the length of w, the relator that w makes from a
     seed r evaluates to w eval(r) w^-1.  lpres_expand_proved decides its
@@ -1381,12 +1410,12 @@ def lpres_expand_proved(sig, depth):
     (the "action" line of verify_action_consistency).
     """
     relators, seeds, table = _lpres_expand(sig, depth)
-    idt = tuple(_gen_words(sig))
-    sound = all(symbol_images(sig, r) == idt for r in seeds)
+    idt = tuple((c,) for c in sig.gens())
+    sound = all(_images(sig, r) == idt for r in seeds)
     if sound and depth >= 1:
         sound = all(
-            _conjugates(sig, word, t, s)
+            _conjugates(sig, row[c], t, s)
             for t, row in table.items()
-            for word, s in zip(row, _alphabet(sig).s_k)
+            for c, s in enumerate(_alphabet(sig).s_k, 1)
         )
     return relators, sound

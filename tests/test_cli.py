@@ -389,13 +389,13 @@ def test_expand_fails_on_a_corrupted_seed(monkeypatch, depth):
 def test_expand_evaluates_the_seeds_and_the_action_entries_only(monkeypatch):
     sig = Signature(2, 2, 2)
     calls = []
-    original = presentation.symbol_images
+    original = presentation._images
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(presentation, "symbol_images", counted)
+    monkeypatch.setattr(presentation, "_images", counted)
     res = runner.invoke(main, ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"])
     _assert_expand_verdict(res, "PASS")
     seeds = presentation.enumerate_relations("rk", sig)

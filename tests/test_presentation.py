@@ -731,7 +731,7 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
 
 @pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1)])
 def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
-    calls = {"action_f": 0, "_apply_table": 0}
+    calls = {"action_f": 0, "_substitute": 0}
 
     def counted(name):
         original = getattr(presentation, name)
@@ -743,12 +743,12 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
         monkeypatch.setattr(presentation, name, wrapper)
 
     counted("action_f")
-    counted("_apply_table")
+    counted("_substitute")
     lpres_expand(sig, depth)
     seeds = enumerate_relations("rk", sig)
     words = reduced_sq_words(sig, depth)
     assert calls["action_f"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
-    assert calls["_apply_table"] == (len(words) - 1) * len(seeds)
+    assert calls["_substitute"] == (len(words) - 1) * len(seeds)
 
 
 def test_expansion_rejects_negative_depth():

@@ -1,0 +1,107 @@
+"""The signed-row substitution kernel against plain references.
+
+_substitute(_signed(rows), letters) is checked against concatenating the
+images (inverting a row for a negative letter on the spot) and freely
+reducing the result; presentation._images is checked against the image
+table that spelling_aut builds by composition.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import autfb.presentation as presentation
+from autfb import Signature, s_k_symbols, s_q_symbols, spelling_aut, symbol_images
+from autfb.automorphism import _signed, _substitute
+
+S222 = Signature(2, 2, 2)
+
+
+def _reduce(letters):
+    """The reference free reduction: one stack, one letter at a time."""
+    out = []
+    for c in letters:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _inverse(row):
+    return tuple(-d for d in reversed(row))
+
+
+def _by_concatenation(rows, letters):
+    out = []
+    for c in letters:
+        out.extend(rows[c - 1] if c > 0 else _inverse(rows[-c - 1]))
+    return _reduce(out)
+
+
+def _letters(m, max_size):
+    return st.lists(
+        st.integers(1, m).flatmap(lambda c: st.sampled_from((c, -c))), max_size=max_size
+    )
+
+
+@st.composite
+def _rows_and_word(draw):
+    """m reduced rows, each u core_c u^-1 around one shared u, so that the
+    images of neighbouring letters cancel across several letters, and a
+    word over the m codes (not necessarily reduced)."""
+    m = draw(st.integers(1, 6))
+    u = draw(_letters(m, 5))
+    rows = [_reduce(u + draw(_letters(m, 3)) + list(_inverse(u))) for _ in range(m)]
+    return rows, draw(_letters(m, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_word())
+@example(([(1, 2, 3), (-3, -2, 4)], [1, 2]))  # the whole junction 3 2 cancels
+@example(([(1, 2, 3), (-3, -2, -1)], [1, 2, 1, 1]))  # one image eats another
+@example(([(1, 2), (3,)], [1, -1, 2, -2, 1]))
+@example(([(1,)], []))
+def test_substitute_is_the_reduced_concatenation(case):
+    rows, letters = case
+    got = _substitute(_signed(rows), letters)
+    assert type(got) is tuple
+    assert got == _by_concatenation(rows, letters)
+
+
+_IMAGE_SIGS = (Signature(2, 0, 0), Signature(1, 1, 2), Signature(3, 2, 2), Signature(2, 0, 1))
+_POOL = {
+    sig: [u for s in s_q_symbols(sig) + s_k_symbols(sig) for u in (s, s.inv())]
+    for sig in _IMAGE_SIGS
+}
+
+
+def test_the_image_pools_hold_p_and_i_at_both_powers():
+    for sig, pool in _POOL.items():
+        kinds = {(u.kind, u.power) for u in pool}
+        assert {("I", 1), ("I", -1)} <= kinds
+        if sig.n >= 2:
+            assert {("P", 1), ("P", -1)} <= kinds
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(_IMAGE_SIGS).flatmap(
+        lambda sig: st.tuples(st.just(sig), st.lists(st.sampled_from(_POOL[sig]), max_size=10))
+    )
+)
+def test_images_match_the_composed_table(case):
+    sig, letters = case
+    w = tuple(letters)
+    want = spelling_aut(sig, w).images
+    assert presentation._images(sig, w) == tuple(img.letters for img in want)
+    assert symbol_images(sig, w) == want
+
+
+def test_expansion_relators_hold_only_the_table_and_alphabet_ints():
+    """Each substitution splices the table's own rows: no letter of a
+    relator is a fresh int object (a code below -5 negated on the fly)."""
+    relators, _, table = presentation._lpres_expand(S222, 1)
+    assert len(relators) == 5040
+    stored = {id(c) for sub in table.values() for row in sub for c in row}
+    stored |= {id(c) for c in presentation._alphabet(S222).code.values()}
+    assert all(id(c) in stored for r in relators for c in r)
