@@ -22,8 +22,8 @@ s_q_symbols, at either formal power):
     S_K   M[x^e,y], C[z,y], C[y,v]  (normal generators of the kernel)
 
 The relation families (N1-N5, Q1-Q5, R1.1-R5, C1.1-C2.2) are enumerated
-exhaustively for a signature with every side condition enforced, and
-verified by evaluating both sides to concrete automorphisms.
+exhaustively for a signature with every side condition enforced, and an
+instance is verified by evaluating lhs rhs^-1 to the identity.
 
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
@@ -39,19 +39,24 @@ checks read the table:
 
     lpres_expand               memoises by suffix: the relators of t w'
                                are t's table substituted into those of w'
-    verify_action_consistency  the "action" line evaluates each entry; the
-                               "inverse" line undoes it by t^-1's table
+    verify_action_consistency  the "action" line evaluates the entries
+                               (_entries_hold); the "inverse" line undoes
+                               each by t^-1's table
     verify_table5              both orders of two letters, one step each
 
-lpres_expand_proved decides that every relator is trivial by transport:
-it evaluates the seeds and each "action" entry (_conjugates), not the
-relators, and leaves them coded for the command line to spell.
-action_letter and action_extend act on GenName words without the table;
-they stay as the public, per-call route.  A word is compared with another
-by its forward image table alone (_images, the letter tuples of
-symbol_images), which rewrites per letter only the entries that letter's
-generator moves; eval_symbol_word is automorphism.spelling_aut, which
-builds both tables of a NamedAut.
+_entries_hold evaluates the entries of the S_Q letters of power +1; those
+of power -1 follow by transport.  lpres_expand_proved decides that every
+relator is trivial from the seeds and the entries, not the relators, and
+leaves them coded for the command line to spell.  action_letter and
+action_extend act on GenName words without the table; they stay as the
+public, per-call route.
+
+A check hands all its words to one _trivial call, which decides whether
+each evaluates to the identity, folding each prefix the sorted words share
+once.  Its step (_step) rewrites only the forward image rows the letter's
+generator moves (_Moves); _images, the letter tuples of symbol_images,
+takes the same steps.  eval_symbol_word is automorphism.spelling_aut,
+which builds both tables of a NamedAut.
 """
 
 from __future__ import annotations
@@ -136,31 +141,78 @@ def symbol_images(sig, w):
     return tuple(Word(sig, img, _reduced=True) for img in _images(sig, w))
 
 
-def _images(sig, w):
-    """symbol_images(sig, w) as letter tuples: what a check compares.
+class _Moves(dict):
+    """name -> the rows its generator moves at sig, as (c, image letters):
+    c is moved when the stored image (automorphism._gen_images) of c is not
+    (c,).  Each name's generator is read once per map."""
 
-    The signed images (_signed) of w[:j] are substituted into w[j]'s
-    stored images of the letters it moves, v and also w for P
-    (automorphism._gen_images); no other entry changes, and the inverse
-    automorphism's table is never built.
-    """
-    acc = list(_identity_rows(sig))
+    def __init__(self, sig):
+        self.sig = sig
+
+    def __missing__(self, name):
+        images = _cached_gen_aut(self.sig, name).images
+        rows = self[name] = tuple(
+            (c, img.letters) for c, img in enumerate(images, 1) if img.letters != (c,)
+        )
+        return rows
+
+
+def _step(acc, moved):
+    """The signed table (_signed) of w s from acc, the one of w: each row s
+    moves is acc substituted into s's image of it; no other row changes,
+    and the inverse automorphism's table is never built."""
+    out = acc.copy()
+    for c, row in moved:
+        img = out[c] = _substitute(acc, row)
+        out[-c] = _inverted(img)
+    return out
+
+
+def _images(sig, w):
+    """symbol_images(sig, w) as letter tuples: w's letters stepped through
+    from the identity."""
+    moves = _Moves(sig)
+    acc = _signed([(c,) for c in sig.gens()])
     for s in w:
-        images = _cached_gen_aut(sig, s).images
-        moved = [
-            (c, _substitute(acc, images[c - 1].letters))
-            for c in ((s.v, s.w) if s.kind == "P" else (s.v,))
-        ]
-        for c, img in moved:
-            acc[c] = img
-            acc[-c] = _inverted(img)
+        acc = _step(acc, moves[s])
     return tuple(acc[1 : sig.ngens + 1])
 
 
-@lru_cache(maxsize=16)
-def _identity_rows(sig):
-    """The signed identity table, which _images copies as its start."""
-    return tuple(_signed([(c,) for c in sig.gens()]))
+def _trivial(sig, words):
+    """[spelling_aut(sig, w) is the identity for w in words], in input order.
+
+    A word h s is the identity when h evaluates to s^-1, so h is stepped
+    through and its table compared with the stored images of s^-1.  The
+    words go in sorted order, and stack[j] is the signed table of the
+    previous h's first j letters: a prefix h shares with the one before it
+    is stepped through once, the stack is never deeper than the longest
+    word, and no word's table outlives the next word.
+    """
+    moves = _Moves(sig)
+    ends = {}
+    stack = [_signed([(c,) for c in sig.gens()])]
+    n = sig.ngens
+    prev = ()
+    out = [True] * len(words)
+    for i in sorted(range(len(words)), key=words.__getitem__):
+        w = words[i]
+        if not w:
+            continue
+        head = w[:-1]
+        j = 0
+        for a, b in zip(prev, head):
+            if a != b:
+                break
+            j += 1
+        del stack[j + 1 :]
+        for s in head[j:]:
+            stack.append(_step(stack[-1], moves[s]))
+        end = ends.get(w[-1]) or ends.setdefault(
+            w[-1], [img.letters for img in _cached_gen_aut(sig, w[-1]).inv_images]
+        )
+        out[i] = stack[-1][1 : n + 1] == end
+        prev = head
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +319,7 @@ def _inst(family, params, lhs, rhs=()):
 
 
 def _comm_inst(family, params, a, b):
-    return _inst(family, params, sym_comm(a, b))
+    return RelationInstance(family, params, sym_comm(a, b), ())
 
 
 def _perm_apply(name, code, sign):
@@ -963,16 +1015,19 @@ class Report:
 
 
 def verify_relations(family, sig):
-    """Evaluate every instance of the family; failures are data, not errors."""
+    """Evaluate every instance of the family; failures are data, not errors.
+
+    An instance holds when lhs rhs^-1 evaluates to the identity; the words
+    of every subfamily are decided by one _trivial call.
+    """
     report = Report()
-    for tag in FAMILY_GROUPS.get(family, (family,)):
-        instances = enumerate_relations(tag, sig)
+    tags = [(tag, enumerate_relations(tag, sig)) for tag in FAMILY_GROUPS.get(family, (family,))]
+    flags = iter(_trivial(sig, [i.lhs + sym_inv(i.rhs) for _, insts in tags for i in insts]))
+    for tag, instances in tags:
         if not instances:
             report.skip(tag, "no instances at this signature")
-            continue
         for inst in instances:
-            ok = _images(sig, inst.lhs) == _images(sig, inst.rhs)
-            report.add(inst.family, inst.params, ok)
+            report.add(inst.family, inst.params, next(flags))
     return report
 
 
@@ -1046,22 +1101,52 @@ def _action_table(sig, letters):
     """The action of the given S_Q letters on S_K codes (_alphabet).
 
     table[t] is the signed list (_signed) of t's rows: table[t][c] is the
-    coded action_f(sig, t, s_c) and table[t][-c] its inverse, so action_f
-    and its validation run once per (letter, symbol) pair, each row is
-    inverted once, and acting by t on a coded word u is
+    coded, freely reduced action_f(sig, t, s_c) and table[t][-c] its
+    inverse, so action_f and its validation run once per (letter, symbol)
+    pair, each row is inverted once, and acting by t on a coded word u is
     _substitute(table[t], u): the action is a homomorphism in u.  The
     expansion's relators are such S_K codes.
     """
     alpha = _alphabet(sig)
+    code = alpha.code
     return {
-        t: _signed([alpha.encode(action_f(sig, t, s)).letters for s in alpha.s_k])
+        t: _signed([_free_reduce(code[u] for u in action_f(sig, t, s)) for s in alpha.s_k])
         for t in letters
     }
 
 
-def _conjugates(sig, word, t, s):
-    """Whether the coded word evaluates to t s t^-1: one "action" entry."""
-    return _images(sig, _alphabet(sig).decode(word)) == _images(sig, (t, s, t.inv()))
+def _entries_hold(sig, table):
+    """{t: [whether table[t][c] evaluates to t s_c t^-1, for c = 1, 2, ...]}.
+
+    table holds each S_Q letter at both powers.  The entries of power +1
+    letters are evaluated, as the _trivial words table[t][c] t s_c^-1 t^-1.
+    Those of t = t'^-1 follow by transport: if every entry of t' holds,
+    substituting table[t'] into a word u over S_K evaluates to t' u t'^-1,
+    so a row table[t][c] that table[t'] substitutes back to (c,) (its
+    "inverse" line) evaluates to t s_c t^-1.  When a premise fails, the
+    power -1 entries are evaluated too, so each flag is its entry's own.
+    """
+    alpha = _alphabet(sig)
+    codes = range(1, len(alpha.s_k) + 1)
+
+    def evaluate(letters):
+        words = [
+            alpha.decode(table[t][c]) + (t, alpha.letter[-c], t.inv())
+            for t in letters
+            for c in codes
+        ]
+        flags = iter(_trivial(sig, words))
+        return {t: [next(flags) for _ in codes] for t in letters}
+
+    holds = evaluate([t for t in table if t.power == 1])
+    inverse = [t for t in table if t.power == -1]
+    if all(map(all, holds.values())) and all(
+        _substitute(table[t.inv()], table[t][c]) == (c,) for t in inverse for c in codes
+    ):
+        holds.update((t, [True] * len(codes)) for t in inverse)
+    else:
+        holds.update(evaluate(inverse))
+    return holds
 
 
 ACTION_FAMILIES = ("action", "inverse")
@@ -1074,7 +1159,8 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
     to the concrete conjugate t s t^-1 ("action"), and acting by t^-1
     undoes acting by t as words over S_K ("inverse"), checked formally on
     the coded table.  Only the requested families are reported, in the
-    order given for each (t, s).
+    order given for each (t, s).  The "action" lines are _entries_hold's:
+    a FAIL line is one whose entry does not evaluate to its conjugate.
     """
     unknown = set(families) - set(ACTION_FAMILIES)
     if unknown:
@@ -1086,17 +1172,17 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
         report.skip("action", "alphabet empty at this signature")
         return report
     table = _action_table(sig, letters)
+    holds = _entries_hold(sig, table) if "action" in families else None
     for t in letters:
         t_name = format_name(sig, t)
         t_inv = t.inv()
-        for c, s in enumerate(alpha.s_k, 1):
-            word = table[t][c]
+        for c in range(1, len(alpha.s_k) + 1):
             params = f"t={t_name},s={alpha.text[c]}"
             for family in families:
                 if family == "action":
-                    ok = _conjugates(sig, word, t, s)
+                    ok = holds[t][c - 1]
                 else:
-                    ok = _substitute(table[t_inv], word) == (c,)
+                    ok = _substitute(table[t_inv], table[t][c]) == (c,)
                 report.add(family, params, ok)
     return report
 
@@ -1407,15 +1493,10 @@ def lpres_expand_proved(sig, depth):
     The verdict is proved by lpres_expand's induction, not by evaluating
     the relators: every seed must evaluate to the identity, and at depth
     >= 1 every action table entry must evaluate to its conjugate t s t^-1
-    (the "action" line of verify_action_consistency).
+    (the "action" line of verify_action_consistency, by _entries_hold).
     """
     relators, seeds, table = _lpres_expand(sig, depth)
-    idt = tuple((c,) for c in sig.gens())
-    sound = all(_images(sig, r) == idt for r in seeds)
+    sound = all(_trivial(sig, seeds))
     if sound and depth >= 1:
-        sound = all(
-            _conjugates(sig, row[c], t, s)
-            for t, row in table.items()
-            for c, s in enumerate(_alphabet(sig).s_k, 1)
-        )
+        sound = all(map(all, _entries_hold(sig, table).values()))
     return relators, sound

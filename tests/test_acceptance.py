@@ -59,6 +59,13 @@ def _report(num, label):
     print(f"ACCEPTANCE {num:02d} {label}: PASS")
 
 
+def _hold_to_budget(num, t0, budget):
+    """Print the time since t0 beside the stated budget, then assert it."""
+    elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE {num:02d} elapsed {elapsed:.1f} s, budget {budget:g} s")
+    assert elapsed < budget
+
+
 def test_a01_pure_x_relation_tables():
     t0 = time.perf_counter()
     expect = {2: 27, 3: 183, 4: 700}
@@ -66,8 +73,7 @@ def test_a01_pure_x_relation_tables():
         rep = verify_relations("nielsen", Signature(n, 0, 0))
         assert rep.all_passed
         assert rep.counts["PASS"] == passes
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0
+    _hold_to_budget(1, t0, 10.0)
     _report(1, "pure-x relation tables")
 
 
@@ -78,8 +84,7 @@ def test_a02_full_group_relation_tables():
         rep = verify_relations("jensen-wahl", Signature(*sig))
         assert rep.all_passed
         assert rep.counts == {"PASS": passes, "FAIL": 0, "SKIP": 0}
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
+    _hold_to_budget(2, t0, 60.0)
     _report(2, "full-group relation tables")
 
 
@@ -89,8 +94,7 @@ def test_a03_rewriting_action_consistency():
     assert rep.all_passed
     families = {ln[0] for ln in rep.lines}
     assert families == {"action", "inverse"}
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0
+    _hold_to_budget(3, t0, 30.0)
     _report(3, "rewriting action and inverse consistency")
 
 
@@ -176,9 +180,7 @@ def test_a06_seed_relation_expansion():
     idt = identity(S222)
     for w in words:
         assert eval_symbol_word(S222, w) == idt
-    elapsed = time.perf_counter() - t0
-    print(f"ACCEPTANCE 06 elapsed {elapsed:.1f} s, budget 300 s")
-    assert elapsed < 300.0
+    _hold_to_budget(6, t0, 300.0)
     _report(6, "seed relation expansion stays trivial")
 
 
@@ -272,8 +274,7 @@ def test_a09_pairing_is_twice_the_identity():
                 assert pairing(ctx, r, m) == (2 if r == m else 0)
                 checked += 1
     assert checked == 8 * 36
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
+    _hold_to_budget(9, t0, 60.0)
     _report(9, "pairing table is twice the identity")
 
 

@@ -388,19 +388,19 @@ def test_expand_fails_on_a_corrupted_seed(monkeypatch, depth):
 
 def test_expand_evaluates_the_seeds_and_the_action_entries_only(monkeypatch):
     sig = Signature(2, 2, 2)
-    calls = []
-    original = presentation._images
+    words = []
+    original = presentation._trivial
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(sig_, batch):
+        words.extend(batch)
+        return original(sig_, batch)
 
-    monkeypatch.setattr(presentation, "_images", counted)
+    monkeypatch.setattr(presentation, "_trivial", counted)
     res = runner.invoke(main, ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"])
     _assert_expand_verdict(res, "PASS")
     seeds = presentation.enumerate_relations("rk", sig)
     entries = len(presentation._sq_letters(sig)) * len(presentation.s_k_symbols(sig))
-    assert len(calls) <= len(seeds) + 2 * entries
+    assert 0 < len(words) <= len(seeds) + 2 * entries
 
 
 def test_expand_rejects_negative_depth():

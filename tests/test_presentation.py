@@ -502,6 +502,38 @@ def test_a_wrong_action_word_fails_its_action_line(monkeypatch):
     assert not verify_action_consistency(S222, ("inverse",)).all_passed
 
 
+@pytest.mark.parametrize("power", [1, -1])
+def test_a_corrupted_row_fails_only_its_own_action_line(monkeypatch, power):
+    """A wrong power +1 row breaks the premise of its inverse letter's
+    transport, a wrong power -1 row that of its own; either way the lines
+    equal the reference's entry-by-entry evaluation, with the one FAIL."""
+    t, s = m_name(2, 1, 1, power=power), m_name(1, -1, 3)
+    _corrupt_one_pair(monkeypatch, S222, t, s)
+    _assert_action_checks_match_the_reference(S222)
+    rep = verify_action_consistency(S222, ("action",))
+    failed = [ln for ln in rep.lines if ln[2] == "FAIL"]
+    assert failed == [("action", f"t={format_name(S222, t)},s={format_name(S222, s)}", "FAIL")]
+
+
+def test_a_correct_table_evaluates_only_the_power_plus_one_entries(monkeypatch):
+    words = []
+    original = presentation._trivial
+
+    def counted(sig, batch):
+        words.extend(batch)
+        return original(sig, batch)
+
+    monkeypatch.setattr(presentation, "_trivial", counted)
+    rep = verify_action_consistency(S222, ("action",))
+    assert rep.counts == {"PASS": 42 * 22, "FAIL": 0, "SKIP": 0}
+    # Each word is an entry's row followed by t s^-1 t^-1.
+    assert len(words) == 21 * 22
+    assert all(w[-3].power == 1 and w[-1] == w[-3].inv() for w in words)
+    assert {(w[-3], w[-2].inv()) for w in words} == {
+        (t, s) for t in s_q_symbols(S222) for s in s_k_symbols(S222)
+    }
+
+
 def test_a_corrupted_residue_fails_its_table5_line(monkeypatch):
     rows = presentation.table5_rows(S222)
     row, params, t1, t2, s, expected = rows[5]

@@ -3,14 +3,15 @@
 _substitute(_signed(rows), letters) is checked against concatenating the
 images (inverting a row for a negative letter on the spot) and freely
 reducing the result; presentation._images is checked against the image
-table that spelling_aut builds by composition.
+table that spelling_aut builds by composition, and presentation._trivial
+against comparing that automorphism with the identity.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autfb.presentation as presentation
-from autfb import Signature, s_k_symbols, s_q_symbols, spelling_aut, symbol_images
+from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut, symbol_images
 from autfb.automorphism import _signed, _substitute
 
 S222 = Signature(2, 2, 2)
@@ -95,6 +96,51 @@ def test_images_match_the_composed_table(case):
     want = spelling_aut(sig, w).images
     assert presentation._images(sig, w) == tuple(img.letters for img in want)
     assert symbol_images(sig, w) == want
+
+
+def _inverse_word(w):
+    return tuple(u.inv() for u in reversed(w))
+
+
+@st.composite
+def _batch(draw):
+    """A signature and a batch of words over its pool: random words, their
+    prefixes (shared by several words), repeats, empty words and trivial
+    words u v u^-1 v^-1 and u u^-1, in drawn order."""
+    sig = draw(st.sampled_from(_IMAGE_SIGS))
+    base = st.lists(st.sampled_from(_POOL[sig]), max_size=6).map(tuple)
+    stems = draw(st.lists(base, min_size=1, max_size=4))
+    stem = st.sampled_from(stems)
+    word = st.one_of(
+        stem,
+        st.tuples(stem, st.integers(0, 6)).map(lambda p: p[0][: p[1]]),
+        st.tuples(stem, base).map(lambda p: p[0] + p[1]),
+        st.tuples(stem, base).map(
+            lambda p: p[0] + p[1] + _inverse_word(p[0]) + _inverse_word(p[1])
+        ),
+        stem.map(lambda u: u + _inverse_word(u)),
+        st.just(()),
+    )
+    return sig, draw(st.lists(word, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batch())
+def test_trivial_matches_comparing_with_the_identity(case):
+    sig, words = case
+    want = [spelling_aut(sig, w) == identity(sig) for w in words]
+    assert presentation._trivial(sig, words) == want
+
+
+def test_trivial_answers_in_input_order():
+    """P and I at both powers; repeats and the empty word keep their
+    places, and the words are handed over out of sorted order."""
+    sig = Signature(2, 0, 0)
+    p, i1 = presentation.p_name(1, 2), presentation.i_name(1)
+    words = [(p, i1), (), (p, p.inv()), (i1,), (p, i1), (i1.inv(), i1), (p, p), (i1, p) * 2]
+    assert words != sorted(words)
+    want = [False, True, True, False, False, True, True, False]
+    assert presentation._trivial(sig, words) == want
 
 
 def test_expansion_relators_hold_only_the_table_and_alphabet_ints():
