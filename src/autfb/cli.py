@@ -43,8 +43,11 @@ def _aut_from_options(sig, aut_text, word_file, what="--aut"):
     if aut_text is not None and word_file is not None:
         raise click.UsageError(f"give {what} or --word, not both")
     if word_file is not None:
-        with open(word_file, "r", encoding="utf-8") as fh:
-            aut_text = fh.read()
+        try:
+            with open(word_file, "r", encoding="utf-8") as fh:
+                aut_text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(f"--word: {word_file} is not UTF-8 text ({exc.reason})")
     try:
         return parse_aut(sig, aut_text)
     except ValueError as exc:

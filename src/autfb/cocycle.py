@@ -13,7 +13,8 @@ sums collapse to finite ones over explicitly computed supports.
 Conventions recorded in PairingContext: the section sigma multiplies the
 conjugation generators in the fixed order x_1 ... x_n z_1 ... z_l, and
 each element's invariant I_b is computed once and cached on the context,
-keyed by the automorphism's image table.  Every lattice translate is read
+keyed by the automorphism's image table.  Each of the context's two caches
+keeps at most _CACHE_ENTRIES entries, dropping the oldest first.  Every lattice translate is read
 off that one sum (see _i_b), so zeta_r and the pairing are finite
 correlations of invariants; the pairing's two witness sums are taken once
 per context.  Generators come from automorphism._cached_gen_aut.
@@ -35,6 +36,20 @@ from .automorphism import (
     power,
 )
 from .abelianization import _require_kernel, johnson_y
+
+
+# The cap on each PairingContext cache, as on automorphism._cached_gen_aut;
+# the benchmark's cocycle workload holds about 550 twist entries.
+_CACHE_ENTRIES = 4096
+
+
+def _remember(cache, key, value):
+    """cache[key] = value, first dropping the oldest entries that would
+    take the cache past _CACHE_ENTRIES; returns value."""
+    while cache and len(cache) >= _CACHE_ENTRIES:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 class FormalSum:
@@ -178,7 +193,7 @@ def sigma(ctx: PairingContext, x) -> NamedAut:
         for g, exp in zip(ctx.order, x):
             if exp:
                 acc = compose(acc, power(_cached_gen_aut(ctx.sig, c_name(ctx.y, g)), exp))
-        ctx._sigma_cache[x] = cached = acc
+        cached = _remember(ctx._sigma_cache, x, acc)
     return cached
 
 
@@ -204,7 +219,7 @@ def _i_b(ctx: PairingContext, f: NamedAut) -> FormalSum:
     key = f.key()
     cached = ctx._twist_cache.get(key)
     if cached is None:
-        ctx._twist_cache[key] = cached = i_s(ctx, f, ctx.b)
+        cached = _remember(ctx._twist_cache, key, i_s(ctx, f, ctx.b))
     return cached
 
 

@@ -1,18 +1,6 @@
 """Formal presentations: symbol alphabets, relation tables, and the
 conjugation action of the quotient alphabet on the kernel alphabet.
 
-Words over the symbol alphabets are tuples of GenName letters, each with a
-formal power +-1, freely reduced (only an adjacent letter and its formal
-inverse cancel; P and I are involutions in the group but not in the free
-group on symbols).
-
-The relation tables, table5_rows and action_f spell each word as the
-paper does: every letter carries its own power (c_name(z, v, e),
-name.inv()), and a conjugation is a literal tuple of letters, reduced
-once by _inst or sym_comm.  _perm_apply is the one P/I relabeling of the
-x's a symbol mentions; a multiplier relabeled to w^-1 becomes the power on
-the name, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1.
-
 Alphabets (in_s_k and in_s_q test membership in s_k_symbols and
 s_q_symbols, at either formal power):
 
@@ -21,20 +9,36 @@ s_q_symbols, at either formal power):
           targets in X u Z  (a copy of the boundary quotient group)
     S_K   M[x^e,y], C[z,y], C[y,v]  (normal generators of the kernel)
 
-The relation families (N1-N5, Q1-Q5, R1.1-R5, C1.1-C2.2) are enumerated
-exhaustively for a signature with every side condition enforced, and an
-instance is verified by evaluating lhs rhs^-1 to the identity.
+_alphabet is the one coding of S_K u S_Q as signed ints: symbol i of
+s_k_symbols is code i + 1, symbol j of s_q_symbols follows as |S_K| + j + 1,
+and a letter at formal power -1 is the negated code.  A word over the
+symbols is a tuple of codes, freely reduced by freegroup._free_reduce (a
+letter cancels only against its formal inverse: P and I are involutions in
+the group but not in the free group on symbols) and inverted by negation.
+
+The relation families (N1-N5, Q1-Q5, R1.1-R5, C1.1-C2.2), the residue rows
+of table5 and the action rows are built as coded words, each by one builder
+that spells every letter as the paper does, at its own power: the code of
+C[z,v]^e is e * C[z, v], read from the alphabet's per-kind maps (named), and
+a conjugation is a literal tuple of codes, reduced once by _inst or _comm.
+_perm_apply is the one P/I relabeling of the x's a symbol mentions; a
+multiplier relabeled to w^-1 becomes the power, since M[v^e,w^-1] =
+M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1.  Every family is enumerated for a
+signature with every side condition enforced, and an instance holds when
+lhs rhs^-1 evaluates to the identity.
+
+GenName words remain only at the public edges, which decode or encode once:
+enumerate_relations, table5_rows, action_f, reduced_sq_words, lpres_expand
+and symbol_images.  sym_*, action_letter, action_extend and eval_symbol_word
+act on GenName words directly, as the public, per-call route.
 
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
-arbitrarily deep relation layers (lpres_expand).
-
-_alphabet is the one home of the S_K integer coding (symbol i of
-s_k_symbols as +-(i+1)).  _action_table is the action on those codes:
-action_f runs once per (S_Q letter, S_K symbol), each letter's rows are
-kept signed (automorphism._signed: every row beside its inverse), and
-acting by one letter on a coded word is one _substitute step.  Three
+arbitrarily deep relation layers (lpres_expand).  _action_table holds its
+coded rows (_action_word), once per (S_Q letter, S_K symbol); each letter's
+rows are kept signed (automorphism._signed: every row beside its inverse),
+and acting by one letter on a coded word is one _substitute step.  Three
 checks read the table:
 
     lpres_expand               memoises by suffix: the relators of t w'
@@ -47,16 +51,14 @@ checks read the table:
 _entries_hold evaluates the entries of the S_Q letters of power +1; those
 of power -1 follow by transport.  lpres_expand_proved decides that every
 relator is trivial from the seeds and the entries, not the relators, and
-leaves them coded for the command line to spell.  action_letter and
-action_extend act on GenName words without the table; they stay as the
-public, per-call route.
+leaves them coded for the command line to spell.
 
-A check hands all its words to one _trivial call, which decides whether
-each evaluates to the identity, folding each prefix the sorted words share
-once.  Its step (_step) rewrites only the forward image rows the letter's
-generator moves (_Moves); _images, the letter tuples of symbol_images,
-takes the same steps.  eval_symbol_word is automorphism.spelling_aut,
-which builds both tables of a NamedAut.
+A check hands all its coded words to one _trivial call, which decides
+whether each evaluates to the identity, folding each prefix the sorted
+words share once.  Its step (_step) rewrites only the forward image rows
+the letter's generator moves (_Moves, keyed by code); _images, the letter
+tuples of symbol_images, takes the same steps.  eval_symbol_word is
+automorphism.spelling_aut, which builds both tables of a NamedAut.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
-from .freegroup import Signature, Word, _free_reduce
+from .freegroup import Word, _free_reduce
 from .automorphism import (
     _cached_gen_aut,
     _inverted,
@@ -137,21 +139,27 @@ def eval_symbol_word(sig, w):
 
 
 def symbol_images(sig, w):
-    """eval_symbol_word(sig, w).images, without the inverse table."""
-    return tuple(Word(sig, img, _reduced=True) for img in _images(sig, w))
+    """eval_symbol_word(sig, w).images, without the inverse table, for a
+    word over S_K u S_Q; any other letter is a ValueError."""
+    try:
+        coded = _alphabet(sig).encode(w)
+    except KeyError as exc:
+        raise ValueError(f"not an S_K or S_Q letter: {exc.args[0]}") from None
+    return tuple(Word(sig, img, _reduced=True) for img in _images(sig, coded))
 
 
 class _Moves(dict):
-    """name -> the rows its generator moves at sig, as (c, image letters):
-    c is moved when the stored image (automorphism._gen_images) of c is not
-    (c,).  Each name's generator is read once per map."""
+    """code -> the rows its letter's generator moves at sig, as (c, image
+    letters): c is moved when the stored image (automorphism._gen_images)
+    of c is not (c,).  Each letter's generator is read once per map."""
 
     def __init__(self, sig):
         self.sig = sig
+        self.letter = _alphabet(sig).letter
 
-    def __missing__(self, name):
-        images = _cached_gen_aut(self.sig, name).images
-        rows = self[name] = tuple(
+    def __missing__(self, s):
+        images = _cached_gen_aut(self.sig, self.letter[s]).images
+        rows = self[s] = tuple(
             (c, img.letters) for c, img in enumerate(images, 1) if img.letters != (c,)
         )
         return rows
@@ -169,8 +177,8 @@ def _step(acc, moved):
 
 
 def _images(sig, w):
-    """symbol_images(sig, w) as letter tuples: w's letters stepped through
-    from the identity."""
+    """symbol_images(sig, w) as letter tuples, for a coded word w: its
+    letters stepped through from the identity."""
     moves = _Moves(sig)
     acc = _signed([(c,) for c in sig.gens()])
     for s in w:
@@ -179,7 +187,8 @@ def _images(sig, w):
 
 
 def _trivial(sig, words):
-    """[spelling_aut(sig, w) is the identity for w in words], in input order.
+    """[spelling_aut(sig, w) is the identity for w in words], in input
+    order, for coded words (_alphabet).
 
     A word h s is the identity when h evaluates to s^-1, so h is stepped
     through and its table compared with the stored images of s^-1.  The
@@ -207,8 +216,9 @@ def _trivial(sig, words):
         del stack[j + 1 :]
         for s in head[j:]:
             stack.append(_step(stack[-1], moves[s]))
-        end = ends.get(w[-1]) or ends.setdefault(
-            w[-1], [img.letters for img in _cached_gen_aut(sig, w[-1]).inv_images]
+        s = w[-1]
+        end = ends.get(s) or ends.setdefault(
+            s, [img.letters for img in _cached_gen_aut(sig, moves.letter[s]).inv_images]
         )
         out[i] = stack[-1][1 : n + 1] == end
         prev = head
@@ -219,9 +229,9 @@ def _trivial(sig, words):
 # alphabets
 
 
-class _Alphabet(namedtuple("_Alphabet", "s_k code letter text s_q ksig")):
+class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text named")):
     def encode(self, u):
-        return Word(self.ksig, [self.code[s] for s in u])
+        return tuple(self.code[s] for s in u)
 
     def decode(self, codes):
         return tuple(self.letter[c] for c in codes)
@@ -229,30 +239,46 @@ class _Alphabet(namedtuple("_Alphabet", "s_k code letter text s_q ksig")):
 
 @lru_cache(maxsize=16)
 def _alphabet(sig):
-    """S_K, S_Q at both powers, and the one S_K coding: s_k_symbols(sig)[i]
-    at power +-1 is code +-(i+1) of ksig = Signature(|S_K|, 0, 0), None
-    when S_K is empty.  code maps a letter to its code; letter and text map
-    a code to its letter and to its format_name."""
+    """S_K, S_Q and their one coding: s_k_symbols(sig)[i] at power +-1 is
+    code +-(i+1), and s_q_symbols(sig)[j] is +-(|S_K|+j+1).  code maps a
+    letter to its code; letter and text map a code to its letter and to its
+    format_name.  named holds the maps M[v, e, w], C[v, w], P[i, j] (either
+    order) and I[i] to the code of the symbol at power +1, through which
+    the builders spell their letters."""
     s_k = tuple(s_k_symbols(sig))
-    letter = {c: u for i, s in enumerate(s_k, 1) for c, u in ((i, s), (-i, s.inv()))}
+    s_q = tuple(s_q_symbols(sig))
+    letter = {c: u for i, s in enumerate(s_k + s_q, 1) for c, u in ((i, s), (-i, s.inv()))}
+    named = {"M": {}, "C": {}, "P": {}, "I": {}}
+    for i, s in enumerate(s_k + s_q, 1):
+        kind, v, e, w, _ = s
+        if kind == "M":
+            named[kind][v, e, w] = i
+        elif kind == "I":
+            named[kind][v] = i
+        else:
+            named[kind][v, w] = i
+            if kind == "P":
+                named[kind][w, v] = i
     return _Alphabet(
         s_k,
+        s_q,
         {u: c for c, u in letter.items()},
         letter,
         {c: format_name(sig, u) for c, u in letter.items()},
-        frozenset(u for s in s_q_symbols(sig) for u in (s, s.inv())),
-        Signature(len(s_k), 0, 0) if s_k else None,
+        tuple(named.values()),
     )
 
 
 def in_s_k(sig, name):
     """Admissibility in S_K (power ignored): membership in s_k_symbols."""
-    return name in _alphabet(sig).code
+    alpha = _alphabet(sig)
+    return 0 < abs(alpha.code.get(name, 0)) <= len(alpha.s_k)
 
 
 def in_s_q(sig, name):
     """Admissibility in S_Q (power ignored): membership in s_q_symbols."""
-    return name in _alphabet(sig).s_q
+    alpha = _alphabet(sig)
+    return abs(alpha.code.get(name, 0)) > len(alpha.s_k)
 
 
 def s_k_symbols(sig):
@@ -272,15 +298,17 @@ def s_k_symbols(sig):
     return out
 
 
-def _perm_letters(sig):
-    """The swaps P[i,j] (i < j), then the inversions I[i]."""
-    xs = sig.x_gens()
-    return [p_name(i, j) for i in xs for j in xs if i < j] + [i_name(i) for i in xs]
+def _perm_codes(sig):
+    """(code, letter) of each swap and inversion in S_Q, read from the alphabet."""
+    alpha = _alphabet(sig)
+    return [(alpha.code[t], t) for t in alpha.s_q if t.kind in ("P", "I")]
 
 
 def s_q_symbols(sig):
-    """S_Q in a fixed deterministic order."""
-    out = _perm_letters(sig)
+    """S_Q in a fixed deterministic order, starting with the swaps P[i,j]
+    (i < j) and then the inversions I[i]."""
+    xs = sig.x_gens()
+    out = [p_name(i, j) for i in xs for j in xs if i < j] + [i_name(i) for i in xs]
     for z in sig.z_gens():
         for v in sig.xz_gens():
             if v != z:
@@ -314,12 +342,17 @@ class RelationInstance(NamedTuple):
     rhs: tuple
 
 
+def _comm(u, v):
+    """The coded commutator u v u^-1 v^-1, reduced."""
+    return _free_reduce(u + v + _inverted(u) + _inverted(v))
+
+
 def _inst(family, params, lhs, rhs=()):
-    return RelationInstance(family, params, sym_reduce(lhs), sym_reduce(rhs))
+    return RelationInstance(family, params, _free_reduce(lhs), _free_reduce(rhs))
 
 
 def _comm_inst(family, params, a, b):
-    return RelationInstance(family, params, sym_comm(a, b), ())
+    return RelationInstance(family, params, _comm(a, b), ())
 
 
 def _perm_apply(name, code, sign):
@@ -338,22 +371,19 @@ def _perm_apply(name, code, sign):
 
 
 def _n1_instances(sig):
+    _, _, P, I = _alphabet(sig).named
     out = []
     xs = list(sig.x_gens())
     for a in xs:
-        ia = i_name(a)
-        out.append(_inst("N1", f"Ia^2,a={a}", (ia, ia)))
+        out.append(_inst("N1", f"Ia^2,a={a}", (I[a], I[a])))
     for a in xs:
         for b in xs:
             if a != b:
-                out.append(
-                    _comm_inst("N1", f"[Ia,Ib],a={a},b={b}", (i_name(a),), (i_name(b),))
-                )
+                out.append(_comm_inst("N1", f"[Ia,Ib],a={a},b={b}", (I[a],), (I[b],)))
     for a in xs:
         for b in xs:
             if a < b:
-                p = p_name(a, b)
-                out.append(_inst("N1", f"Pab^2,a={a},b={b}", (p, p)))
+                out.append(_inst("N1", f"Pab^2,a={a},b={b}", (P[a, b], P[a, b])))
     for a in xs:
         for b in xs:
             for c in xs:
@@ -363,54 +393,38 @@ def _n1_instances(sig):
                             _comm_inst(
                                 "N1",
                                 f"[Pab,Pcd],a={a},b={b},c={c},d={d}",
-                                (p_name(a, b),),
-                                (p_name(c, d),),
+                                (P[a, b],),
+                                (P[c, d],),
                             )
                         )
     for a in xs:
         for b in xs:
             for c in xs:
                 if len({a, b, c}) == 3:
-                    p = p_name(a, b)
+                    p = P[a, b]
                     out.append(
-                        _inst(
-                            "N1",
-                            f"PPP=P,a={a},b={b},c={c}",
-                            (p, p_name(b, c), p.inv()),
-                            (p_name(a, c),),
-                        )
+                        _inst("N1", f"PPP=P,a={a},b={b},c={c}", (p, P[b, c], -p), (P[a, c],))
                     )
     for a in xs:
         for b in xs:
             if a != b:
-                p = p_name(a, b)
-                out.append(
-                    _inst(
-                        "N1",
-                        f"PIP=I,a={a},b={b}",
-                        (p, i_name(a), p.inv()),
-                        (i_name(b),),
-                    )
-                )
+                p = P[a, b]
+                out.append(_inst("N1", f"PIP=I,a={a},b={b}", (p, I[a], -p), (I[b],)))
     for a in xs:
         for b in xs:
             for c in xs:
                 if len({a, b, c}) == 3 and a < b:
                     out.append(
-                        _comm_inst(
-                            "N1",
-                            f"[Pab,Ic],a={a},b={b},c={c}",
-                            (p_name(a, b),),
-                            (i_name(c),),
-                        )
+                        _comm_inst("N1", f"[Pab,Ic],a={a},b={b},c={c}", (P[a, b],), (I[c],))
                     )
     return out
 
 
 def _n2_instances(sig):
+    M = _alphabet(sig).named[0]
     out = []
     xs = list(sig.x_gens())
-    for t in _perm_letters(sig):
+    for tc, t in _perm_codes(sig):
         head = f"P,a={t.v},b={t.w}" if t.kind == "P" else f"I,a={t.v}"
         for x in xs:
             for y in xs:
@@ -423,32 +437,30 @@ def _n2_instances(sig):
                         _inst(
                             "N2",
                             f"{head},x={x},e={e:+d},y={y}",
-                            (t, m_name(x, e, y), t.inv()),
-                            (m_name(xi, xe, yi, ye),),
+                            (tc, M[x, e, y], -tc),
+                            (M[xi, xe, yi] * ye,),
                         )
                     )
     return out
 
 
 def _n3_instances(sig):
+    M, _, P, I = _alphabet(sig).named
     out = []
     xs = list(sig.x_gens())
     for a in xs:
         for b in xs:
             if a == b:
                 continue
-            lhs1 = (m_name(a, -1, b, -1), m_name(b, -1, a), m_name(a, 1, b))
-            out.append(
-                _inst("N3", f"form1,a={a},b={b}", lhs1, (i_name(a), p_name(a, b)))
-            )
-            lhs2 = (m_name(a, -1, b), m_name(b, 1, a), m_name(a, 1, b, -1))
-            out.append(
-                _inst("N3", f"form2,a={a},b={b}", lhs2, (i_name(b), p_name(a, b)))
-            )
+            lhs1 = (-M[a, -1, b], M[b, -1, a], M[a, 1, b])
+            out.append(_inst("N3", f"form1,a={a},b={b}", lhs1, (I[a], P[a, b])))
+            lhs2 = (M[a, -1, b], M[b, 1, a], -M[a, 1, b])
+            out.append(_inst("N3", f"form2,a={a},b={b}", lhs2, (I[b], P[a, b])))
     return out
 
 
 def _n4_instances(sig):
+    M = _alphabet(sig).named[0]
     out = []
     xs = list(sig.x_gens())
     for a in xs:
@@ -470,14 +482,15 @@ def _n4_instances(sig):
                                 _comm_inst(
                                     "N4",
                                     f"a={a},b={b},c={c},d={d},e={e:+d},f={f:+d}",
-                                    (m_name(a, e, b),),
-                                    (m_name(c, f, d),),
+                                    (M[a, e, b],),
+                                    (M[c, f, d],),
                                 )
                             )
     return out
 
 
 def _n5_instances(sig):
+    M = _alphabet(sig).named[0]
     out = []
     xs = list(sig.x_gens())
     for a in xs:
@@ -487,19 +500,20 @@ def _n5_instances(sig):
                     continue
                 for e in (1, -1):
                     for f in (1, -1):
-                        mba, mcb = m_name(b, e, a), m_name(c, f, b, e)
+                        mba, mcb = M[b, e, a], M[c, f, b] * e
                         out.append(
                             _inst(
                                 "N5",
                                 f"a={a},b={b},c={c},e={e:+d},f={f:+d}",
                                 (mba, mcb),
-                                (mcb, mba, m_name(c, f, a)),
+                                (mcb, mba, M[c, f, a]),
                             )
                         )
     return out
 
 
 def _q2_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     xs = list(sig.x_gens())
     yz = sig.yz_gens()
@@ -522,8 +536,8 @@ def _q2_instances(sig):
                                 _comm_inst(
                                     "Q2.1",
                                     f"x={x},v={v},w={w},z={z},e={e:+d},d={d:+d}",
-                                    (m_name(x, e, v),),
-                                    (m_name(w, d, z),),
+                                    (M[x, e, v],),
+                                    (M[w, d, z],),
                                 )
                             )
     for x in xs:
@@ -539,8 +553,8 @@ def _q2_instances(sig):
                             _comm_inst(
                                 "Q2.2",
                                 f"x={x},v={v},w={w},z={z},e={e:+d}",
-                                (m_name(x, e, v),),
-                                (c_name(w, z),),
+                                (M[x, e, v],),
+                                (C[w, z],),
                             )
                         )
     for u in yz:
@@ -554,12 +568,7 @@ def _q2_instances(sig):
                     if z == u or z == w:
                         continue
                     out.append(
-                        _comm_inst(
-                            "Q2.3",
-                            f"u={u},v={v},w={w},z={z}",
-                            (c_name(u, v),),
-                            (c_name(w, z),),
-                        )
+                        _comm_inst("Q2.3", f"u={u},v={v},w={w},z={z}", (C[u, v],), (C[w, z],))
                     )
     return out
 
@@ -567,36 +576,34 @@ def _q2_instances(sig):
 def _q3_instances(sig):
     # Includes the index-disjoint commuting instances: for x not moved by
     # the swap or inversion the right side is just the original symbol.
+    M, C, _, _ = _alphabet(sig).named
     out = []
     yz = sig.yz_gens()
-    for t in _perm_letters(sig):
+    for tc, t in _perm_codes(sig):
         if t.kind == "P":
             m_tag, c_tag, head = "Q3.1", "Q3.2", f"i={t.v},j={t.w}"
         else:
             m_tag, c_tag, head = "Q3.3", "Q3.4", f"i={t.v}"
         for x in sig.x_gens():
+            xi, sign = _perm_apply(t, x, 1)
             for z in yz:
                 for e in (1, -1):
                     out.append(
                         _inst(
                             m_tag,
                             f"{head},x={x},e={e:+d},z={z}",
-                            (t, m_name(x, e, z), t.inv()),
-                            (m_name(*_perm_apply(t, x, e), z),),
+                            (tc, M[x, e, z], -tc),
+                            (M[_perm_apply(t, x, e) + (z,)],),
                         )
                     )
                 out.append(
-                    _inst(
-                        c_tag,
-                        f"{head},x={x},z={z}",
-                        (t, c_name(z, x), t.inv()),
-                        (c_name(z, *_perm_apply(t, x, 1)),),
-                    )
+                    _inst(c_tag, f"{head},x={x},z={z}", (tc, C[z, x], -tc), (C[z, xi] * sign,))
                 )
     return out
 
 
 def _q4_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     xs = list(sig.x_gens())
     yz = sig.yz_gens()
@@ -610,13 +617,13 @@ def _q4_instances(sig):
                     continue
                 for e in (1, -1):
                     for d in (1, -1):
-                        mxw = m_name(x, e, w, -d)
+                        mxw = M[x, e, w] * -d
                         out.append(
                             _inst(
                                 "Q4.1",
                                 f"x={x},w={w},v={v},e={e:+d},d={d:+d}",
-                                (mxw, m_name(w, d, v), mxw.inv()),
-                                (m_name(x, e, v), m_name(w, d, v)),
+                                (mxw, M[w, d, v], -mxw),
+                                (M[x, e, v], M[w, d, v]),
                             )
                         )
     for z in yz:
@@ -625,12 +632,13 @@ def _q4_instances(sig):
                 if v == x or v == z:
                     continue
                 for e in (1, -1):
+                    czx = C[z, x] * e
                     out.append(
                         _inst(
                             "Q4.1'",
                             f"z={z},x={x},v={v},e={e:+d}",
-                            (c_name(z, x, -e), m_name(x, e, v), c_name(z, x, e)),
-                            (c_name(z, v), m_name(x, e, v)),
+                            (-czx, M[x, e, v], czx),
+                            (C[z, v], M[x, e, v]),
                         )
                     )
     for z in yz:
@@ -642,13 +650,13 @@ def _q4_instances(sig):
                     continue
                 for e in (1, -1):
                     for d in (1, -1):
-                        mxz = m_name(x, d, z)
+                        mxz, czv, mxv = M[x, d, z], C[z, v] * e, M[x, d, v] * e
                         out.append(
                             _inst(
                                 "Q4.2",
                                 f"z={z},v={v},x={x},e={e:+d},d={d:+d}",
-                                (c_name(z, v, e), mxz, c_name(z, v, -e)),
-                                (m_name(x, d, v, -e), mxz, m_name(x, d, v, e)),
+                                (czv, mxz, -czv),
+                                (-mxv, mxz, mxv),
                             )
                         )
     for z in yz:
@@ -659,39 +667,43 @@ def _q4_instances(sig):
                 if v == z or v == w:
                     continue
                 for e in (1, -1):
-                    cwz = c_name(w, z)
+                    cwz, czv, cwv = C[w, z], C[z, v] * e, C[w, v] * e
                     out.append(
                         _inst(
                             "Q4.2'",
                             f"z={z},w={w},v={v},e={e:+d}",
-                            (c_name(z, v, e), cwz, c_name(z, v, -e)),
-                            (c_name(w, v, -e), cwz, c_name(w, v, e)),
+                            (czv, cwz, -czv),
+                            (-cwv, cwz, cwv),
                         )
                     )
     return out
 
 
 def _q5_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     for x in sig.x_gens():
         for v in sig.yz_gens():
             for e in (1, -1):
+                cvx = C[v, x] * e
                 out.append(
                     _inst(
                         "Q5",
                         f"x={x},v={v},e={e:+d}",
-                        (c_name(v, x, -e), m_name(x, -e, v), c_name(v, x, e)),
-                        (m_name(x, e, v, -1),),
+                        (-cvx, M[x, -e, v], cvx),
+                        (-M[x, e, v],),
                     )
                 )
     return out
 
 
 def _r1_instances(sig):
+    alpha = _alphabet(sig)
+    M, C, _, _ = alpha.named
     out = []
     xs = list(sig.x_gens())
     ys = list(sig.y_gens())
-    c_syms = [s for s in s_k_symbols(sig) if s.kind == "C"]
+    c_syms = [s for s in alpha.s_k if s.kind == "C"]
     for x in xs:
         for w in xs:
             for e in (1, -1):
@@ -704,8 +716,8 @@ def _r1_instances(sig):
                                 _comm_inst(
                                     "R1.1",
                                     f"x={x},e={e:+d},v={v},w={w},d={d:+d},y={y}",
-                                    (m_name(x, e, v),),
-                                    (m_name(w, d, y),),
+                                    (M[x, e, v],),
+                                    (M[w, d, y],),
                                 )
                             )
     for x in xs:
@@ -719,8 +731,8 @@ def _r1_instances(sig):
                         _comm_inst(
                             "R1.2",
                             f"x={x},e={e:+d},y={y},v={v},z={z}",
-                            (m_name(x, e, y),),
-                            (c,),
+                            (M[x, e, y],),
+                            (C[v, z],),
                         )
                     )
     for c1 in c_syms:
@@ -730,12 +742,13 @@ def _r1_instances(sig):
             if u == w or u == z or w == v:
                 continue
             out.append(
-                _comm_inst("R1.3", f"u={u},v={v},w={w},z={z}", (c1,), (c2,))
+                _comm_inst("R1.3", f"u={u},v={v},w={w},z={z}", (C[u, v],), (C[w, z],))
             )
     return out
 
 
 def _r2_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     for x in sig.x_gens():
         for v in sig.y_gens():
@@ -743,18 +756,20 @@ def _r2_instances(sig):
                 if v == z:
                     continue
                 for e in (1, -1):
+                    cvx = C[v, x] * e
                     out.append(
                         _inst(
                             "R2",
                             f"x={x},e={e:+d},v={v},z={z}",
-                            (c_name(v, x, -e), m_name(x, e, z), c_name(v, x, e)),
-                            (c_name(v, z), m_name(x, e, z)),
+                            (-cvx, M[x, e, z], cvx),
+                            (C[v, z], M[x, e, z]),
                         )
                     )
     return out
 
 
 def _r3_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     for x in sig.x_gens():
         for v in sig.y_gens():
@@ -763,19 +778,21 @@ def _r3_instances(sig):
                     continue
                 for e in (1, -1):
                     for d in (1, -1):
-                        mxv = m_name(x, d, v)
+                        mxv, cvz, mxz = M[x, d, v], C[v, z] * e, M[x, d, z] * e
                         out.append(
                             _inst(
                                 "R3",
                                 f"x={x},d={d:+d},v={v},z={z},e={e:+d}",
-                                (c_name(v, z, e), mxv, c_name(v, z, -e)),
-                                (m_name(x, d, z, -e), mxv, m_name(x, d, z, e)),
+                                (cvz, mxv, -cvz),
+                                (-mxz, mxv, mxz),
                             )
                         )
     return out
 
 
 def _r4_instances(sig):
+    alpha = _alphabet(sig)
+    C = alpha.named[1]
     out = []
     yz = sig.yz_gens()
     for v in yz:
@@ -785,38 +802,41 @@ def _r4_instances(sig):
             for z in sig.gens():
                 if z == v or z == w:
                     continue
-                c_vz, c_wv, c_wz = c_name(v, z), c_name(w, v), c_name(w, z)
-                if not (in_s_k(sig, c_vz) and in_s_k(sig, c_wv) and in_s_k(sig, c_wz)):
+                c_vz, c_wv, c_wz = C[v, z], C[w, v], C[w, z]
+                if max(c_vz, c_wv, c_wz) > len(alpha.s_k):  # one of them is in S_Q
                     continue
                 for e in (1, -1):
                     out.append(
                         _inst(
                             "R4",
                             f"v={v},z={z},w={w},e={e:+d}",
-                            (c_name(v, z, e), c_wv, c_name(v, z, -e)),
-                            (c_name(w, z, -e), c_wv, c_name(w, z, e)),
+                            (c_vz * e, c_wv, c_vz * -e),
+                            (c_wz * -e, c_wv, c_wz * e),
                         )
                     )
     return out
 
 
 def _r5_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     for x in sig.x_gens():
         for y in sig.y_gens():
             for e in (1, -1):
+                cyx = C[y, x] * e
                 out.append(
                     _inst(
                         "R5",
                         f"x={x},y={y},e={e:+d}",
-                        (c_name(y, x, -e), m_name(x, -e, y), c_name(y, x, e)),
-                        (m_name(x, e, y, -1),),
+                        (-cyx, M[x, -e, y], cyx),
+                        (-M[x, e, y],),
                     )
                 )
     return out
 
 
 def _c1_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     xs = list(sig.x_gens())
     yz = sig.yz_gens()
@@ -832,13 +852,13 @@ def _c1_instances(sig):
                             if v == a or v == b:
                                 continue
                             for e in (1, -1):
-                                cyv = c_name(y, v, e)
+                                cyv = C[y, v] * e
                                 out.append(
                                     _comm_inst(
                                         "C1.1",
                                         f"y={y},a={a},d={dd:+d},b={b},zeta={zz:+d},v={v},e={e:+d}",
-                                        (cyv, m_name(a, dd, y), cyv.inv()),
-                                        (m_name(b, zz, y),),
+                                        (cyv, M[a, dd, y], -cyv),
+                                        (M[b, zz, y],),
                                     )
                                 )
         for x in xs:
@@ -849,14 +869,14 @@ def _c1_instances(sig):
                     if v == z or v == x:
                         continue
                     for e in (1, -1):
-                        cyv = c_name(y, v, e)
+                        cyv = C[y, v] * e
                         for d in (1, -1):
                             out.append(
                                 _comm_inst(
                                     "C1.2",
                                     f"y={y},x={x},d={d:+d},z={z},v={v},e={e:+d}",
-                                    (cyv, m_name(x, d, y), cyv.inv()),
-                                    (c_name(z, y),),
+                                    (cyv, M[x, d, y], -cyv),
+                                    (C[z, y],),
                                 )
                             )
         for z in yz:
@@ -872,43 +892,46 @@ def _c1_instances(sig):
                     if v == z or v == w:
                         continue
                     for e in (1, -1):
-                        cyv = c_name(y, v, e)
+                        cyv = C[y, v] * e
                         out.append(
                             _comm_inst(
                                 "C1.3",
                                 f"y={y},z={z},w={w},v={v},e={e:+d}",
-                                (cyv, c_name(z, y), cyv.inv()),
-                                (c_name(w, y),),
+                                (cyv, C[z, y], -cyv),
+                                (C[w, y],),
                             )
                         )
     return out
 
 
 def _c2_instances(sig):
+    M, C, _, _ = _alphabet(sig).named
     out = []
     for y in sig.y_gens():
         for z in sig.z_gens():
             for x in sig.x_gens():
                 for e in (1, -1):
+                    cyz = C[y, z] * e
                     for d in (1, -1):
                         out.append(
                             _comm_inst(
                                 "C2.1",
                                 f"y={y},z={z},x={x},e={e:+d},d={d:+d}",
-                                (c_name(y, z, e), m_name(x, d, y), c_name(y, z, -e)),
-                                (c_name(z, y), m_name(x, d, y)),
+                                (cyz, M[x, d, y], -cyz),
+                                (C[z, y], M[x, d, y]),
                             )
                         )
             for w in sig.z_gens():
                 if w == z:
                     continue
                 for e in (1, -1):
+                    cyz = C[y, z] * e
                     out.append(
                         _comm_inst(
                             "C2.2",
                             f"y={y},z={z},w={w},e={e:+d}",
-                            (c_name(y, z, e), c_name(w, y), c_name(y, z, -e)),
-                            (c_name(z, y), c_name(w, y)),
+                            (cyz, C[w, y], -cyz),
+                            (C[z, y], C[w, y]),
                         )
                     )
     return out
@@ -952,13 +975,8 @@ FAMILY_GROUPS = {
 }
 
 
-def enumerate_relations(family, sig):
-    """All instances of a family for the signature.
-
-    `family` is a subfamily tag (N3, Q4, R1, ...), a dotted instance tag
-    (R1.2, Q4.1', C2.1 - resolved by prefix), or one of the group tags
-    nielsen / jensen-wahl / rk / c-lemma.
-    """
+def _relations(family, sig):
+    """enumerate_relations(family, sig) with coded sides (_alphabet)."""
     if family in FAMILY_GROUPS:
         out = []
         for tag in FAMILY_GROUPS[family]:
@@ -970,6 +988,20 @@ def enumerate_relations(family, sig):
     if head in _SUBFAMILIES:
         return [i for i in _SUBFAMILIES[head](sig) if i.family == family]
     raise ValueError(f"unknown relation family {family!r}")
+
+
+def enumerate_relations(family, sig):
+    """All instances of a family for the signature, as GenName words.
+
+    `family` is a subfamily tag (N3, Q4, R1, ...), a dotted instance tag
+    (R1.2, Q4.1', C2.1 - resolved by prefix), or one of the group tags
+    nielsen / jensen-wahl / rk / c-lemma.
+    """
+    decode = _alphabet(sig).decode
+    return [
+        RelationInstance(i.family, i.params, decode(i.lhs), decode(i.rhs))
+        for i in _relations(family, sig)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1017,12 +1049,12 @@ class Report:
 def verify_relations(family, sig):
     """Evaluate every instance of the family; failures are data, not errors.
 
-    An instance holds when lhs rhs^-1 evaluates to the identity; the words
-    of every subfamily are decided by one _trivial call.
+    An instance holds when lhs rhs^-1 evaluates to the identity; the coded
+    words of every subfamily are decided by one _trivial call.
     """
     report = Report()
-    tags = [(tag, enumerate_relations(tag, sig)) for tag in FAMILY_GROUPS.get(family, (family,))]
-    flags = iter(_trivial(sig, [i.lhs + sym_inv(i.rhs) for _, insts in tags for i in insts]))
+    tags = [(tag, _relations(tag, sig)) for tag in FAMILY_GROUPS.get(family, (family,))]
+    flags = iter(_trivial(sig, [i.lhs + _inverted(i.rhs) for _, insts in tags for i in insts]))
     for tag, instances in tags:
         if not instances:
             report.skip(tag, "no instances at this signature")
@@ -1046,33 +1078,46 @@ def action_f(sig, t, s):
         raise ValueError(f"not an S_Q letter: {t}")
     if not (in_s_k(sig, s) and s.power == 1):
         raise ValueError(f"not an S_K symbol: {s}")
+    return _alphabet(sig).decode(_action_word(sig, t, s))
+
+
+def _action_word(sig, t, s):
+    """action_f(sig, t, s) as codes (_alphabet), for an S_Q letter t and an
+    S_K symbol s that the caller has taken from the alphabet."""
+    alpha = _alphabet(sig)
+    M, C, _, _ = alpha.named
+    sc = alpha.code[s]
     if t.kind in ("P", "I"):
         # relabel the x that s moves (M[x^e,y]) or conjugates by (C[y,x])
         if s.kind == "M":
-            return (m_name(*_perm_apply(t, s.v, s.e), s.w),)
-        return (c_name(s.v, *_perm_apply(t, s.w, 1)),)
+            return (M[_perm_apply(t, s.v, s.e) + (s.w,)],)
+        x, sign = _perm_apply(t, s.w, 1)
+        return (C[s.v, x] * sign,)
     p = t.power
     if sig.klass(s.v) == "y":
         # s = C[y,u] is moved only when t moves u itself
         y, u = s.v, s.w
         if t.v != u:
-            return (s,)
+            return (sc,)
+        cyw = C[y, t.w] * p
         if t.kind == "C":
-            return (c_name(y, t.w, -p), s, c_name(y, t.w, p))
-        return (s, c_name(y, t.w, p)) if t.e == 1 else (c_name(y, t.w, -p), s)
+            return (-cyw, sc, cyw)
+        return (sc, cyw) if t.e == 1 else (-cyw, sc)
     # s = M[x^eps,y] or C[z,y] moves its letter v by y
     v, y = s.v, s.w
     if (t.v, t.e) == (v, s.e):  # t moves the same signed letter
-        return (c_name(y, t.w, -p), s, c_name(y, t.w, p))
+        cyw = C[y, t.w] * p
+        return (-cyw, sc, cyw)
     if t.w != v:
-        return (s,)
+        return (sc,)
     # t moves t.v by v; t_y is the same move by y
-    t_y = m_name(t.v, t.e, y) if t.kind == "M" else c_name(t.v, y)
+    t_y = M[t.v, t.e, y] if t.kind == "M" else C[t.v, y]
+    cyv = C[y, v] * p
     if s.kind == "C":
-        return (s, t_y, c_name(y, v, -p), t_y.inv(), c_name(y, v, p))
+        return (sc, t_y, -cyv, -t_y, cyv)
     if p == s.e:
-        return (s, c_name(y, v, -p), t_y.inv(), c_name(y, v, p))
-    return (s, t_y)
+        return (sc, -cyv, -t_y, cyv)
+    return (sc, t_y)
 
 
 def action_letter(sig, t, u):
@@ -1098,19 +1143,18 @@ def action_extend(sig, w, u):
 
 
 def _action_table(sig, letters):
-    """The action of the given S_Q letters on S_K codes (_alphabet).
+    """The action of the given S_Q letters (codes) on S_K codes (_alphabet).
 
-    table[t] is the signed list (_signed) of t's rows: table[t][c] is the
-    coded, freely reduced action_f(sig, t, s_c) and table[t][-c] its
-    inverse, so action_f and its validation run once per (letter, symbol)
-    pair, each row is inverted once, and acting by t on a coded word u is
+    table[t] is the signed list (_signed) of t's rows: table[t][c] is
+    _action_word(sig, t, s_c), freely reduced, and table[t][-c] its
+    inverse, so each row is built once per (letter, symbol) pair and
+    inverted once, and acting by t on a coded word u is
     _substitute(table[t], u): the action is a homomorphism in u.  The
     expansion's relators are such S_K codes.
     """
     alpha = _alphabet(sig)
-    code = alpha.code
     return {
-        t: _signed([_free_reduce(code[u] for u in action_f(sig, t, s)) for s in alpha.s_k])
+        t: _signed([_free_reduce(_action_word(sig, alpha.letter[t], s)) for s in alpha.s_k])
         for t in letters
     }
 
@@ -1126,22 +1170,16 @@ def _entries_hold(sig, table):
     "inverse" line) evaluates to t s_c t^-1.  When a premise fails, the
     power -1 entries are evaluated too, so each flag is its entry's own.
     """
-    alpha = _alphabet(sig)
-    codes = range(1, len(alpha.s_k) + 1)
+    codes = range(1, len(_alphabet(sig).s_k) + 1)
 
     def evaluate(letters):
-        words = [
-            alpha.decode(table[t][c]) + (t, alpha.letter[-c], t.inv())
-            for t in letters
-            for c in codes
-        ]
-        flags = iter(_trivial(sig, words))
+        flags = iter(_trivial(sig, [table[t][c] + (t, -c, -t) for t in letters for c in codes]))
         return {t: [next(flags) for _ in codes] for t in letters}
 
-    holds = evaluate([t for t in table if t.power == 1])
-    inverse = [t for t in table if t.power == -1]
+    holds = evaluate([t for t in table if t > 0])
+    inverse = [t for t in table if t < 0]
     if all(map(all, holds.values())) and all(
-        _substitute(table[t.inv()], table[t][c]) == (c,) for t in inverse for c in codes
+        _substitute(table[-t], table[t][c]) == (c,) for t in inverse for c in codes
     ):
         holds.update((t, [True] * len(codes)) for t in inverse)
     else:
@@ -1166,7 +1204,7 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
     if unknown:
         raise ValueError(f"unknown action families {sorted(unknown)}")
     report = Report()
-    letters = _sq_letters(sig)
+    letters = _sq_codes(sig)
     alpha = _alphabet(sig)
     if not letters or not alpha.s_k:
         report.skip("action", "alphabet empty at this signature")
@@ -1174,15 +1212,13 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
     table = _action_table(sig, letters)
     holds = _entries_hold(sig, table) if "action" in families else None
     for t in letters:
-        t_name = format_name(sig, t)
-        t_inv = t.inv()
         for c in range(1, len(alpha.s_k) + 1):
-            params = f"t={t_name},s={alpha.text[c]}"
+            params = f"t={alpha.text[t]},s={alpha.text[c]}"
             for family in families:
                 if family == "action":
                     ok = holds[t][c - 1]
                 else:
-                    ok = _substitute(table[t_inv], table[t][c]) == (c,)
+                    ok = _substitute(table[-t], table[t][c]) == (c,)
                 report.add(family, params, ok)
     return report
 
@@ -1191,31 +1227,24 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
 # the nine commutator-difference computations
 
 
-def table5_rows(sig):
-    """Instances of the nine residue computations.
-
-    Each entry is (row, params, t1, t2, s, expected): acting on the S_K
-    symbol s by t2 t1 and by t1 t2 differs by the expected word, an
-    identity of F(S_K) checked formally, not through evaluation.  The
-    t-pairs range over all instances for which t1 and t2 commute, which
-    at small ranks includes pairs moving the same letter with opposite
-    signs.
-    """
+def _table5_rows(sig):
+    """table5_rows(sig) with coded letters and words (_alphabet)."""
+    M, C, _, _ = _alphabet(sig).named
     out = []
     xs = list(sig.x_gens())
     zs = list(sig.z_gens())
     for y in sig.y_gens():
         for a in xs:
-            cya = c_name(y, a)
+            cya = C[y, a]
             for s_eps in (1, -1):
-                s = m_name(a, s_eps, y)
+                s = M[a, s_eps, y]
                 base = "1" if s_eps == 1 else "4"
 
                 def residue(u, v):
                     """C[y,a]^-1 [u,v] C[y,a] for s = M[a,y], else [u^-1,v^-1]."""
                     if s_eps == 1:
-                        return (cya.inv(), u, v, u.inv(), v.inv(), cya)
-                    return (u.inv(), v.inv(), u, v)
+                        return (-cya, u, v, -u, -v, cya)
+                    return (-u, -v, u, v)
 
                 for b in xs:
                     if b == a:
@@ -1231,10 +1260,10 @@ def table5_rows(sig):
                                     (
                                         f"row{base}",
                                         f"y={y},a={a},b={b},e={e:+d},c={c},d={d:+d}",
-                                        m_name(b, e, a),
-                                        m_name(c, d, a),
+                                        M[b, e, a],
+                                        M[c, d, a],
                                         s,
-                                        residue(m_name(b, e, y), m_name(c, d, y)),
+                                        residue(M[b, e, y], M[c, d, y]),
                                     )
                                 )
                 row2 = f"row{int(base) + 1}"
@@ -1247,10 +1276,10 @@ def table5_rows(sig):
                                 (
                                     row2,
                                     f"y={y},a={a},b={b},e={e:+d},i={i}",
-                                    m_name(b, e, a),
-                                    c_name(i, a),
+                                    M[b, e, a],
+                                    C[i, a],
                                     s,
-                                    residue(m_name(b, e, y), c_name(i, y)),
+                                    residue(M[b, e, y], C[i, y]),
                                 )
                             )
                 row3 = f"row{int(base) + 2}"
@@ -1262,19 +1291,19 @@ def table5_rows(sig):
                             (
                                 row3,
                                 f"y={y},a={a},i={i},j={j}",
-                                c_name(i, a),
-                                c_name(j, a),
+                                C[i, a],
+                                C[j, a],
                                 s,
-                                residue(c_name(i, y), c_name(j, y)),
+                                residue(C[i, y], C[j, y]),
                             )
                         )
         for i in zs:
-            s = c_name(i, y)
-            cyi = c_name(y, i)
+            s = C[i, y]
+            cyi = C[y, i]
 
             def bracket(u, v):
                 """[[C[y,i], u], [C[y,i], v]]"""
-                return sym_comm(sym_comm((cyi,), (u,)), sym_comm((cyi,), (v,)))
+                return _comm(_comm((cyi,), (u,)), _comm((cyi,), (v,)))
 
             for a in xs:
                 for b in xs:
@@ -1286,10 +1315,10 @@ def table5_rows(sig):
                                 (
                                     "row7",
                                     f"y={y},i={i},a={a},e={e:+d},b={b},d={d:+d}",
-                                    m_name(a, e, i, -1),
-                                    m_name(b, d, i, -1),
+                                    -M[a, e, i],
+                                    -M[b, d, i],
                                     s,
-                                    bracket(m_name(a, e, y), m_name(b, d, y)),
+                                    bracket(M[a, e, y], M[b, d, y]),
                                 )
                             )
             for a in xs:
@@ -1301,10 +1330,10 @@ def table5_rows(sig):
                             (
                                 "row8",
                                 f"y={y},i={i},a={a},e={e:+d},j={j}",
-                                m_name(a, e, i, -1),
-                                c_name(j, i, -1),
+                                -M[a, e, i],
+                                -C[j, i],
                                 s,
-                                bracket(m_name(a, e, y), c_name(j, y)),
+                                bracket(M[a, e, y], C[j, y]),
                             )
                         )
             for j in zs:
@@ -1317,13 +1346,31 @@ def table5_rows(sig):
                         (
                             "row9",
                             f"y={y},i={i},j={j},m={m}",
-                            c_name(j, i, -1),
-                            c_name(m, i, -1),
+                            -C[j, i],
+                            -C[m, i],
                             s,
-                            bracket(c_name(j, y), c_name(m, y)),
+                            bracket(C[j, y], C[m, y]),
                         )
                     )
     return out
+
+
+def table5_rows(sig):
+    """Instances of the nine residue computations, as GenName letters.
+
+    Each entry is (row, params, t1, t2, s, expected): acting on the S_K
+    symbol s by t2 t1 and by t1 t2 differs by the expected word, an
+    identity of F(S_K) checked formally, not through evaluation.  The
+    t-pairs range over all instances for which t1 and t2 commute, which
+    at small ranks includes pairs moving the same letter with opposite
+    signs.
+    """
+    alpha = _alphabet(sig)
+    letter = alpha.letter
+    return [
+        (row, params, letter[t1], letter[t2], letter[s], alpha.decode(expected))
+        for row, params, t1, t2, s, expected in _table5_rows(sig)
+    ]
 
 
 def verify_table5(sig):
@@ -1333,20 +1380,17 @@ def verify_table5(sig):
     of the S_Q letters the rows use.
     """
     report = Report()
-    rows = table5_rows(sig)
+    rows = _table5_rows(sig)
     if not rows:
         report.skip("table5", "no instances at this signature")
         return report
-    letters = dict.fromkeys(t for row in rows for t in row[2:4])
-    alpha = _alphabet(sig)
-    table = _action_table(sig, letters)
-    for row, params, t1, t2, s, expected in rows:
-        c = alpha.code[s]
+    table = _action_table(sig, dict.fromkeys(t for row in rows for t in row[2:4]))
+    for row, params, t1, t2, c, expected in rows:
         # f(t2 t1, s)^-1 is t2's table on the inverse row of t1
         t2_t1_s_inv = _substitute(table[t2], table[t1][-c])
         t1_t2_s = _substitute(table[t1], table[t2][c])
         got = _free_reduce(t2_t1_s_inv + t1_t2_s)
-        report.add(f"table5.{row}", params, got == alpha.encode(expected).letters)
+        report.add(f"table5.{row}", params, got == _free_reduce(expected))
     return report
 
 
@@ -1404,56 +1448,52 @@ def disjointness_conditions(s_word, t_word):
 # finite expansion of the recursive relation set
 
 
-def _sq_letters(sig):
-    out = []
-    for s in s_q_symbols(sig):
-        out.append(s)
-        out.append(s.inv())
-    return out
+def _sq_codes(sig):
+    """The S_Q letters as codes (_alphabet), each symbol beside its inverse."""
+    alpha = _alphabet(sig)
+    k = len(alpha.s_k)
+    return [c for j in range(k + 1, k + len(alpha.s_q) + 1) for c in (j, -j)]
+
+
+def _sq_words(sig, depth):
+    """reduced_sq_words(sig, depth) as coded words."""
+    letters = _sq_codes(sig)
+    words = [()]
+    layer = [()]
+    for _ in range(depth):
+        layer = [w + (s,) for w in layer for s in letters if not w or w[-1] != -s]
+        words.extend(layer)
+    return words
 
 
 def reduced_sq_words(sig, depth):
     """All reduced words over S_Q of length <= depth, deterministic order."""
-    letters = _sq_letters(sig)
-    words = [()]
-    layer = [()]
-    for _ in range(depth):
-        nxt = []
-        for w in layer:
-            for s in letters:
-                if w and w[-1].power == -s.power and w[-1][:4] == s[:4]:
-                    continue
-                nxt.append(w + (s,))
-        words.extend(nxt)
-        layer = nxt
-    return words
+    return list(map(_alphabet(sig).decode, _sq_words(sig, depth)))
 
 
 def _lpres_expand(sig, depth):
     """lpres_expand's relators, with the seeds and the table they came from.
 
-    Returns (relators, seeds, table): the relators are tuples of S_K codes
-    (_alphabet) whose ints are the table's or the coding's, and table is
-    the signed action table of every S_Q letter ({} when there are no seeds).
+    Returns (relators, seeds, table): the seeds and relators are tuples of
+    S_K codes (_alphabet), every relator made by a substitution holds the
+    table's own ints, and table is the signed action table of every S_Q
+    letter ({} when there are no seeds).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seeds = [
-        sym_mul(inst.lhs, sym_inv(inst.rhs))
-        for inst in enumerate_relations("rk", sig)
-    ]
-    if not seeds:  # S_K may then be empty, and so have no coding
+    seeds = [_free_reduce(i.lhs + _inverted(i.rhs)) for i in _relations("rk", sig)]
+    if not seeds:  # S_K may then be empty
         return [], seeds, {}
-    table = _action_table(sig, _sq_letters(sig))
+    table = _action_table(sig, _sq_codes(sig))
     stored = {}
     seen = set()
     out = []
-    for w in reduced_sq_words(sig, depth):
+    for w in _sq_words(sig, depth):
         if w:
             sub = table[w[0]]
             rels = [_substitute(sub, r) for r in stored[w[1:]]]
         else:
-            rels = [_alphabet(sig).encode(r).letters for r in seeds]
+            rels = seeds
         if len(w) < depth:
             stored[w] = rels
         for r in rels:
@@ -1470,8 +1510,8 @@ def lpres_expand(sig, depth):
     order; depth 0 is exactly the seed set written as lhs rhs^-1.
 
     The relators are built as S_K codes (_alphabet), decoded on return.
-    Acting by w = t w' is acting by w' and then by t, and reduced_sq_words
-    lists w' before w, so the relators of w are t's signed rows substituted
+    Acting by w = t w' is acting by w' and then by t, and _sq_words lists
+    w' before w, so the relators of w are t's signed rows substituted
     into the stored relators of w' (_substitute: a letter -c reads the row
     of c inverted once when the table was built); only words shorter than
     depth are stored.

@@ -88,7 +88,7 @@ def test_verify_action_filter_keeps_one_direction():
 
 
 def test_verify_inverse_property_tabulates_the_action_once(monkeypatch):
-    calls = {"action_f": 0, "action_extend": 0}
+    calls = {"_action_word": 0, "action_extend": 0}
 
     def counted(name):
         original = getattr(presentation, name)
@@ -99,14 +99,14 @@ def test_verify_inverse_property_tabulates_the_action_once(monkeypatch):
 
         monkeypatch.setattr(presentation, name, wrapper)
 
-    counted("action_f")
+    counted("_action_word")
     counted("action_extend")
     res = runner.invoke(
         main, ["verify", "inverse-property", "--n", "2", "--k", "2", "--l", "2"]
     )
     assert res.exit_code == 0
     # 42 S_Q letters (21 symbols at either power) times 22 S_K symbols.
-    assert calls == {"action_f": 42 * 22, "action_extend": 0}
+    assert calls == {"_action_word": 42 * 22, "action_extend": 0}
 
 
 def test_verify_rejects_unknown_family():
@@ -175,6 +175,18 @@ def test_johnson_usage_errors(tmp_path):
         ["johnson", "--n", "1", "--k", "1", "--l", "1", "--aut", "M[w1,y1]"],
     )
     assert bad.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["johnson"], ["isum", "--s", "x1"]], ids=["johnson", "isum"]
+)
+def test_a_word_file_that_is_not_utf8_is_a_usage_error(tmp_path, command):
+    f = tmp_path / "spelling.bin"
+    f.write_bytes(b"\xff\xfe")
+    res = runner.invoke(main, [*command, "--n", "1", "--k", "1", "--l", "1", "--word", str(f)])
+    assert res.exit_code == 2
+    assert "not UTF-8" in _err(res)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_johnson_failed_claim_exits_one(monkeypatch):
@@ -357,15 +369,16 @@ def _assert_expand_verdict(res, status):
 
 
 def test_expand_fails_on_a_wrong_action_entry(monkeypatch):
-    # One (t, s) pair of the action gets an extra S_K letter: C[y1,x1].
+    # One (t, s) pair of the coded action rows gets an extra S_K letter: C[y1,x1].
     t, s = m_name(1, 1, 3), m_name(1, 1, 2)
-    original = presentation.action_f
+    original = presentation._action_word
 
     def wrong(sig, t_, s_):
         word = original(sig, t_, s_)
-        return word + (c_name(2, 1),) if (t_, s_) == (t, s) else word
+        extra = presentation._alphabet(sig).code[c_name(2, 1)]
+        return word + (extra,) if (t_, s_) == (t, s) else word
 
-    monkeypatch.setattr(presentation, "action_f", wrong)
+    monkeypatch.setattr(presentation, "_action_word", wrong)
     _assert_expand_verdict(_expand_111(1), "FAIL")
     # At depth 0 no relator is made through the table, so it is not read.
     _assert_expand_verdict(_expand_111(0), "PASS")
@@ -373,16 +386,17 @@ def test_expand_fails_on_a_wrong_action_entry(monkeypatch):
 
 @pytest.mark.parametrize("depth", [0, 2])
 def test_expand_fails_on_a_corrupted_seed(monkeypatch, depth):
-    original = presentation.enumerate_relations
+    original = presentation._relations
 
     def corrupted(family, sig):
         insts = original(family, sig)
         if family == "rk":
             first = insts[0]
-            insts = [first._replace(lhs=first.lhs + (m_name(1, 1, 2),)), *insts[1:]]
+            extra = presentation._alphabet(sig).code[m_name(1, 1, 2)]
+            insts = [first._replace(lhs=first.lhs + (extra,)), *insts[1:]]
         return insts
 
-    monkeypatch.setattr(presentation, "enumerate_relations", corrupted)
+    monkeypatch.setattr(presentation, "_relations", corrupted)
     _assert_expand_verdict(_expand_111(depth), "FAIL")
 
 
@@ -399,7 +413,7 @@ def test_expand_evaluates_the_seeds_and_the_action_entries_only(monkeypatch):
     res = runner.invoke(main, ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"])
     _assert_expand_verdict(res, "PASS")
     seeds = presentation.enumerate_relations("rk", sig)
-    entries = len(presentation._sq_letters(sig)) * len(presentation.s_k_symbols(sig))
+    entries = len(presentation._sq_codes(sig)) * len(presentation.s_k_symbols(sig))
     assert 0 < len(words) <= len(seeds) + 2 * entries
 
 

@@ -438,6 +438,38 @@ def test_twist_cache_holds_one_entry_per_element():
     assert len(ctx._twist_cache) <= 7
 
 
+def test_context_caches_stay_at_their_cap_and_values_hold(monkeypatch):
+    """With the cap patched to 3, both caches overflow and drop their
+    oldest entries; zeta_eval, pairing and sigma give the values of an
+    uncapped context."""
+    rng = random.Random(23)
+    triples = [[_random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(3)] for _ in range(6)]
+    points = [(i, j) for i in range(-2, 3) for j in range(-1, 2)]
+    ref = PairingContext(S111, y=2, a=1, b=3)
+    want = (
+        [zeta_eval(ref, r, *trip) for trip in triples for r in (1, 2)],
+        [pairing(ref, r, m) for r in range(1, 5) for m in range(1, 5)],
+        [sigma(ref, x) for x in points],
+    )
+    assert len(ref._twist_cache) > 3 and len(ref._sigma_cache) > 3
+    monkeypatch.setattr(cocycle, "_CACHE_ENTRIES", 3)
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    got = ([], [], [])
+    for trip in triples:
+        for r in (1, 2):
+            got[0].append(zeta_eval(ctx, r, *trip))
+            assert len(ctx._twist_cache) <= 3
+    for r in range(1, 5):
+        for m in range(1, 5):
+            got[1].append(pairing(ctx, r, m))
+    for x in points:
+        got[2].append(sigma(ctx, x))
+        assert len(ctx._sigma_cache) <= 3
+    assert got == want
+    # The newest entries stay: the last three sections are still held.
+    assert list(ctx._sigma_cache) == points[-3:]
+
+
 def test_pairing_table_builds_no_section_per_cycle():
     ctx = PairingContext(S111, y=2, a=1, b=3)
     for r in range(1, 25):

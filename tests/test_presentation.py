@@ -1,5 +1,6 @@
 """Relation tables, the rewriting action, support bounds, expansion."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autfb.automorphism as automorphism
 import autfb.presentation as presentation
+from autfb.freegroup import _free_reduce
 from autfb import (
     RelationInstance,
     Report,
@@ -34,6 +37,7 @@ from autfb import (
     s_k_symbols,
     s_n_symbols,
     s_q_symbols,
+    spelling_aut,
     support,
     sym_comm,
     sym_conj,
@@ -47,6 +51,7 @@ from autfb import (
     verify_table5,
 )
 from autfb.presentation import (
+    FAMILY_GROUPS,
     in_s_k,
     in_s_q,
     mult_letter,
@@ -86,7 +91,8 @@ def test_alphabet_admissibility():
 
 def test_s_k_coding_round_trips_every_letter():
     """Each S_K letter at either power has one code, +-(i+1) for symbol i,
-    which maps back to the letter and to its format_name."""
+    and each S_Q letter follows, +-(|S_K|+j+1) for symbol j; each code maps
+    back to the letter and to its format_name."""
     for n, k, l in itertools.product(range(4), repeat=3):
         if not n + k + l:
             continue
@@ -94,19 +100,20 @@ def test_s_k_coding_round_trips_every_letter():
         alpha = presentation._alphabet(sig)
         syms = s_k_symbols(sig)
         assert alpha.s_k == tuple(syms)
-        assert alpha.ksig == (Signature(len(syms), 0, 0) if syms else None)
-        for i, s in enumerate(syms, 1):
+        assert alpha.s_q == tuple(s_q_symbols(sig))
+        for i, s in enumerate(syms + s_q_symbols(sig), 1):
             for u, c in ((s, i), (s.inv(), -i)):
                 assert alpha.code[u] == c
                 assert alpha.letter[c] == u
                 assert alpha.text[c] == format_name(sig, u)
-                assert alpha.decode(alpha.encode((u,)).letters) == (u,)
-        assert len(alpha.code) == len(alpha.letter) == len(alpha.text) == 2 * len(syms)
+                assert alpha.decode(alpha.encode((u,))) == (u,)
+        size = 2 * (len(syms) + len(s_q_symbols(sig)))
+        assert len(alpha.code) == len(alpha.letter) == len(alpha.text) == size
 
 
 @pytest.mark.parametrize("sig", [Signature(2, 0, 1), Signature(3, 0, 0), Signature(0, 0, 2)])
 def test_in_s_k_is_false_without_y_letters(sig):
-    assert presentation._alphabet(sig).ksig is None
+    assert presentation._alphabet(sig).s_k == ()
     for name in (m_name(1, 1, 2), c_name(2, 1), c_name(1, 2, power=-1)):
         assert in_s_k(sig, name) is False
 
@@ -260,15 +267,21 @@ WORD_DIGEST = (
 )
 
 
+def _sq_letters(sig):
+    """Each S_Q symbol beside its inverse, in s_q_symbols order."""
+    return [u for s in s_q_symbols(sig) for u in (s, s.inv())]
+
+
 def _word_tables(sig):
-    """repr of every instance, residue row and action word at sig."""
-    for build in presentation._SUBFAMILIES.values():
-        for inst in build(sig):
+    """repr of every instance, residue row and action word at sig, as the
+    public functions decode them."""
+    for tag in presentation._SUBFAMILIES:
+        for inst in enumerate_relations(tag, sig):
             yield repr((sig, tuple(inst)))
     for row in presentation.table5_rows(sig):
         yield repr((sig, row))
     syms = s_k_symbols(sig)
-    for t in presentation._sq_letters(sig):
+    for t in _sq_letters(sig):
         for s in syms:
             yield repr((sig, t, s, action_f(sig, t, s)))
 
@@ -337,6 +350,84 @@ def test_jensen_wahl_subfamily_split_at_222():
         head = inst.family.split(".")[0].rstrip("'")
         by_family[head] = by_family.get(head, 0) + 1
     assert by_family == {"Q1": 27, "Q2": 112, "Q3": 72, "Q4": 320, "Q5": 16}
+
+
+DIFF_SIGS = (S111, Signature(1, 1, 2), Signature(2, 0, 0), S222)
+
+
+def _corrupt_every_other_instance(monkeypatch, sig):
+    """Each builder appends an S_Q letter to every other instance's lhs."""
+    extra = presentation._sq_codes(sig)[0]
+
+    def corrupted(sig_, build):
+        return [
+            i._replace(lhs=_free_reduce(i.lhs + (extra,))) if n % 2 else i
+            for n, i in enumerate(build(sig_))
+        ]
+
+    for tag, build in list(presentation._SUBFAMILIES.items()):
+        monkeypatch.setitem(
+            presentation._SUBFAMILIES, tag, functools.partial(corrupted, build=build)
+        )
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["true", "corrupted"])
+@pytest.mark.parametrize("sig", DIFF_SIGS, ids=str)
+def test_coded_relation_flags_match_the_spelling_reference(monkeypatch, sig, corrupt):
+    """Each verify_relations flag, decided on coded words, is
+    spelling_aut(lhs) == spelling_aut(rhs) on the public, decoded instance;
+    corrupted builders make both routes see the same failing instances."""
+    if corrupt:
+        _corrupt_every_other_instance(monkeypatch, sig)
+    for family in FAMILY_GROUPS:
+        lines = [ln for ln in verify_relations(family, sig).lines if ln[2] != "SKIP"]
+        insts = enumerate_relations(family, sig)
+        assert [ln[:2] for ln in lines] == [(i.family, i.params) for i in insts]
+        want = [spelling_aut(sig, i.lhs) == spelling_aut(sig, i.rhs) for i in insts]
+        assert [ln[2] == "PASS" for ln in lines] == want, (sig, family)
+        assert all(want) != (corrupt and len(insts) > 1), (sig, family)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["true", "corrupted"])
+@pytest.mark.parametrize("sig", DIFF_SIGS, ids=str)
+def test_coded_table5_lines_match_the_action_extend_reference(monkeypatch, sig, corrupt):
+    """Each verify_table5 line equals the action_extend reference on the
+    decoded row; every other residue is corrupted, by one more letter or by
+    its last letter inverted, and fails both."""
+    if corrupt:
+        rows = presentation._table5_rows(sig)
+        for n in range(1, len(rows), 2):
+            *head, s, expected = rows[n]
+            if n % 4 == 1:
+                expected += (s,)
+            else:
+                expected = expected[:-1] + (-expected[-1],)
+            rows[n] = (*head, s, _free_reduce(expected))
+        monkeypatch.setattr(presentation, "_table5_rows", lambda sig_: rows)
+    rep = verify_table5(sig)
+    assert rep.lines == _table5_by_action_extend(sig).lines
+    assert rep.all_passed != (corrupt and rep.counts["PASS"] + rep.counts["FAIL"] > 1)
+
+
+def test_warm_verify_spells_no_generator_name(monkeypatch):
+    """With the alphabet and generator caches warm, each verify family at
+    S222 builds and decides its words without one checked GenName
+    constructor call (automorphism._name)."""
+    runs = {f: functools.partial(verify_relations, f, S222) for f in FAMILY_GROUPS}
+    runs["table5"] = functools.partial(verify_table5, S222)
+    for run in runs.values():
+        run()
+    calls = []
+    original = automorphism._name
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(automorphism, "_name", counted)
+    for family, run in runs.items():
+        assert run().all_passed
+        assert calls == [], family
 
 
 def test_report_mechanics():
@@ -479,15 +570,16 @@ def test_action_consistency_skips_an_empty_alphabet_for_each_family():
 
 
 def _corrupt_one_pair(monkeypatch, sig, t, s):
-    """action_f with one extra S_K letter on the image of (t, s)."""
-    original = presentation.action_f
-    extra = next(u for u in s_k_symbols(sig) if u != s)
+    """The coded action rows with one extra S_K letter on the row of (t, s).
+    action_f decodes the same rows, so the reference sees the corruption."""
+    original = presentation._action_word
+    extra = presentation._alphabet(sig).code[next(u for u in s_k_symbols(sig) if u != s)]
 
     def wrong(sig_, t_, s_):
         word = original(sig_, t_, s_)
-        return sym_mul(word, (extra,)) if (t_, s_) == (t, s) else word
+        return _free_reduce(word + (extra,)) if (t_, s_) == (t, s) else word
 
-    monkeypatch.setattr(presentation, "action_f", wrong)
+    monkeypatch.setattr(presentation, "_action_word", wrong)
 
 
 def test_a_wrong_action_word_fails_its_action_line(monkeypatch):
@@ -520,7 +612,7 @@ def test_a_correct_table_evaluates_only_the_power_plus_one_entries(monkeypatch):
     original = presentation._trivial
 
     def counted(sig, batch):
-        words.extend(batch)
+        words.extend(map(presentation._alphabet(sig).decode, batch))
         return original(sig, batch)
 
     monkeypatch.setattr(presentation, "_trivial", counted)
@@ -535,10 +627,10 @@ def test_a_correct_table_evaluates_only_the_power_plus_one_entries(monkeypatch):
 
 
 def test_a_corrupted_residue_fails_its_table5_line(monkeypatch):
-    rows = presentation.table5_rows(S222)
+    rows = presentation._table5_rows(S222)
     row, params, t1, t2, s, expected = rows[5]
-    rows[5] = (row, params, t1, t2, s, sym_mul(expected, (s,)))
-    monkeypatch.setattr(presentation, "table5_rows", lambda sig: rows)
+    rows[5] = (row, params, t1, t2, s, _free_reduce(expected + (s,)))
+    monkeypatch.setattr(presentation, "_table5_rows", lambda sig: rows)
     rep = verify_table5(S222)
     assert [ln for ln in rep.lines if ln[2] == "FAIL"] == [(f"table5.{row}", params, "FAIL")]
     assert rep.counts["PASS"] == len(rows) - 1
@@ -741,21 +833,23 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
     relator."""
     sig, depth = case
     syms = s_k_symbols(sig)
-    t = data.draw(st.sampled_from(presentation._sq_letters(sig)))
+    t = data.draw(st.sampled_from(_sq_letters(sig)))
     s = data.draw(st.sampled_from(syms))
     extra = tuple(
         data.draw(st.lists(st.sampled_from(syms + [u.inv() for u in syms]), min_size=1, max_size=3))
     )
-    original = presentation.action_f
+    alpha = presentation._alphabet(sig)
+    original = presentation._action_word
 
     def wrong(sig_, t_, s_):
         word = original(sig_, t_, s_)
-        return sym_mul(word, extra) if (t_, s_) == (t, s) else word
+        return _free_reduce(word + alpha.encode(extra)) if (t_, s_) == (t, s) else word
 
-    with mock.patch.object(presentation, "action_f", wrong):
+    with mock.patch.object(presentation, "_action_word", wrong):
         relators, sound = lpres_expand_proved(sig, depth)
     relators = _decoded(sig, relators)
-    entry_holds = symbol_images(sig, wrong(sig, t, s)) == symbol_images(sig, (t, s, t.inv()))
+    entry = alpha.decode(wrong(sig, t, s))
+    entry_holds = symbol_images(sig, entry) == symbol_images(sig, (t, s, t.inv()))
     assert sound == entry_holds
     if not _all_relators_trivial(sig, relators):
         assert not sound
@@ -763,7 +857,7 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
 
 @pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1)])
 def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
-    calls = {"action_f": 0, "_substitute": 0}
+    calls = {"_action_word": 0, "_substitute": 0}
 
     def counted(name):
         original = getattr(presentation, name)
@@ -774,12 +868,12 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
 
         monkeypatch.setattr(presentation, name, wrapper)
 
-    counted("action_f")
+    counted("_action_word")
     counted("_substitute")
     lpres_expand(sig, depth)
     seeds = enumerate_relations("rk", sig)
     words = reduced_sq_words(sig, depth)
-    assert calls["action_f"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
+    assert calls["_action_word"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
     assert calls["_substitute"] == (len(words) - 1) * len(seeds)
 
 

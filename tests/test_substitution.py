@@ -94,7 +94,8 @@ def test_images_match_the_composed_table(case):
     sig, letters = case
     w = tuple(letters)
     want = spelling_aut(sig, w).images
-    assert presentation._images(sig, w) == tuple(img.letters for img in want)
+    coded = presentation._alphabet(sig).encode(w)
+    assert presentation._images(sig, coded) == tuple(img.letters for img in want)
     assert symbol_images(sig, w) == want
 
 
@@ -129,7 +130,8 @@ def _batch(draw):
 def test_trivial_matches_comparing_with_the_identity(case):
     sig, words = case
     want = [spelling_aut(sig, w) == identity(sig) for w in words]
-    assert presentation._trivial(sig, words) == want
+    encode = presentation._alphabet(sig).encode
+    assert presentation._trivial(sig, [encode(w) for w in words]) == want
 
 
 def test_trivial_answers_in_input_order():
@@ -138,16 +140,20 @@ def test_trivial_answers_in_input_order():
     sig = Signature(2, 0, 0)
     p, i1 = presentation.p_name(1, 2), presentation.i_name(1)
     words = [(p, i1), (), (p, p.inv()), (i1,), (p, i1), (i1.inv(), i1), (p, p), (i1, p) * 2]
-    assert words != sorted(words)
+    coded = [presentation._alphabet(sig).encode(w) for w in words]
+    assert coded != sorted(coded)
     want = [False, True, True, False, False, True, True, False]
-    assert presentation._trivial(sig, words) == want
+    assert presentation._trivial(sig, coded) == want
 
 
 def test_expansion_relators_hold_only_the_table_and_alphabet_ints():
     """Each substitution splices the table's own rows: no letter of a
-    relator is a fresh int object (a code below -5 negated on the fly)."""
-    relators, _, table = presentation._lpres_expand(S222, 1)
+    relator made by one is a fresh int object (a code below -5 negated on
+    the fly).  The other relators are the seeds, as the builders made them."""
+    relators, seeds, table = presentation._lpres_expand(S222, 1)
     assert len(relators) == 5040
+    seed_set = set(seeds)
+    made = [r for r in relators if r not in seed_set]
+    assert len(made) == 5040 - len(seed_set)
     stored = {id(c) for sub in table.values() for row in sub for c in row}
-    stored |= {id(c) for c in presentation._alphabet(S222).code.values()}
-    assert all(id(c) in stored for r in relators for c in r)
+    assert all(id(c) in stored for r in made for c in r)
