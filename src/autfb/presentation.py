@@ -19,8 +19,9 @@ the group but not in the free group on symbols) and inverted by negation.
 The relation families (N1-N5, Q1-Q5, R1.1-R5, C1.1-C2.2), the residue rows
 of table5 and the action rows are built as coded words, each by one builder
 that spells every letter as the paper does, at its own power: the code of
-C[z,v]^e is e * C[z, v], read from the alphabet's per-kind maps (named), and
-a conjugation is a literal tuple of codes, reduced once by _inst or _comm.
+C[z,v]^e is e * C[z, v], read from the alphabet's per-kind maps (its
+fields M, C, P and I), and a conjugation is a literal tuple of codes,
+reduced once by _inst or _comm.
 _perm_apply is the one P/I relabeling of the x's a symbol mentions; a
 multiplier relabeled to w^-1 becomes the power, since M[v^e,w^-1] =
 M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1.  Every family is enumerated for a
@@ -29,7 +30,8 @@ lhs rhs^-1 evaluates to the identity.
 
 GenName words remain only at the public edges, which decode or encode once:
 enumerate_relations, table5_rows, action_f, reduced_sq_words, lpres_expand
-and symbol_images.  sym_*, action_letter, action_extend and eval_symbol_word
+and symbol_images (which hands a word with a generator outside S_K u S_Q to
+spelling_aut).  sym_*, action_letter, action_extend and eval_symbol_word
 act on GenName words directly, as the public, per-call route.
 
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
@@ -139,12 +141,13 @@ def eval_symbol_word(sig, w):
 
 
 def symbol_images(sig, w):
-    """eval_symbol_word(sig, w).images, without the inverse table, for a
-    word over S_K u S_Q; any other letter is a ValueError."""
+    """eval_symbol_word(sig, w).images, without the inverse table.  A word
+    over S_K u S_Q is stepped through as codes (_images); a word with any
+    other generator is evaluated by spelling_aut."""
     try:
         coded = _alphabet(sig).encode(w)
-    except KeyError as exc:
-        raise ValueError(f"not an S_K or S_Q letter: {exc.args[0]}") from None
+    except KeyError:
+        return spelling_aut(sig, w).images
     return tuple(Word(sig, img, _reduced=True) for img in _images(sig, coded))
 
 
@@ -229,7 +232,7 @@ def _trivial(sig, words):
 # alphabets
 
 
-class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text named")):
+class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text M C P I")):
     def encode(self, u):
         return tuple(self.code[s] for s in u)
 
@@ -242,7 +245,7 @@ def _alphabet(sig):
     """S_K, S_Q and their one coding: s_k_symbols(sig)[i] at power +-1 is
     code +-(i+1), and s_q_symbols(sig)[j] is +-(|S_K|+j+1).  code maps a
     letter to its code; letter and text map a code to its letter and to its
-    format_name.  named holds the maps M[v, e, w], C[v, w], P[i, j] (either
+    format_name.  M, C, P and I map M[v, e, w], C[v, w], P[i, j] (either
     order) and I[i] to the code of the symbol at power +1, through which
     the builders spell their letters."""
     s_k = tuple(s_k_symbols(sig))
@@ -265,7 +268,7 @@ def _alphabet(sig):
         {u: c for c, u in letter.items()},
         letter,
         {c: format_name(sig, u) for c, u in letter.items()},
-        tuple(named.values()),
+        *named.values(),
     )
 
 
@@ -371,7 +374,8 @@ def _perm_apply(name, code, sign):
 
 
 def _n1_instances(sig):
-    _, _, P, I = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    P, I = alpha.P, alpha.I
     out = []
     xs = list(sig.x_gens())
     for a in xs:
@@ -421,7 +425,7 @@ def _n1_instances(sig):
 
 
 def _n2_instances(sig):
-    M = _alphabet(sig).named[0]
+    M = _alphabet(sig).M
     out = []
     xs = list(sig.x_gens())
     for tc, t in _perm_codes(sig):
@@ -445,7 +449,8 @@ def _n2_instances(sig):
 
 
 def _n3_instances(sig):
-    M, _, P, I = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, P, I = alpha.M, alpha.P, alpha.I
     out = []
     xs = list(sig.x_gens())
     for a in xs:
@@ -460,7 +465,7 @@ def _n3_instances(sig):
 
 
 def _n4_instances(sig):
-    M = _alphabet(sig).named[0]
+    M = _alphabet(sig).M
     out = []
     xs = list(sig.x_gens())
     for a in xs:
@@ -490,7 +495,7 @@ def _n4_instances(sig):
 
 
 def _n5_instances(sig):
-    M = _alphabet(sig).named[0]
+    M = _alphabet(sig).M
     out = []
     xs = list(sig.x_gens())
     for a in xs:
@@ -513,7 +518,8 @@ def _n5_instances(sig):
 
 
 def _q2_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     xs = list(sig.x_gens())
     yz = sig.yz_gens()
@@ -576,7 +582,8 @@ def _q2_instances(sig):
 def _q3_instances(sig):
     # Includes the index-disjoint commuting instances: for x not moved by
     # the swap or inversion the right side is just the original symbol.
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     yz = sig.yz_gens()
     for tc, t in _perm_codes(sig):
@@ -603,7 +610,8 @@ def _q3_instances(sig):
 
 
 def _q4_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     xs = list(sig.x_gens())
     yz = sig.yz_gens()
@@ -680,7 +688,8 @@ def _q4_instances(sig):
 
 
 def _q5_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     for x in sig.x_gens():
         for v in sig.yz_gens():
@@ -699,11 +708,11 @@ def _q5_instances(sig):
 
 def _r1_instances(sig):
     alpha = _alphabet(sig)
-    M, C, _, _ = alpha.named
+    M = alpha.M
     out = []
     xs = list(sig.x_gens())
     ys = list(sig.y_gens())
-    c_syms = [s for s in alpha.s_k if s.kind == "C"]
+    c_syms = [(i, s) for i, s in enumerate(alpha.s_k, 1) if s.kind == "C"]
     for x in xs:
         for w in xs:
             for e in (1, -1):
@@ -723,7 +732,7 @@ def _r1_instances(sig):
     for x in xs:
         for e in (1, -1):
             for y in ys:
-                for c in c_syms:
+                for cc, c in c_syms:
                     v, z = c.v, c.w
                     if x == z or v == y:
                         continue
@@ -732,23 +741,22 @@ def _r1_instances(sig):
                             "R1.2",
                             f"x={x},e={e:+d},y={y},v={v},z={z}",
                             (M[x, e, y],),
-                            (C[v, z],),
+                            (cc,),
                         )
                     )
-    for c1 in c_syms:
-        for c2 in c_syms:
+    for cc1, c1 in c_syms:
+        for cc2, c2 in c_syms:
             u, v = c1.v, c1.w
             w, z = c2.v, c2.w
             if u == w or u == z or w == v:
                 continue
-            out.append(
-                _comm_inst("R1.3", f"u={u},v={v},w={w},z={z}", (C[u, v],), (C[w, z],))
-            )
+            out.append(_comm_inst("R1.3", f"u={u},v={v},w={w},z={z}", (cc1,), (cc2,)))
     return out
 
 
 def _r2_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     for x in sig.x_gens():
         for v in sig.y_gens():
@@ -769,7 +777,8 @@ def _r2_instances(sig):
 
 
 def _r3_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     for x in sig.x_gens():
         for v in sig.y_gens():
@@ -792,7 +801,7 @@ def _r3_instances(sig):
 
 def _r4_instances(sig):
     alpha = _alphabet(sig)
-    C = alpha.named[1]
+    C = alpha.C
     out = []
     yz = sig.yz_gens()
     for v in yz:
@@ -818,7 +827,8 @@ def _r4_instances(sig):
 
 
 def _r5_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     for x in sig.x_gens():
         for y in sig.y_gens():
@@ -836,7 +846,8 @@ def _r5_instances(sig):
 
 
 def _c1_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     xs = list(sig.x_gens())
     yz = sig.yz_gens()
@@ -905,7 +916,8 @@ def _c1_instances(sig):
 
 
 def _c2_instances(sig):
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     for y in sig.y_gens():
         for z in sig.z_gens():
@@ -1085,7 +1097,7 @@ def _action_word(sig, t, s):
     """action_f(sig, t, s) as codes (_alphabet), for an S_Q letter t and an
     S_K symbol s that the caller has taken from the alphabet."""
     alpha = _alphabet(sig)
-    M, C, _, _ = alpha.named
+    M, C = alpha.M, alpha.C
     sc = alpha.code[s]
     if t.kind in ("P", "I"):
         # relabel the x that s moves (M[x^e,y]) or conjugates by (C[y,x])
@@ -1229,7 +1241,8 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
 
 def _table5_rows(sig):
     """table5_rows(sig) with coded letters and words (_alphabet)."""
-    M, C, _, _ = _alphabet(sig).named
+    alpha = _alphabet(sig)
+    M, C = alpha.M, alpha.C
     out = []
     xs = list(sig.x_gens())
     zs = list(sig.z_gens())
@@ -1475,13 +1488,18 @@ def _lpres_expand(sig, depth):
     """lpres_expand's relators, with the seeds and the table they came from.
 
     Returns (relators, seeds, table): the seeds and relators are tuples of
-    S_K codes (_alphabet), every relator made by a substitution holds the
-    table's own ints, and table is the signed action table of every S_Q
-    letter ({} when there are no seeds).
+    S_K codes (_alphabet), the seeds hold the alphabet's own ints, every
+    relator made by a substitution holds the table's own ints, and table is
+    the signed action table of every S_Q letter ({} when there are no
+    seeds).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seeds = [_free_reduce(i.lhs + _inverted(i.rhs)) for i in _relations("rk", sig)]
+    canon = {c: c for c in _alphabet(sig).letter}  # the alphabet's own ints
+    seeds = [
+        tuple(map(canon.__getitem__, _free_reduce(i.lhs + _inverted(i.rhs))))
+        for i in _relations("rk", sig)
+    ]
     if not seeds:  # S_K may then be empty
         return [], seeds, {}
     table = _action_table(sig, _sq_codes(sig))

@@ -99,6 +99,20 @@ def test_images_match_the_composed_table(case):
     assert symbol_images(sig, w) == want
 
 
+def test_symbol_images_evaluate_letters_outside_s_k_and_s_q():
+    """M[y^e,x] and C[x,v] are generators but no symbol of S_K u S_Q;
+    symbol_images still gives eval_symbol_word's forward table."""
+    sig = S222
+    y, x, z = sig.y_gens()[0], sig.x_gens()[0], sig.z_gens()[0]
+    outside = (presentation.m_name(y, -1, x), presentation.c_name(x, z, -1))
+    for s in outside:
+        assert not presentation.in_s_k(sig, s) and not presentation.in_s_q(sig, s)
+    inside = s_k_symbols(sig)[0], s_q_symbols(sig)[-1]
+    for w in (outside, (inside[0], outside[0], inside[1]), outside[::-1]):
+        assert symbol_images(sig, w) == spelling_aut(sig, w).images
+        assert symbol_images(sig, w) != identity(sig).images
+
+
 def _inverse_word(w):
     return tuple(u.inv() for u in reversed(w))
 
@@ -147,13 +161,16 @@ def test_trivial_answers_in_input_order():
 
 
 def test_expansion_relators_hold_only_the_table_and_alphabet_ints():
-    """Each substitution splices the table's own rows: no letter of a
-    relator made by one is a fresh int object (a code below -5 negated on
-    the fly).  The other relators are the seeds, as the builders made them."""
+    """Each substitution splices the table's own rows and each seed holds
+    the alphabet's own codes: no letter of a relator is a fresh int object
+    (a code below -5 negated on the fly), and a relator made by a
+    substitution holds the table's ints alone."""
     relators, seeds, table = presentation._lpres_expand(S222, 1)
     assert len(relators) == 5040
+    stored = {id(c) for sub in table.values() for row in sub for c in row}
+    either = stored | {id(c) for c in presentation._alphabet(S222).code.values()}
+    assert all(id(c) in either for r in relators for c in r)
     seed_set = set(seeds)
     made = [r for r in relators if r not in seed_set]
     assert len(made) == 5040 - len(seed_set)
-    stored = {id(c) for sub in table.values() for row in sub for c in row}
     assert all(id(c) in stored for r in made for c in r)
