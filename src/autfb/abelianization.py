@@ -12,6 +12,9 @@ maps computed:
     abelianization_rank
                  exact integer rank of the stacked generator images
 
+The maps read the signature from f.sig.  Each public call checks kernel
+membership once, then reads its blocks through shared unchecked readers.
+
 No floating point anywhere; ranks come from fraction-free elimination.
 """
 
@@ -28,11 +31,10 @@ from .presentation import s_k_symbols
 # lattice helpers
 
 
-def ab_matrix(sig: Signature, f: NamedAut):
+def ab_matrix(f: NamedAut):
     """Matrix of the abelianized action, rows and columns by code - 1."""
-    _require_sig(sig, f)
-    n = sig.ngens
-    cols = [ab_vector(f.image(c)) for c in sig.gens()]
+    n = f.sig.ngens
+    cols = [ab_vector(f.image(c)) for c in f.sig.gens()]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -145,69 +147,66 @@ def wedge_push(matrix, w: WedgeElement):
 # the homomorphisms
 
 
-def _require_sig(sig, f):
-    if f.sig != sig:
-        raise ValueError(f"signature mismatch: {f.sig} vs {sig}")
-
-
-def _require_kernel(sig, f):
-    _require_sig(sig, f)
+def _require_kernel(f):
     if not is_in_kernel(f):
         raise ValueError("automorphism is not in the kernel")
 
 
-def act_hom(sig: Signature, f: NamedAut):
-    """k x n matrix: row per y-generator, column per x-generator."""
-    _require_kernel(sig, f)
-    rows = list(sig.y_gens())
-    out = []
-    for y in rows:
-        out.append([0] * sig.n)
-    for idx, x in enumerate(sig.x_gens()):
-        v = ab_vector(f.image(x))
-        for r, y in enumerate(rows):
-            out[r][idx] = v[y - 1]
-    return tuple(tuple(r) for r in out)
+def _act_rows(f):
+    sig = f.sig
+    cols = [ab_vector(f.image(x)) for x in sig.x_gens()]
+    return tuple(tuple(v[y - 1] for v in cols) for y in sig.y_gens())
 
 
-def johnson_class(sig: Signature, f: NamedAut, c: int) -> WedgeElement:
-    """Wedge class of f(c) c^-1 at a boundary letter c."""
-    _require_kernel(sig, f)
-    if sig.klass(c) not in ("y", "z"):
-        raise ValueError("boundary letter expected")
-    return wedge_class(multiply(f.image(c), gen_word(sig, -c)))
+def _wedge_at(f, c):
+    return wedge_class(multiply(f.image(c), gen_word(f.sig, -c)))
 
 
-def johnson_full(sig: Signature, f: NamedAut):
-    """Per-boundary-letter wedge classes; a homomorphism only when n = 0."""
-    if sig.n != 0:
-        raise ValueError("defined as a homomorphism only with no x-generators")
-    return {c: johnson_class(sig, f, c) for c in sig.gens()}
-
-
-def _conjugating_word(sig, f, c):
+def _conjugator(f, c, block):
+    """Exponents over block of the word conjugating the letter c."""
     core, conj = cyclic_reduce(f.image(c))
     if core.letters != (c,):
         raise ClaimFailedError(f"image of letter {c} is not a conjugate of it")
-    return conj
+    v = ab_vector(conj)
+    return tuple(v[g - 1] for g in block)
 
 
-def johnson_z(sig: Signature, f: NamedAut, c: int):
+def act_hom(f: NamedAut):
+    """k x n matrix: row per y-generator, column per x-generator."""
+    _require_kernel(f)
+    return _act_rows(f)
+
+
+def johnson_class(f: NamedAut, c: int) -> WedgeElement:
+    """Wedge class of f(c) c^-1 at a boundary letter c."""
+    _require_kernel(f)
+    if f.sig.klass(c) not in ("y", "z"):
+        raise ValueError("boundary letter expected")
+    return _wedge_at(f, c)
+
+
+def johnson_full(f: NamedAut):
+    """Per-boundary-letter wedge classes; a homomorphism only when n = 0."""
+    if f.sig.n != 0:
+        raise ValueError("defined as a homomorphism only with no x-generators")
+    _require_kernel(f)
+    return {c: _wedge_at(f, c) for c in f.sig.gens()}
+
+
+def johnson_z(f: NamedAut, c: int):
     """y-block exponent vector of the word conjugating a z-letter."""
-    _require_kernel(sig, f)
-    if sig.klass(c) != "z":
+    _require_kernel(f)
+    if f.sig.klass(c) != "z":
         raise ValueError("z-generator expected")
-    v = ab_vector(_conjugating_word(sig, f, c))
-    return tuple(v[y - 1] for y in sig.y_gens())
+    return _conjugator(f, c, f.sig.y_gens())
 
 
-def johnson_y(sig: Signature, f: NamedAut, c: int):
+def johnson_y(f: NamedAut, c: int):
     """(x,z)-block exponent vector of the word conjugating a y-letter."""
-    _require_kernel(sig, f)
-    if sig.klass(c) != "y":
+    _require_kernel(f)
+    if f.sig.klass(c) != "y":
         raise ValueError("y-generator expected")
-    v = ab_vector(_conjugating_word(sig, f, c))
-    return tuple(v[g - 1] for g in sig.xz_gens())
+    return _conjugator(f, c, f.sig.xz_gens())
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +241,17 @@ def int_rank(rows):
     return rank
 
 
-def generator_image_row(sig: Signature, f: NamedAut):
+def generator_image_row(f: NamedAut):
     """Image of a kernel element in the stacked abelian target."""
-    row = []
+    _require_kernel(f)
+    sig = f.sig
     if sig.n == 0:
-        full = johnson_full(sig, f)
-        for c in sig.gens():
-            row.extend(full[c].flatten(sig.ngens))
-    else:
-        for r in act_hom(sig, f):
-            row.extend(r)
-        for c in sig.y_gens():
-            row.extend(johnson_y(sig, f, c))
-        for c in sig.z_gens():
-            row.extend(johnson_z(sig, f, c))
+        return tuple(v for c in sig.gens() for v in _wedge_at(f, c).flatten(sig.ngens))
+    row = [v for r in _act_rows(f) for v in r]
+    for c in sig.y_gens():
+        row.extend(_conjugator(f, c, sig.xz_gens()))
+    for c in sig.z_gens():
+        row.extend(_conjugator(f, c, sig.y_gens()))
     return tuple(row)
 
 
@@ -263,10 +259,8 @@ def abelianization_rank(sig: Signature) -> int:
     """Exact rank of the span of the generator images."""
     if sig.k < 1:
         raise ValueError("needs at least one y-generator")
-    rows = [
-        generator_image_row(sig, _cached_gen_aut(sig, s)) for s in s_k_symbols(sig)
-    ]
-    return int_rank(rows)
+    images = (generator_image_row(_cached_gen_aut(sig, s)) for s in s_k_symbols(sig))
+    return int_rank(images)
 
 
 def closed_form_rank(sig: Signature) -> int:

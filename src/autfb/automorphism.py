@@ -214,10 +214,15 @@ def inv_gen(sig, i):
 def from_images(sig, images, inv_images, spelling=()):
     """Ad-hoc constructor from raw tables.
 
-    The pair of tables is checked to be mutually inverse before the value
-    is released; an unchecked table is never allowed to circulate.
+    The pair of tables is checked to be one word of sig per generator and
+    mutually inverse before the value is released; an unchecked table is
+    never allowed to circulate.
     """
     f = NamedAut(sig, spelling, images, inv_images)
+    if not len(f.images) == len(f.inv_images) == sig.ngens:
+        raise ValueError(f"image tables need {sig.ngens} words each")
+    if any(w.sig != sig for w in f.images + f.inv_images):
+        raise ValueError(f"signature mismatch: an image word is not of {sig}")
     for c in sig.gens():
         for table, other in ((f.images, f.inv_images), (f.inv_images, f.images)):
             if _apply_table(table, other[c - 1]).letters != (c,):

@@ -156,7 +156,7 @@ def johnson(n, k, l, fmt, aut_text, word_file):
     f = _aut_from_options(sig, aut_text, word_file)
     try:
         if sig.n == 0:
-            full = ab.johnson_full(sig, f)
+            full = ab.johnson_full(f)
             for c in sig.gens():
                 w = full[c]
                 cells = "\t".join(
@@ -166,14 +166,14 @@ def johnson(n, k, l, fmt, aut_text, word_file):
         else:
             if fmt == "text":
                 click.echo("# action matrix: rows y, columns x")
-            for y, row in zip(sig.y_gens(), ab.act_hom(sig, f)):
+            for y, row in zip(sig.y_gens(), ab.act_hom(f)):
                 cells = "\t".join(str(v) for v in row)
                 click.echo(f"A[{sig.letter_name(y)}]\t{cells}")
             for c in sig.y_gens():
-                cells = "\t".join(str(v) for v in ab.johnson_y(sig, f, c))
+                cells = "\t".join(str(v) for v in ab.johnson_y(f, c))
                 click.echo(f"J'[{sig.letter_name(c)}]\t{cells}")
             for c in sig.z_gens():
-                cells = "\t".join(str(v) for v in ab.johnson_z(sig, f, c))
+                cells = "\t".join(str(v) for v in ab.johnson_z(f, c))
                 click.echo(f"J[{sig.letter_name(c)}]\t{cells}")
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -143,6 +143,12 @@ class PairingContext:
         return tuple(r * c for c in v)
 
 
+def _require_sig(ctx, v):
+    """Refuse a word or automorphism v of a signature other than ctx's."""
+    if v.sig != ctx.sig:
+        raise ValueError(f"signature mismatch: {v.sig} vs {ctx.sig}")
+
+
 def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
     """Project a word with trivial y-free part onto the y^v basis.
 
@@ -150,6 +156,7 @@ def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
     occurrence of the chosen y contributes its sign at the current
     prefix, and the remaining y-generators contribute nothing.
     """
+    _require_sig(ctx, u)
     sig = ctx.sig
     if bool(delete_y(u)):
         raise ValueError("word survives deleting the y-generators")
@@ -158,7 +165,7 @@ def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
     for g in u.letters:
         base = abs(g)
         e = 1 if g > 0 else -1
-        if sig.klass(base) == "y":
+        if sig.is_y(base):
             if base == ctx.y:
                 v = tuple(prefix)
                 terms[v] = terms.get(v, 0) + e
@@ -169,7 +176,8 @@ def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
 
 def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
     """Projection of f(s) s^-1; s ranges over the x- and z-generators."""
-    _require_kernel(ctx.sig, f)
+    _require_sig(ctx, f)
+    _require_kernel(f)
     if s not in ctx._index:
         raise ValueError(f"{s} is not an x- or z-generator code")
     return ny_project(ctx, multiply(f.image(s), gen_word(ctx.sig, -s)))
@@ -177,7 +185,8 @@ def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
 
 def jprime_y(ctx: PairingContext, f: NamedAut):
     """Lattice point recording how f conjugates the chosen y."""
-    return tuple(johnson_y(ctx.sig, f, ctx.y))
+    _require_sig(ctx, f)
+    return johnson_y(f, ctx.y)
 
 
 def is_in_l(ctx: PairingContext, f: NamedAut) -> bool:

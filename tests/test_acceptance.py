@@ -211,13 +211,13 @@ def test_a08_proof_bullet_values():
     s022 = Signature(0, 2, 2)
     # without x-generators: one wedge per move, at its own letter only
     for name in s_k_symbols(s022):
-        full = johnson_full(s022, gen_aut(s022, name))
+        full = johnson_full(gen_aut(s022, name))
         for c in s022.gens():
             expect = wedge_single(name.v, name.w) if c == name.v else WedgeElement()
             assert full[c] == expect
-    assert johnson_full(s022, con_gen(s022, 1, 2))[1] == wedge_single(1, 2)
-    assert johnson_full(s022, con_gen(s022, 3, 2))[3] == wedge_single(2, 3, -1)
-    assert johnson_full(s022, con_gen(s022, 1, 4))[1] == wedge_single(1, 4)
+    assert johnson_full(con_gen(s022, 1, 2))[1] == wedge_single(1, 2)
+    assert johnson_full(con_gen(s022, 3, 2))[3] == wedge_single(2, 3, -1)
+    assert johnson_full(con_gen(s022, 1, 4))[1] == wedge_single(1, 4)
 
     # with x-generators: multiplier moves hit only the action matrix,
     # conjugation moves hit exactly one per-letter block
@@ -225,9 +225,9 @@ def test_a08_proof_bullet_values():
     zeros_y, zeros_z = (0, 0, 0, 0), (0, 0)
     for name in s_k_symbols(S222):
         f = gen_aut(S222, name)
-        a = act_hom(S222, f)
-        jy = {c: johnson_y(S222, f, c) for c in S222.y_gens()}
-        jz = {c: johnson_z(S222, f, c) for c in S222.z_gens()}
+        a = act_hom(f)
+        jy = {c: johnson_y(f, c) for c in S222.y_gens()}
+        jz = {c: johnson_z(f, c) for c in S222.z_gens()}
         if name.kind == "M":
             row = [[0, 0], [0, 0]]
             row[name.w - 3][name.v - 1] = name.e
@@ -249,7 +249,7 @@ def test_a08_proof_bullet_values():
             assert jy[name.v] == tuple(vec)
             assert set(jz.values()) == {zeros_z}
             assert all(v == zeros_y for c, v in jy.items() if c != name.v)
-    assert act_hom(S222, mul_gen(S222, 1, 1, 3)) == ((1, 0), (0, 0))
+    assert act_hom(mul_gen(S222, 1, 1, 3)) == ((1, 0), (0, 0))
     _report(8, "per-letter values behind the two rank counts")
 
 
@@ -364,12 +364,10 @@ def test_a13_twisted_additivity_and_transport():
     for _ in range(1000):
         f = _random_kernel(S222, rng, 4)
         g = _random_kernel(S222, rng, 4)
-        m = ab_matrix(S222, f)
+        m = ab_matrix(f)
         for c in (3, 4, 5, 6):
-            lhs = johnson_class(S222, compose(f, g), c)
-            rhs = johnson_class(S222, f, c) + wedge_push(
-                m, johnson_class(S222, g, c)
-            )
+            lhs = johnson_class(compose(f, g), c)
+            rhs = johnson_class(f, c) + wedge_push(m, johnson_class(g, c))
             assert lhs == rhs
 
     ctx = PairingContext(Signature(2, 2, 1), y=3, a=1, b=2)

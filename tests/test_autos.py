@@ -287,6 +287,17 @@ def test_from_images_checks_inverse_tables():
     assert not is_in_autfb(f)
 
 
+def test_from_images_refuses_tables_not_of_its_signature():
+    sig, other = Signature(1, 1, 1), Signature(0, 2, 1)
+    table = [gen_word(other, c) for c in other.gens()]
+    with pytest.raises(ValueError, match="signature mismatch"):
+        from_images(sig, table, table)
+    assert from_images(other, table, table).sig == other
+    for wrong in (table[:2], [*table, table[0]]):
+        with pytest.raises(ValueError, match="3 words each"):
+            from_images(other, wrong, wrong)
+
+
 # ---------------------------------------------------------------------------
 # membership
 

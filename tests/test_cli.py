@@ -123,18 +123,28 @@ def test_rank_line_and_guard():
     assert "at least one y-generator" in _err(res)
 
 
-def test_johnson_with_x_generators():
+@pytest.mark.parametrize(
+    "fmt, header",
+    [("tsv", []), ("text", ["# action matrix: rows y, columns x"])],
+    ids=["tsv", "text"],
+)
+def test_johnson_with_x_generators(fmt, header):
     res = runner.invoke(
         main,
-        ["johnson", "--n", "1", "--k", "1", "--l", "1", "--aut", "M[x1^+1,y1]"],
+        [
+            "johnson", "--n", "1", "--k", "1", "--l", "1",
+            "--aut", "M[x1^+1,y1]", "--format", fmt,
+        ],
     )
     assert res.exit_code == 0
-    assert res.output.splitlines() == ["A[y1]\t1", "J'[y1]\t0\t0", "J[z1]\t0"]
+    assert res.output.splitlines() == [*header, "A[y1]\t1", "J'[y1]\t0\t0", "J[z1]\t0"]
 
 
-def test_johnson_without_x_generators():
+@pytest.mark.parametrize("fmt", ["tsv", "text"])
+def test_johnson_without_x_generators(fmt):
+    # With no x-generators there is no action matrix, so text adds no header.
     res = runner.invoke(
-        main, ["johnson", "--k", "2", "--l", "1", "--aut", "C[y1,y2]"]
+        main, ["johnson", "--k", "2", "--l", "1", "--aut", "C[y1,y2]", "--format", fmt]
     )
     assert res.exit_code == 0
     assert res.output.splitlines() == ["J[y1]\t1,2:1", "J[y2]\t0", "J[z1]\t0"]

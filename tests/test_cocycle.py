@@ -119,6 +119,14 @@ def test_projection_ignores_the_other_ys():
     assert ny_project(ctx, word(sig, "y2 y2 y2^-1 y2^-1")) == FormalSum()
 
 
+def test_projection_refuses_a_word_of_another_signature(ctx111):
+    # Same number of letters, so ctx111's letter classes would misread y2
+    # as its chosen y and y1 as its x1.
+    u = word(Signature(0, 2, 1), "y2 y1 y2^-1")
+    with pytest.raises(ValueError, match="signature mismatch"):
+        ny_project(ctx111, u)
+
+
 def test_projection_is_additive_and_shifts_under_conjugation(ctx111):
     rng = random.Random(11)
 
@@ -166,8 +174,15 @@ def test_i_s_validates_its_arguments(ctx111):
         i_s(ctx111, identity(S111), 2)  # y code
     with pytest.raises(ValueError):
         i_s(ctx111, mul_gen(S111, 1, 1, 3), 1)  # not in the kernel
-    with pytest.raises(ValueError, match="signature mismatch"):
-        i_s(ctx111, identity(S221), 1)
+    other = identity(S221)
+    for call in (
+        lambda: i_s(ctx111, other, 1),
+        lambda: jprime_y(ctx111, other),
+        lambda: is_in_l(ctx111, other),
+        lambda: alpha(ctx111, 1, other),
+    ):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            call()
 
 
 def test_jprime_and_membership(ctx111):
