@@ -29,7 +29,6 @@ from .freegroup import (
     multiply,
     parse_word,
     reduce,
-    word,
 )
 from .automorphism import (
     ClaimFailedError,
@@ -66,23 +65,16 @@ from .presentation import (
     Report,
     action_extend,
     action_f,
-    disjointness_conditions,
     enumerate_relations,
     eval_symbol_word,
     lpres_expand,
     lpres_expand_proved,
-    mult_set,
     s_k_symbols,
     s_n_symbols,
     s_q_symbols,
-    support,
-    sym_comm,
-    sym_conj,
     sym_inv,
     sym_mul,
-    sym_pow,
     sym_reduce,
-    symbol_images,
     table5_rows,
     verify_action_consistency,
     verify_relations,

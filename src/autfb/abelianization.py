@@ -242,7 +242,9 @@ def int_rank(rows):
 
 
 def generator_image_row(f: NamedAut):
-    """Image of a kernel element in the stacked abelian target."""
+    """Image of a kernel element in the stacked abelian target: with x's,
+    the act_hom rows, then johnson_y at each y and johnson_z at each z;
+    without, the flattened johnson_full classes."""
     _require_kernel(f)
     sig = f.sig
     if sig.n == 0:

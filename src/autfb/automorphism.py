@@ -21,8 +21,9 @@ equality; that is what makes a relation a pair of spellings with equal
 images.
 
 _cached_gen_aut is the one source of a named generator's automorphism:
-spelling_aut, symbol_images, the rank rows and the cocycle witnesses all
-read it, and it keeps the 4,096 most recently used (signature, name).
+spelling_aut, presentation's _trivial and _Moves, the rank rows and the
+cocycle witnesses all read it, and it keeps the 4,096 most recently used
+(signature, name).
 
 _substitute over a _signed list (each row beside its inverse, inverted
 once) is the one substitution on letter tuples: the coded action tables
@@ -211,14 +212,14 @@ def inv_gen(sig, i):
     return gen_aut(sig, i_name(i))
 
 
-def from_images(sig, images, inv_images, spelling=()):
-    """Ad-hoc constructor from raw tables.
+def from_images(sig, images, inv_images):
+    """Ad-hoc constructor from raw tables, with an empty spelling.
 
     The pair of tables is checked to be one word of sig per generator and
     mutually inverse before the value is released; an unchecked table is
     never allowed to circulate.
     """
-    f = NamedAut(sig, spelling, images, inv_images)
+    f = NamedAut(sig, (), images, inv_images)
     if not len(f.images) == len(f.inv_images) == sig.ngens:
         raise ValueError(f"image tables need {sig.ngens} words each")
     if any(w.sig != sig for w in f.images + f.inv_images):

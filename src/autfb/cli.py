@@ -164,17 +164,20 @@ def johnson(n, k, l, fmt, aut_text, word_file):
                 )
                 click.echo(f"J[{sig.letter_name(c)}]\t{cells if w else '0'}")
         else:
+            # generator_image_row's blocks: A, J' and J, in that order.
+            row = ab.generator_image_row(f)
             if fmt == "text":
                 click.echo("# action matrix: rows y, columns x")
-            for y, row in zip(sig.y_gens(), ab.act_hom(f)):
-                cells = "\t".join(str(v) for v in row)
-                click.echo(f"A[{sig.letter_name(y)}]\t{cells}")
-            for c in sig.y_gens():
-                cells = "\t".join(str(v) for v in ab.johnson_y(f, c))
-                click.echo(f"J'[{sig.letter_name(c)}]\t{cells}")
-            for c in sig.z_gens():
-                cells = "\t".join(str(v) for v in ab.johnson_z(f, c))
-                click.echo(f"J[{sig.letter_name(c)}]\t{cells}")
+            i = 0
+            for label, letters, width in (
+                ("A", sig.y_gens(), sig.n),
+                ("J'", sig.y_gens(), sig.n + sig.l),
+                ("J", sig.z_gens(), sig.k),
+            ):
+                for c in letters:
+                    cells = "\t".join(str(v) for v in row[i : i + width])
+                    click.echo(f"{label}[{sig.letter_name(c)}]\t{cells}")
+                    i += width
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except ClaimFailedError as exc:

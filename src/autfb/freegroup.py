@@ -17,7 +17,7 @@ Conventions used throughout the package: conjugation is
 conjugate(u, w) = w u w^-1, and commutator(u, v) = u v u^-1 v^-1.
 
 >>> sig = Signature(1, 1, 1)
->>> u = word(sig, "x1 y1 x1^-1")
+>>> u = parse_word(sig, "x1 y1 x1^-1")
 >>> format_word(u)
 'x1 y1 x1^-1'
 >>> format_word(multiply(u, invert(u)))
@@ -125,7 +125,7 @@ class Signature(namedtuple("Signature", "n k l")):
 class Word:
     """A freely reduced word; immutable and hashable.
 
-    Use reduce()/word() to build one; the constructor trusts its input
+    Use reduce()/parse_word() to build one; the constructor trusts its input
     only when told to via _reduced.
     """
 
@@ -282,11 +282,6 @@ def parse_word(sig, text):
     rejected; write powers as repeated tokens.
     """
     return Word(sig, [sig.letter_code(tok) for tok in text.split()])
-
-
-def word(sig, text):
-    """Shorthand for parse_word."""
-    return parse_word(sig, text)
 
 
 def format_word(u):

@@ -28,11 +28,11 @@ M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1.  Every family is enumerated for a
 signature with every side condition enforced, and an instance holds when
 lhs rhs^-1 evaluates to the identity.
 
-GenName words remain only at the public edges, which decode or encode once:
-enumerate_relations, table5_rows, action_f, reduced_sq_words, lpres_expand
-and symbol_images (which hands a word with a generator outside S_K u S_Q to
-spelling_aut).  sym_*, action_letter, action_extend and eval_symbol_word
-act on GenName words directly, as the public, per-call route.
+GenName words remain only at the public edges, which decode once:
+enumerate_relations, table5_rows, action_f, reduced_sq_words and
+lpres_expand.  sym_reduce, sym_mul, sym_inv, action_letter, action_extend
+and eval_symbol_word act on GenName words directly, as the public, per-call
+route.
 
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
@@ -58,9 +58,9 @@ leaves them coded for the command line to spell.
 A check hands all its coded words to one _trivial call, which decides
 whether each evaluates to the identity, folding each prefix the sorted
 words share once.  Its step (_step) rewrites only the forward image rows
-the letter's generator moves (_Moves, keyed by code); _images, the letter
-tuples of symbol_images, takes the same steps.  eval_symbol_word is
-automorphism.spelling_aut, which builds both tables of a NamedAut.
+the letter's generator moves (_Moves, keyed by code).  eval_symbol_word is
+automorphism.spelling_aut, which builds both tables of a NamedAut: the
+independent reference for _trivial.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
-from .freegroup import Word, _free_reduce
+from .freegroup import _free_reduce
 from .automorphism import (
     _cached_gen_aut,
     _inverted,
@@ -115,22 +115,6 @@ def sym_inv(w):
     return tuple(s.inv() for s in reversed(w))
 
 
-def sym_pow(w, m):
-    if m < 0:
-        return sym_pow(sym_inv(w), -m)
-    return sym_mul(*([w] * m))
-
-
-def sym_conj(w, c):
-    """c w c^-1."""
-    return sym_mul(c, w, sym_inv(c))
-
-
-def sym_comm(u, v):
-    """u v u^-1 v^-1."""
-    return sym_mul(u, v, sym_inv(u), sym_inv(v))
-
-
 def format_symbols(sig, w):
     return format_spelling(sig, w)
 
@@ -138,17 +122,6 @@ def format_symbols(sig, w):
 def eval_symbol_word(sig, w):
     """Evaluate a symbol word to an automorphism; leftmost letter last."""
     return spelling_aut(sig, w)
-
-
-def symbol_images(sig, w):
-    """eval_symbol_word(sig, w).images, without the inverse table.  A word
-    over S_K u S_Q is stepped through as codes (_images); a word with any
-    other generator is evaluated by spelling_aut."""
-    try:
-        coded = _alphabet(sig).encode(w)
-    except KeyError:
-        return spelling_aut(sig, w).images
-    return tuple(Word(sig, img, _reduced=True) for img in _images(sig, coded))
 
 
 class _Moves(dict):
@@ -177,16 +150,6 @@ def _step(acc, moved):
         img = out[c] = _substitute(acc, row)
         out[-c] = _inverted(img)
     return out
-
-
-def _images(sig, w):
-    """symbol_images(sig, w) as letter tuples, for a coded word w: its
-    letters stepped through from the identity."""
-    moves = _Moves(sig)
-    acc = _signed([(c,) for c in sig.gens()])
-    for s in w:
-        acc = _step(acc, moves[s])
-    return tuple(acc[1 : sig.ngens + 1])
 
 
 def _trivial(sig, words):
@@ -233,9 +196,6 @@ def _trivial(sig, words):
 
 
 class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text M C P I")):
-    def encode(self, u):
-        return tuple(self.code[s] for s in u)
-
     def decode(self, codes):
         return tuple(self.letter[c] for c in codes)
 
@@ -986,6 +946,12 @@ FAMILY_GROUPS = {
     "c-lemma": ("C1", "C2"),
 }
 
+# The dotted instance tags the builders emit.
+_DOTTED_TAGS = (
+    "Q2.1", "Q2.2", "Q2.3", "Q3.1", "Q3.2", "Q3.3", "Q3.4", "Q4.1", "Q4.1'", "Q4.2", "Q4.2'",
+    "R1.1", "R1.2", "R1.3", "C1.1", "C1.2", "C1.3", "C2.1", "C2.2",
+)
+
 
 def _relations(family, sig):
     """enumerate_relations(family, sig) with coded sides (_alphabet)."""
@@ -996,18 +962,17 @@ def _relations(family, sig):
         return out
     if family in _SUBFAMILIES:
         return _SUBFAMILIES[family](sig)
-    head = family.split(".")[0]
-    if head in _SUBFAMILIES:
-        return [i for i in _SUBFAMILIES[head](sig) if i.family == family]
+    if family in _DOTTED_TAGS:
+        return [i for i in _SUBFAMILIES[family.split(".")[0]](sig) if i.family == family]
     raise ValueError(f"unknown relation family {family!r}")
 
 
 def enumerate_relations(family, sig):
     """All instances of a family for the signature, as GenName words.
 
-    `family` is a subfamily tag (N3, Q4, R1, ...), a dotted instance tag
-    (R1.2, Q4.1', C2.1 - resolved by prefix), or one of the group tags
-    nielsen / jensen-wahl / rk / c-lemma.
+    `family` is a subfamily tag (N3, Q4, R1, ...), one of _DOTTED_TAGS
+    (R1.2, Q4.1', C2.1, ... - resolved by its head), or one of the group
+    tags nielsen / jensen-wahl / rk / c-lemma.
     """
     decode = _alphabet(sig).decode
     return [
@@ -1042,11 +1007,6 @@ class Report:
     @property
     def all_passed(self):
         return self.counts["FAIL"] == 0
-
-    def merged(self, other):
-        r = Report()
-        r.lines = self.lines + other.lines
-        return r
 
     def format(self, summary=False):
         c = self.counts
@@ -1405,56 +1365,6 @@ def verify_table5(sig):
         got = _free_reduce(t2_t1_s_inv + t1_t2_s)
         report.add(f"table5.{row}", params, got == _free_reduce(expected))
     return report
-
-
-# ---------------------------------------------------------------------------
-# support and multiplier bookkeeping
-
-
-def support_letter(name):
-    """Signed letter codes a symbol moves; independent of its power."""
-    if name.kind == "M":
-        return frozenset({name.v * name.e})
-    if name.kind == "C":
-        return frozenset({name.v, -name.v})
-    if name.kind == "P":
-        return frozenset({name.v, -name.v, name.w, -name.w})
-    if name.kind == "I":
-        return frozenset({name.v, -name.v})
-    raise ValueError(f"unknown kind {name.kind!r}")
-
-
-def mult_letter(name):
-    """Letter codes a symbol multiplies or conjugates by."""
-    if name.kind in ("M", "C"):
-        return frozenset({name.w})
-    if name.kind == "P":
-        return frozenset({name.v, name.w})
-    if name.kind == "I":
-        return frozenset({name.v})
-    raise ValueError(f"unknown kind {name.kind!r}")
-
-
-def support(w):
-    out = set()
-    for s in w:
-        out |= support_letter(s)
-    return frozenset(out)
-
-
-def mult_set(w):
-    out = set()
-    for s in w:
-        out |= mult_letter(s)
-    return frozenset(out)
-
-
-def disjointness_conditions(s_word, t_word):
-    """The three conditions under which the action must fix s_word."""
-    ss, st = support(s_word), support(t_word)
-    ms = {c for m in mult_set(s_word) for c in (m, -m)}
-    mt = {c for m in mult_set(t_word) for c in (m, -m)}
-    return not (ss & st) and not (ss & mt) and not (st & ms)
 
 
 # ---------------------------------------------------------------------------

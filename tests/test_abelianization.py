@@ -33,7 +33,7 @@ from autfb import (
     closed_form_rank,
     wedge_class,
     wedge_push,
-    word,
+    parse_word,
 )
 from autfb import abelianization, automorphism, freegroup, presentation
 from autfb.abelianization import wedge_single
@@ -47,9 +47,9 @@ S222 = Signature(2, 2, 2)
 
 
 def test_ab_vector_counts_signed_occurrences():
-    u = word(S222, "x1 y1 x1^-1 z2 y1 x2^-1")
+    u = parse_word(S222, "x1 y1 x1^-1 z2 y1 x2^-1")
     assert ab_vector(u) == (0, -1, 2, 0, 0, 1)
-    assert ab_vector(word(S222, "")) == (0, 0, 0, 0, 0, 0)
+    assert ab_vector(parse_word(S222, "")) == (0, 0, 0, 0, 0, 0)
 
 
 def test_ab_matrix_of_a_multiplier_move():
@@ -73,13 +73,13 @@ def test_wedge_element_canonical_form():
 
 
 def test_wedge_class_orientation():
-    y1 = word(S022, "y1")
-    y2 = word(S022, "y2")
+    y1 = parse_word(S022, "y1")
+    y2 = parse_word(S022, "y2")
     got = wedge_class(commutator(y1, y2))
     assert got == wedge_single(1, 2, -1)
     assert wedge_class(commutator(y2, y1)) == wedge_single(1, 2)
     with pytest.raises(ValueError):
-        wedge_class(word(S022, "y1 y2"))
+        wedge_class(parse_word(S022, "y1 y2"))
 
 
 def test_wedge_push_matrices():

@@ -18,7 +18,6 @@ from autfb import (
     action_extend,
     compose,
     con_gen,
-    disjointness_conditions,
     eval_symbol_word,
     gen_aut,
     hat,
@@ -33,12 +32,10 @@ from autfb import (
     lpres_expand,
     mu_witnesses,
     mul_gen,
-    mult_set,
     pairing,
     s_k_symbols,
     s_q_symbols,
     sigma,
-    support,
     support_of_twist,
     sym_reduce,
     closed_form_rank,
@@ -50,7 +47,13 @@ from autfb import (
     zeta_eval,
 )
 from autfb.abelianization import wedge_single
-from autfb.presentation import mult_letter, support_letter
+from disjoint_support import (
+    admissible,
+    disjointness_conditions,
+    mult_letter,
+    mult_set,
+    support,
+)
 
 S222 = Signature(2, 2, 2)
 
@@ -117,13 +120,6 @@ def test_a04_residue_rewrite_table():
     _report(4, "residue rewrite table")
 
 
-def _admissible(name, allowed):
-    pool = set(support_letter(name)) | {
-        c for m in mult_letter(name) for c in (m, -m)
-    }
-    return all(abs(c) in allowed for c in pool)
-
-
 def test_a05_support_bounds_random_sweep():
     sig = Signature(3, 2, 2)
     rng = random.Random(51)
@@ -133,8 +129,8 @@ def test_a05_support_bounds_random_sweep():
     built = 0
     while built < 5000:
         half = {g for g in gens if rng.randrange(2)}
-        s_pool = [m for m in ks if _admissible(m, half)]
-        t_pool = [m for m in qs if _admissible(m, set(gens) - half)]
+        s_pool = [m for m in ks if admissible(m, half)]
+        t_pool = [m for m in qs if admissible(m, set(gens) - half)]
         if not s_pool or not t_pool:
             continue
         s_word = sym_reduce(

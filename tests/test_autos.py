@@ -43,7 +43,7 @@ from autfb import (
     s_q_symbols,
     spelling_aut,
     swap_gen,
-    word,
+    parse_word,
 )
 
 SIG = Signature(2, 2, 2)
@@ -51,7 +51,7 @@ X1, X2, Y1, Y2, Z1, Z2 = 1, 2, 3, 4, 5, 6
 
 
 def w(text):
-    return word(SIG, text)
+    return parse_word(SIG, text)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,20 @@ def test_from_images_refuses_tables_not_of_its_signature():
     for wrong in (table[:2], [*table, table[0]]):
         with pytest.raises(ValueError, match="3 words each"):
             from_images(other, wrong, wrong)
+
+
+def test_from_images_carries_no_spelling():
+    """A spelling travels only with tables built from it, so a table built
+    from raw images has none."""
+    images = [gen_word(SIG, c) for c in SIG.gens()]
+    images[Y1 - 1] = w("x1 y1")
+    inv_images = list(images)
+    inv_images[Y1 - 1] = w("x1^-1 y1")
+    f = from_images(SIG, images, inv_images)
+    assert f.spelling == ()
+    assert repr(f) == "NamedAut(1)"
+    with pytest.raises(TypeError):
+        from_images(SIG, images, inv_images, (m_name(X1, 1, Y1),))
 
 
 # ---------------------------------------------------------------------------

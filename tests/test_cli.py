@@ -140,6 +140,57 @@ def test_johnson_with_x_generators(fmt, header):
     assert res.output.splitlines() == [*header, "A[y1]\t1", "J'[y1]\t0\t0", "J[z1]\t0"]
 
 
+# Two kernel elements at (2,2,2) whose lines, between them, have a nonzero
+# cell in every block: A, J' and J.
+JOHNSON_222 = {
+    "C[y1,x1] M[x2^-1,y2] C[z1,y2]^-1 C[y2,z2]": [
+        "A[y1]\t0\t0",
+        "A[y2]\t0\t-1",
+        "J'[y1]\t1\t0\t0\t0",
+        "J'[y2]\t0\t0\t0\t1",
+        "J[z1]\t0\t-1",
+        "J[z2]\t0\t0",
+    ],
+    "C[z2,y1] C[y1,x2]^-1 M[x1^+1,y2]": [
+        "A[y1]\t0\t0",
+        "A[y2]\t1\t0",
+        "J'[y1]\t0\t-1\t0\t0",
+        "J'[y2]\t0\t0\t0\t0",
+        "J[z1]\t0\t0",
+        "J[z2]\t1\t0",
+    ],
+}
+
+
+@pytest.mark.parametrize("spelling", JOHNSON_222)
+@pytest.mark.parametrize(
+    "fmt, header",
+    [("tsv", ""), ("text", "# action matrix: rows y, columns x\n")],
+    ids=["tsv", "text"],
+)
+def test_johnson_prints_every_block_at_222(spelling, fmt, header):
+    res = runner.invoke(
+        main, ["johnson", "--n", "2", "--k", "2", "--l", "2", "--aut", spelling, "--format", fmt]
+    )
+    assert res.exit_code == 0
+    assert res.stdout == header + "".join(line + "\n" for line in JOHNSON_222[spelling])
+
+
+@pytest.mark.parametrize("spelling", JOHNSON_222)
+def test_johnson_checks_kernel_membership_once(monkeypatch, spelling):
+    calls = []
+    original = abelianization.is_in_kernel
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(abelianization, "is_in_kernel", counted)
+    res = runner.invoke(main, ["johnson", "--n", "2", "--k", "2", "--l", "2", "--aut", spelling])
+    assert res.exit_code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "text"])
 def test_johnson_without_x_generators(fmt):
     # With no x-generators there is no action matrix, so text adds no header.
@@ -180,6 +231,14 @@ def test_johnson_usage_errors(tmp_path):
     )
     assert outside.exit_code == 2
     assert "kernel" in _err(outside)
+    outside_text = runner.invoke(
+        main,
+        [
+            "johnson", "--n", "1", "--k", "1", "--l", "1",
+            "--aut", "M[x1^+1,z1]", "--format", "text",
+        ],
+    )
+    assert (outside_text.exit_code, outside_text.stdout) == (2, "")
     bad = runner.invoke(
         main,
         ["johnson", "--n", "1", "--k", "1", "--l", "1", "--aut", "M[w1,y1]"],
@@ -209,6 +268,7 @@ def test_johnson_failed_claim_exits_one(monkeypatch):
     )
     assert res.exit_code == 1
     assert "is not a conjugate" in _err(res)
+    assert res.stdout == ""
 
 
 def test_pairing_small_table():

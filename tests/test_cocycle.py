@@ -35,7 +35,7 @@ from autfb import (
     sigma,
     support_of_twist,
     independence_witness,
-    word,
+    parse_word,
     zeta_eval,
 )
 
@@ -101,28 +101,28 @@ def test_context_layout(ctx111, ctx221):
 
 
 def test_projection_worked_instances(ctx111):
-    assert ny_project(ctx111, word(S111, "y1")) == FormalSum.point((0, 0))
-    assert ny_project(ctx111, word(S111, "z1 z1 y1 z1^-1 z1^-1")) == FormalSum.point(
+    assert ny_project(ctx111, parse_word(S111, "y1")) == FormalSum.point((0, 0))
+    assert ny_project(ctx111, parse_word(S111, "z1 z1 y1 z1^-1 z1^-1")) == FormalSum.point(
         (0, 2)
     )
-    assert ny_project(ctx111, word(S111, "x1 y1^-1 x1^-1")) == FormalSum.point(
+    assert ny_project(ctx111, parse_word(S111, "x1 y1^-1 x1^-1")) == FormalSum.point(
         (1, 0), -1
     )
     with pytest.raises(ValueError):
-        ny_project(ctx111, word(S111, "x1 y1"))
+        ny_project(ctx111, parse_word(S111, "x1 y1"))
 
 
 def test_projection_ignores_the_other_ys():
     sig = Signature(1, 2, 1)
     ctx = PairingContext(sig, y=2, a=1, b=4)
-    assert ny_project(ctx, word(sig, "y2 y1 y2^-1")) == FormalSum.point((0, 0))
-    assert ny_project(ctx, word(sig, "y2 y2 y2^-1 y2^-1")) == FormalSum()
+    assert ny_project(ctx, parse_word(sig, "y2 y1 y2^-1")) == FormalSum.point((0, 0))
+    assert ny_project(ctx, parse_word(sig, "y2 y2 y2^-1 y2^-1")) == FormalSum()
 
 
 def test_projection_refuses_a_word_of_another_signature(ctx111):
     # Same number of letters, so ctx111's letter classes would misread y2
     # as its chosen y and y1 as its x1.
-    u = word(Signature(0, 2, 1), "y2 y1 y2^-1")
+    u = parse_word(Signature(0, 2, 1), "y2 y1 y2^-1")
     with pytest.raises(ValueError, match="signature mismatch"):
         ny_project(ctx111, u)
 
@@ -131,16 +131,16 @@ def test_projection_is_additive_and_shifts_under_conjugation(ctx111):
     rng = random.Random(11)
 
     def random_ny_word():
-        u = word(S111, "")
+        u = parse_word(S111, "")
         for _ in range(rng.randrange(1, 4)):
-            conj = word(
+            conj = parse_word(
                 S111,
                 " ".join(
                     rng.choice(("x1", "x1^-1", "z1", "z1^-1", "y1", "y1^-1"))
                     for _ in range(rng.randrange(0, 3))
                 ),
             )
-            core = word(S111, rng.choice(("y1", "y1^-1")))
+            core = parse_word(S111, rng.choice(("y1", "y1^-1")))
             u = multiply(u, conjugate(core, conj))
         return u
 

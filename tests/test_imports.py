@@ -5,9 +5,14 @@ of the package imports inside its body.
 Scans src/autfb/*.py and tests/*.py with the standard-library ast module.
 The package's __init__.py is skipped by the import scan: its imports are
 the public re-exports.
+
+Also: every name that perfbench/layertrace.py wraps or reads exists on its
+module, so deleting one fails here rather than inside a traced benchmark run.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -109,3 +114,32 @@ def test_the_scan_finds_an_import_inside_a_function():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_imports_inside_functions(path):
     assert imports_inside_functions(path.read_text()) == []
+
+
+def _layertrace():
+    """perfbench/layertrace.py, loaded from its file without running install()."""
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "perfbench" / "layertrace.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# What layertrace.install() reads besides LAYERS.
+TRACER_READS = (
+    ("presentation", "_cached_gen_aut"),
+    ("presentation", "_SUBFAMILIES"),
+    ("cocycle", "PairingContext"),
+)
+
+
+def test_every_name_the_tracer_reads_exists():
+    names = [(layer, f) for layer, fs in _layertrace().LAYERS.items() for f in fs]
+    missing = [
+        f"autfb.{layer}.{name}"
+        for layer, name in names + list(TRACER_READS)
+        if not hasattr(importlib.import_module(f"autfb.{layer}"), name)
+    ]
+    assert missing == []
+    assert len(names) > 50

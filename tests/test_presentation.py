@@ -7,7 +7,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autfb.automorphism as automorphism
@@ -21,7 +21,6 @@ from autfb import (
     action_f,
     c_name,
     compose,
-    disjointness_conditions,
     enumerate_relations,
     eval_symbol_word,
     format_name,
@@ -32,20 +31,14 @@ from autfb import (
     lpres_expand_proved,
     m_name,
     mul_gen,
-    mult_set,
     p_name,
     s_k_symbols,
     s_n_symbols,
     s_q_symbols,
     spelling_aut,
-    support,
-    sym_comm,
-    sym_conj,
     sym_inv,
     sym_mul,
-    sym_pow,
     sym_reduce,
-    symbol_images,
     verify_action_consistency,
     verify_relations,
     verify_table5,
@@ -54,8 +47,14 @@ from autfb.presentation import (
     FAMILY_GROUPS,
     in_s_k,
     in_s_q,
-    mult_letter,
     reduced_sq_words,
+)
+from disjoint_support import (
+    admissible,
+    disjointness_conditions,
+    mult_letter,
+    mult_set,
+    support,
     support_letter,
 )
 
@@ -106,7 +105,7 @@ def test_s_k_coding_round_trips_every_letter():
                 assert alpha.code[u] == c
                 assert alpha.letter[c] == u
                 assert alpha.text[c] == format_name(sig, u)
-                assert alpha.decode(alpha.encode((u,))) == (u,)
+                assert alpha.decode((c,)) == (u,)
         size = 2 * (len(syms) + len(s_q_symbols(sig)))
         assert len(alpha.code) == len(alpha.letter) == len(alpha.text) == size
 
@@ -185,40 +184,10 @@ def test_sym_reduce_matches_the_base_reference(pairs):
     assert sym_reduce(letters) == ref_sym_reduce(letters)
 
 
-def test_sym_inv_pow_conj_comm():
+def test_sym_inv_reverses_and_inverts():
     a = m_name(1, 1, 3)
     b = c_name(5, 3)
     assert sym_inv((a, b)) == (b.inv(), a.inv())
-    assert sym_pow((a,), 3) == (a, a, a)
-    assert sym_pow((a,), -2) == (a.inv(), a.inv())
-    assert sym_conj((a,), (b,)) == (b, a, b.inv())
-    assert sym_comm((a,), (b,)) == (a, b, a.inv(), b.inv())
-
-
-SYMBOL_POOL = {
-    sig: [
-        s._replace(power=p)
-        for s in s_q_symbols(sig) + s_k_symbols(sig)
-        for p in (1, -1)
-    ]
-    for sig in (S111, S222)
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from((S111, S222)).flatmap(
-        lambda sig: st.tuples(
-            st.just(sig), st.lists(st.sampled_from(SYMBOL_POOL[sig]), max_size=8)
-        )
-    )
-)
-@example((S111, []))
-@example((S222, []))
-def test_symbol_images_are_the_forward_table(case):
-    sig, letters = case
-    w = tuple(letters)
-    assert symbol_images(sig, w) == eval_symbol_word(sig, w).images
 
 
 def test_eval_symbol_word_instances():
@@ -252,6 +221,25 @@ def test_enumeration_resolves_dotted_tags():
         enumerate_relations("R9", S111)
     with pytest.raises(ValueError):
         enumerate_relations("nonsense", S111)
+
+
+def test_the_dotted_tags_are_the_ones_the_builders_emit():
+    subfamilies = presentation._SUBFAMILIES
+    emitted = {i.family for tag in subfamilies for i in enumerate_relations(tag, S222)}
+    assert emitted - set(subfamilies) == set(presentation._DOTTED_TAGS)
+
+
+@pytest.mark.parametrize("tag", ["R1.9", "Q4.1x", "N1.1", "R1.", "Q4.1''"])
+def test_an_unknown_dotted_tag_is_refused(tag):
+    for call in (enumerate_relations, verify_relations):
+        with pytest.raises(ValueError, match="unknown relation family"):
+            call(tag, S222)
+
+
+def test_a_dotted_tag_without_instances_skips():
+    report = verify_relations("C2.2", Signature(1, 1, 0))
+    assert report.lines == [("C2.2", "no instances at this signature", "SKIP")]
+    assert enumerate_relations("C2.2", Signature(1, 1, 0)) == []
 
 
 def test_instances_carry_reduced_sides():
@@ -437,8 +425,6 @@ def test_report_mechanics():
     r.skip("G", "empty")
     assert r.counts == {"PASS": 1, "FAIL": 1, "SKIP": 1}
     assert not r.all_passed
-    merged = r.merged(r)
-    assert len(merged.lines) == 6
     text = r.format()
     assert text.splitlines()[0] == "F\tp=1\tPASS"
     assert text.splitlines()[-1] == "# total\t3\tpass\t1\tfail\t1\tskip\t1"
@@ -516,8 +502,8 @@ def _action_consistency_by_action_extend(sig):
             for s in syms_k:
                 word = presentation.action_f(sig, t, s)
                 params = f"t={format_name(sig, t)},s={format_name(sig, s)}"
-                ok = symbol_images(sig, word) == symbol_images(sig, (t, s, t.inv()))
-                report.add("action", params, ok)
+                want = eval_symbol_word(sig, (t, s, t.inv())).images
+                report.add("action", params, eval_symbol_word(sig, word).images == want)
                 back = action_extend(sig, (t.inv(),), word)
                 report.add("inverse", params, back == (s,))
     return report
@@ -687,13 +673,6 @@ def test_support_ignores_the_formal_power():
         assert mult_letter(s.inv()) == mult_letter(s)
 
 
-def _admissible(name, allowed):
-    pool = set(support_letter(name)) | {
-        c for m in mult_letter(name) for c in (m, -m)
-    }
-    return all(abs(c) in allowed for c in pool)
-
-
 def test_disjoint_supports_imply_fixing():
     sig = Signature(3, 2, 2)
     rng = random.Random(41)
@@ -702,8 +681,8 @@ def test_disjoint_supports_imply_fixing():
     built = 0
     while built < 800:
         half = {g for g in gens if rng.randrange(2)}
-        s_pool = [n for n in ks if _admissible(n, half)]
-        t_pool = [n for n in qs if _admissible(n, set(gens) - half)]
+        s_pool = [n for n in ks if admissible(n, half)]
+        t_pool = [n for n in qs if admissible(n, set(gens) - half)]
         if not s_pool or not t_pool:
             continue
         s_word = sym_reduce(
@@ -805,7 +784,7 @@ def _decoded(sig, relators):
 def _all_relators_trivial(sig, relators):
     """The reference verdict: every relator evaluated to its image table."""
     idt = identity(sig).images
-    return all(symbol_images(sig, r) == idt for r in relators)
+    return all(eval_symbol_word(sig, r).images == idt for r in relators)
 
 
 @pytest.mark.parametrize(
@@ -843,13 +822,17 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
 
     def wrong(sig_, t_, s_):
         word = original(sig_, t_, s_)
-        return _free_reduce(word + alpha.encode(extra)) if (t_, s_) == (t, s) else word
+        if (t_, s_) != (t, s):
+            return word
+        return _free_reduce(word + tuple(alpha.code[u] for u in extra))
 
     with mock.patch.object(presentation, "_action_word", wrong):
         relators, sound = lpres_expand_proved(sig, depth)
     relators = _decoded(sig, relators)
     entry = alpha.decode(wrong(sig, t, s))
-    entry_holds = symbol_images(sig, entry) == symbol_images(sig, (t, s, t.inv()))
+    entry_holds = (
+        eval_symbol_word(sig, entry).images == eval_symbol_word(sig, (t, s, t.inv())).images
+    )
     assert sound == entry_holds
     if not _all_relators_trivial(sig, relators):
         assert not sound

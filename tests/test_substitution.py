@@ -2,16 +2,17 @@
 
 _substitute(_signed(rows), letters) is checked against concatenating the
 images (inverting a row for a negative letter on the spot) and freely
-reducing the result; presentation._images is checked against the image
-table that spelling_aut builds by composition, and presentation._trivial
-against comparing that automorphism with the identity.
+reducing the result; presentation._step, folded over a word's letters, is
+checked against the image table that spelling_aut builds by composition,
+and presentation._trivial against comparing that automorphism with the
+identity.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autfb.presentation as presentation
-from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut, symbol_images
+from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut
 from autfb.automorphism import _signed, _substitute
 
 S222 = Signature(2, 2, 2)
@@ -26,6 +27,12 @@ def _reduce(letters):
         else:
             out.append(c)
     return tuple(out)
+
+
+def _encode(sig, w):
+    """A symbol word as its codes (presentation._alphabet)."""
+    code = presentation._alphabet(sig).code
+    return tuple(code[u] for u in w)
 
 
 def _inverse(row):
@@ -94,23 +101,11 @@ def test_images_match_the_composed_table(case):
     sig, letters = case
     w = tuple(letters)
     want = spelling_aut(sig, w).images
-    coded = presentation._alphabet(sig).encode(w)
-    assert presentation._images(sig, coded) == tuple(img.letters for img in want)
-    assert symbol_images(sig, w) == want
-
-
-def test_symbol_images_evaluate_letters_outside_s_k_and_s_q():
-    """M[y^e,x] and C[x,v] are generators but no symbol of S_K u S_Q;
-    symbol_images still gives eval_symbol_word's forward table."""
-    sig = S222
-    y, x, z = sig.y_gens()[0], sig.x_gens()[0], sig.z_gens()[0]
-    outside = (presentation.m_name(y, -1, x), presentation.c_name(x, z, -1))
-    for s in outside:
-        assert not presentation.in_s_k(sig, s) and not presentation.in_s_q(sig, s)
-    inside = s_k_symbols(sig)[0], s_q_symbols(sig)[-1]
-    for w in (outside, (inside[0], outside[0], inside[1]), outside[::-1]):
-        assert symbol_images(sig, w) == spelling_aut(sig, w).images
-        assert symbol_images(sig, w) != identity(sig).images
+    moves = presentation._Moves(sig)
+    acc = _signed([(c,) for c in sig.gens()])
+    for s in _encode(sig, w):
+        acc = presentation._step(acc, moves[s])
+    assert tuple(acc[1 : sig.ngens + 1]) == tuple(img.letters for img in want)
 
 
 def _inverse_word(w):
@@ -144,8 +139,7 @@ def _batch(draw):
 def test_trivial_matches_comparing_with_the_identity(case):
     sig, words = case
     want = [spelling_aut(sig, w) == identity(sig) for w in words]
-    encode = presentation._alphabet(sig).encode
-    assert presentation._trivial(sig, [encode(w) for w in words]) == want
+    assert presentation._trivial(sig, [_encode(sig, w) for w in words]) == want
 
 
 def test_trivial_answers_in_input_order():
@@ -154,7 +148,7 @@ def test_trivial_answers_in_input_order():
     sig = Signature(2, 0, 0)
     p, i1 = presentation.p_name(1, 2), presentation.i_name(1)
     words = [(p, i1), (), (p, p.inv()), (i1,), (p, i1), (i1.inv(), i1), (p, p), (i1, p) * 2]
-    coded = [presentation._alphabet(sig).encode(w) for w in words]
+    coded = [_encode(sig, w) for w in words]
     assert coded != sorted(coded)
     want = [False, True, True, False, False, True, True, False]
     assert presentation._trivial(sig, coded) == want

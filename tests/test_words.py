@@ -20,14 +20,13 @@ from autfb import (
     multiply,
     parse_word,
     reduce,
-    word,
 )
 
 SIG = Signature(2, 2, 2)
 
 
 def w(text):
-    return word(SIG, text)
+    return parse_word(SIG, text)
 
 
 # ---------------------------------------------------------------------------
