@@ -9,8 +9,9 @@ The named generators:
 
 Automorphisms act on the left and compose right-to-left, so in a spelling
 the leftmost name is applied last.  A NamedAut always carries both its
-image table and the image table of its inverse; inversion just swaps the
-tables and reverses the spelling, and never solves equations.
+image table and the image table of its inverse, as signed rows; inversion
+just swaps the tables and reverses the spelling, and never solves
+equations.
 
 gen_aut builds both tables of a named generator by one rule, _gen_images,
 at the name and at name.inv(); that rule is also the one check of a name
@@ -25,10 +26,10 @@ spelling_aut, presentation's _trivial and _Moves, the rank rows and the
 cocycle witnesses all read it, and it keeps the 4,096 most recently used
 (signature, name).
 
-_substitute over a _signed list (each row beside its inverse, inverted
-once) is the one substitution on letter tuples: the coded action tables
-and the symbol image tables of presentation.  apply, compose and
-from_images substitute Word tables by _apply_table.
+_substitute over signed rows (_signed: each row beside its inverse) is
+the one substitution kernel, for compose, apply, from_images and every
+table of presentation.  Words appear only at the edges: the constructor,
+the images, inv_images and image views, apply and from_images.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import re
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .freegroup import Word, cyclic_reduce, delete_y, invert as invert_word
+from .freegroup import Word, _check_letters, cyclic_reduce, delete_y
 
 
 class NotInAutFBError(ValueError):
@@ -113,25 +114,33 @@ def i_name(i, power=1):
 
 
 class NamedAut:
-    """An automorphism of F(n,k,l): spelling plus both image tables."""
+    """An automorphism f of F(n,k,l): spelling plus both image tables.
 
-    __slots__ = ("sig", "spelling", "images", "inv_images")
+    fwd and bwd are the signed rows (_signed) of f and f^-1: fwd[c] is the
+    letter tuple of f(c), fwd[-c] its inverse.  The constructor takes
+    Words; images, inv_images and image are Word views of the rows.
+    """
+
+    __slots__ = ("sig", "spelling", "fwd", "bwd")
 
     def __init__(self, sig, spelling, images, inv_images):
         self.sig = sig
         self.spelling = tuple(spelling)
-        self.images = tuple(images)
-        self.inv_images = tuple(inv_images)
+        self.fwd = _signed([w.letters for w in images])
+        self.bwd = _signed([w.letters for w in inv_images])
+
+    images = property(lambda self: _views(self.sig, self.fwd))
+    inv_images = property(lambda self: _views(self.sig, self.bwd))
 
     def image(self, code):
         """Image word of a single (possibly negative) letter code."""
-        if code > 0:
-            return self.images[code - 1]
-        return invert_word(self.images[-code - 1])
+        if not 0 < abs(code) <= self.sig.ngens:
+            raise ValueError(f"letter code {code} out of range for {self.sig}")
+        return Word(self.sig, self.fwd[code], _reduced=True)
 
     def key(self):
         """Hashable identity: the image table."""
-        return (self.sig, tuple(w.letters for w in self.images))
+        return (self.sig, self.fwd[1 : self.sig.ngens + 1])
 
     def __eq__(self, other):
         return isinstance(other, NamedAut) and self.key() == other.key()
@@ -143,20 +152,33 @@ class NamedAut:
         return f"NamedAut({format_spelling(self.sig, self.spelling) or '1'})"
 
 
-def _gen_words(sig):
-    return [Word(sig, (c,), _reduced=True) for c in sig.gens()]
+def _views(sig, rows):
+    return tuple(Word(sig, row, _reduced=True) for row in rows[1 : sig.ngens + 1])
+
+
+def _aut(sig, spelling, fwd, bwd):
+    """A NamedAut from signed row tuples, taken as they are."""
+    f = object.__new__(NamedAut)
+    f.sig, f.spelling, f.fwd, f.bwd = sig, spelling, fwd, bwd
+    return f
+
+
+@lru_cache(maxsize=64)
+def _identity_rows(sig):
+    """The signed rows of the identity of sig, shared by every table."""
+    return _signed([(c,) for c in sig.gens()])
 
 
 def identity(sig):
-    base = _gen_words(sig)
-    return NamedAut(sig, (), base, list(base))
+    rows = _identity_rows(sig)
+    return _aut(sig, (), rows, rows)
 
 
 def _gen_images(sig, name):
-    """The image table of one named generator at its power: the one rule
-    for every kind, and the one check of a name.  Each branch passes the
-    fields to the kind's constructor, which checks a hand-built GenName,
-    and then the codes are checked against the signature.
+    """The signed rows (_signed) of one named generator at its power: the
+    one rule for every kind, and the one check of a name.  Each branch
+    passes the fields to the kind's constructor, which checks a hand-built
+    GenName, and then the codes are checked against the signature.
 
         M[v^e,w]^p   v -> w^p v (e = +1)  or  v -> v w^-p (e = -1)
         C[v,w]^p     v -> w^p v w^-p
@@ -180,16 +202,18 @@ def _gen_images(sig, name):
         raise ValueError(f"unknown generator kind {kind!r}")
     if kind in ("P", "I") and any(sig.klass(i) != "x" for i in moved):
         raise ValueError(f"{kind} indices must be x's for {sig}")
-    images = _gen_words(sig)
-    for c, letters in moved.items():
-        images[c - 1] = Word(sig, letters)
-    return images
+    _check_letters(sig, [d for row in moved.values() for d in row])
+    rows = list(_identity_rows(sig))
+    for c, row in moved.items():
+        rows[c] = row
+        rows[-c] = _inverted(row)
+    return tuple(rows)
 
 
 def gen_aut(sig, name):
     """Realize one GenName (with its power) as a NamedAut; both tables
     come from _gen_images, at name and at name.inv()."""
-    return NamedAut(sig, (name,), _gen_images(sig, name), _gen_images(sig, name.inv()))
+    return _aut(sig, (name,), _gen_images(sig, name), _gen_images(sig, name.inv()))
 
 
 def mul_gen(sig, v, e, w):
@@ -219,32 +243,16 @@ def from_images(sig, images, inv_images):
     mutually inverse before the value is released; an unchecked table is
     never allowed to circulate.
     """
-    f = NamedAut(sig, (), images, inv_images)
-    if not len(f.images) == len(f.inv_images) == sig.ngens:
+    images, inv_images = tuple(images), tuple(inv_images)
+    if not len(images) == len(inv_images) == sig.ngens:
         raise ValueError(f"image tables need {sig.ngens} words each")
-    if any(w.sig != sig for w in f.images + f.inv_images):
+    if any(w.sig != sig for w in images + inv_images):
         raise ValueError(f"signature mismatch: an image word is not of {sig}")
+    f = NamedAut(sig, (), images, inv_images)
     for c in sig.gens():
-        for table, other in ((f.images, f.inv_images), (f.inv_images, f.images)):
-            if _apply_table(table, other[c - 1]).letters != (c,):
-                raise ValueError("image tables are not mutually inverse")
+        if _substitute(f.fwd, f.bwd[c]) != (c,) or _substitute(f.bwd, f.fwd[c]) != (c,):
+            raise ValueError("image tables are not mutually inverse")
     return f
-
-
-def _apply_table(table, u):
-    """Substitute each letter of u by its table image (inverted when the
-    letter is negative), reducing as we go."""
-    out = []
-    for c in u.letters:
-        img = table[abs(c) - 1].letters
-        if c < 0:
-            img = map(operator.neg, reversed(img))
-        for d in img:
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-    return Word(u.sig, tuple(out), _reduced=True)
 
 
 def _inverted(row):
@@ -253,10 +261,10 @@ def _inverted(row):
 
 def _signed(rows):
     """A substitution indexed by signed code: sub[c] is rows[c - 1] and
-    sub[-c] (list index 2m + 1 - c) is its inverse, inverted once here, so
-    a substitution never inverts and its letters are the table's own ints.
+    sub[-c] (index 2m + 1 - c) is its inverse, inverted once here, so a
+    substitution never inverts and its letters are the table's own ints.
     rows are reduced letter tuples."""
-    return [(), *rows, *map(_inverted, reversed(rows))]
+    return ((), *rows, *map(_inverted, reversed(rows)))
 
 
 def _substitute(sub, letters):
@@ -285,52 +293,46 @@ def apply(f, u):
     inverse of the image of the positive one)."""
     if f.sig != u.sig:
         raise ValueError(f"signature mismatch: {f.sig} vs {u.sig}")
-    return _apply_table(f.images, u)
+    return Word(u.sig, _substitute(f.fwd, u.letters), _reduced=True)
 
 
-def _substitute_all(table, words):
-    """[_apply_table(table, w) for w in words], with the reuses that
-    compose describes."""
-    out = []
-    for w in words:
-        lets = w.letters
-        if len(lets) == 1 and lets[0] > 0:
-            out.append(table[lets[0] - 1])
+def _after(sub, rows):
+    """sub's automorphism after rows' one, as signed rows; see compose."""
+    out = list(rows)
+    for c in range(1, len(rows) // 2 + 1):
+        row = rows[c]
+        if len(row) == 1:
+            d = row[0]
+            out[c], out[-c] = sub[d], sub[-d]
             continue
-        for c in lets:
-            c = abs(c)
-            if table[c - 1].letters != (c,):
-                out.append(_apply_table(table, w))
+        for d in row:
+            if sub[d] != (d,):
+                img = out[c] = _substitute(sub, row)
+                out[-c] = _inverted(img)
                 break
-        else:
-            out.append(w)
-    return out
+    return tuple(out)
 
 
 def compose(f, g):
     """f after g: (f compose g)(s) = f(g(s)).
 
-    The images are f's table substituted into each entry of g.images; the
-    inverse images are g's inverse table substituted into each entry of
-    f.inv_images.  Two kinds of entry are reused instead of substituted,
-    and both reuses are exact: an entry that is one positive letter c
-    substitutes to the table's c-th entry, which is already reduced, and
-    an entry whose letters the table all fixes substitutes to itself.
-    When g is an elementary move, every entry of g.images but the moved
-    one is of the first kind, and only the entries of f.inv_images that
-    hold the moved letter can need _apply_table.
+    f.fwd is substituted into each row of g.fwd, and g.bwd into each row
+    of f.bwd.  Two kinds of row are reused instead of substituted, and both
+    reuses are exact: a row that is one letter d substitutes to the rows d
+    and -d of the table, and a row whose letters the table all fixes to
+    itself and its own inverse row.  When g is an elementary move, every
+    row of g but the moved ones is of the first kind, and only the rows of
+    f.bwd that hold a moved letter are substituted.
     """
     if f.sig != g.sig:
         raise ValueError(f"signature mismatch: {f.sig} vs {g.sig}")
-    images = _substitute_all(f.images, g.images)
-    inv_images = _substitute_all(g.inv_images, f.inv_images)
-    return NamedAut(f.sig, f.spelling + g.spelling, images, inv_images)
+    return _aut(f.sig, f.spelling + g.spelling, _after(f.fwd, g.fwd), _after(g.bwd, f.bwd))
 
 
 def inverse(f):
     """Swap the tables, reverse the spelling, flip each power."""
     spelling = tuple(name.inv() for name in reversed(f.spelling))
-    return NamedAut(f.sig, spelling, f.inv_images, f.images)
+    return _aut(f.sig, spelling, f.bwd, f.fwd)
 
 
 def power(f, m):
@@ -366,7 +368,7 @@ def is_in_autfb(f):
     for c in sig.yz_gens():
         # A word is conjugate to the letter c exactly when its cyclic
         # core is (c,); no rotation scan is needed.
-        if cyclic_reduce(f.images[c - 1])[0].letters != (c,):
+        if cyclic_reduce(f.image(c))[0].letters != (c,):
             return False
     return True
 
@@ -374,7 +376,7 @@ def is_in_autfb(f):
 def is_in_autfb_prime(f):
     """Does f fix every y and z generator on the nose?"""
     for c in f.sig.yz_gens():
-        if f.images[c - 1].letters != (c,):
+        if f.fwd[c] != (c,):
             return False
     return True
 
@@ -389,7 +391,7 @@ def is_in_kernel(f):
     if not is_in_autfb(f):
         raise NotInAutFBError("not a boundary-preserving automorphism")
     for c in f.sig.xz_gens():
-        if delete_y(f.images[c - 1]).letters != (c,):
+        if delete_y(f.image(c)).letters != (c,):
             return False
     return True
 

@@ -37,11 +37,10 @@ route.
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
-arbitrarily deep relation layers (lpres_expand).  _action_table holds its
-coded rows (_action_word), once per (S_Q letter, S_K symbol); each letter's
-rows are kept signed (automorphism._signed: every row beside its inverse),
-and acting by one letter on a coded word is one _substitute step.  Three
-checks read the table:
+arbitrarily deep relation layers (lpres_expand).  _action_rows holds one
+S_Q letter's coded rows (_action_word), signed (automorphism._signed), once
+per process; _action_table gathers them, and acting by one letter on a
+coded word is one _substitute step.  Three checks read the table:
 
     lpres_expand               memoises by suffix: the relators of t w'
                                are t's table substituted into those of w'
@@ -57,10 +56,10 @@ leaves them coded for the command line to spell.
 
 A check hands all its coded words to one _trivial call, which decides
 whether each evaluates to the identity, folding each prefix the sorted
-words share once.  Its step (_step) rewrites only the forward image rows
-the letter's generator moves (_Moves, keyed by code).  eval_symbol_word is
-automorphism.spelling_aut, which builds both tables of a NamedAut: the
-independent reference for _trivial.
+words share once.  Its step (_step) rewrites only the forward rows the
+letter's generator moves (_Moves, keyed by code), and inverts a row only
+when it is read.  eval_symbol_word is automorphism.spelling_aut, which
+builds both tables of a NamedAut: the independent reference for _trivial.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from typing import NamedTuple
 from .freegroup import _free_reduce
 from .automorphism import (
     _cached_gen_aut,
+    _identity_rows,
     _inverted,
     _signed,
     _substitute,
@@ -126,29 +126,47 @@ def eval_symbol_word(sig, w):
 
 class _Moves(dict):
     """code -> the rows its letter's generator moves at sig, as (c, image
-    letters): c is moved when the stored image (automorphism._gen_images)
-    of c is not (c,).  Each letter's generator is read once per map."""
+    letters): c is moved when the generator's row (NamedAut.fwd) of c is
+    not (c,).  Each letter's generator is read once per map."""
 
     def __init__(self, sig):
         self.sig = sig
         self.letter = _alphabet(sig).letter
 
     def __missing__(self, s):
-        images = _cached_gen_aut(self.sig, self.letter[s]).images
+        fwd = _cached_gen_aut(self.sig, self.letter[s]).fwd
         rows = self[s] = tuple(
-            (c, img.letters) for c, img in enumerate(images, 1) if img.letters != (c,)
+            (c, fwd[c]) for c in range(1, self.sig.ngens + 1) if fwd[c] != (c,)
         )
         return rows
 
 
+def _join(x, y):
+    """The reduced x y of two reduced tuples: only the junction cancels."""
+    if not (x and y and x[-1] == -y[0]):
+        return x + y
+    k = 1
+    m = min(len(x), len(y))
+    while k < m and x[-1 - k] == -y[k]:
+        k += 1
+    return x[: len(x) - k] + y[k:]
+
+
 def _step(acc, moved):
     """The signed table (_signed) of w s from acc, the one of w: each row s
-    moves is acc substituted into s's image of it; no other row changes,
-    and the inverse automorphism's table is never built."""
-    out = acc.copy()
+    moves (at most 3 letters) joins acc's rows of its letters; no other row
+    changes.  A moved row's inverse is left None, and is filled in place
+    only when a later step reads it."""
+    out = list(acc)
     for c, row in moved:
-        img = out[c] = _substitute(acc, row)
-        out[-c] = _inverted(img)
+        img = None
+        for d in row:
+            r = acc[d]
+            if r is None:
+                r = acc[d] = _inverted(acc[-d])
+            img = r if img is None else _join(img, r)
+        out[c] = img
+        out[-c] = None
     return out
 
 
@@ -157,16 +175,17 @@ def _trivial(sig, words):
     order, for coded words (_alphabet).
 
     A word h s is the identity when h evaluates to s^-1, so h is stepped
-    through and its table compared with the stored images of s^-1.  The
-    words go in sorted order, and stack[j] is the signed table of the
+    through and its rows compared with the rows of s^-1 (NamedAut.bwd).
+    The words go in sorted order, and stack[j] is the signed table of the
     previous h's first j letters: a prefix h shares with the one before it
     is stepped through once, the stack is never deeper than the longest
-    word, and no word's table outlives the next word.
+    word, and no word's table outlives the next word.  The root is a fresh
+    list: _step fills inverse rows in place.
     """
     moves = _Moves(sig)
     ends = {}
-    stack = [_signed([(c,) for c in sig.gens()])]
     n = sig.ngens
+    stack = [list(_identity_rows(sig))]
     prev = ()
     out = [True] * len(words)
     for i in sorted(range(len(words)), key=words.__getitem__):
@@ -184,7 +203,7 @@ def _trivial(sig, words):
             stack.append(_step(stack[-1], moves[s]))
         s = w[-1]
         end = ends.get(s) or ends.setdefault(
-            s, [img.letters for img in _cached_gen_aut(sig, moves.letter[s]).inv_images]
+            s, list(_cached_gen_aut(sig, moves.letter[s]).bwd[1 : n + 1])
         )
         out[i] = stack[-1][1 : n + 1] == end
         prev = head
@@ -1114,21 +1133,20 @@ def action_extend(sig, w, u):
     return u
 
 
-def _action_table(sig, letters):
-    """The action of the given S_Q letters (codes) on S_K codes (_alphabet).
-
-    table[t] is the signed list (_signed) of t's rows: table[t][c] is
-    _action_word(sig, t, s_c), freely reduced, and table[t][-c] its
-    inverse, so each row is built once per (letter, symbol) pair and
-    inverted once, and acting by t on a coded word u is
-    _substitute(table[t], u): the action is a homomorphism in u.  The
-    expansion's relators are such S_K codes.
-    """
+@lru_cache(maxsize=1024)  # the benchmark's verify grid reads 232 (signature, letter) pairs
+def _action_rows(sig, t):
+    """The action of the S_Q letter t (a code) on S_K codes (_alphabet), as
+    signed rows (_signed): row c is _action_word(sig, t, s_c), freely
+    reduced, and row -c its inverse, so acting by t on a coded word u is
+    _substitute(rows, u): the action is a homomorphism in u.  Built once
+    per process and shared by every caller; never mutate it."""
     alpha = _alphabet(sig)
-    return {
-        t: _signed([_free_reduce(_action_word(sig, alpha.letter[t], s)) for s in alpha.s_k])
-        for t in letters
-    }
+    return _signed([_free_reduce(_action_word(sig, alpha.letter[t], s)) for s in alpha.s_k])
+
+
+def _action_table(sig, letters):
+    """{t: _action_rows(sig, t)}: the rows of the given S_Q letters only."""
+    return {t: _action_rows(sig, t) for t in letters}
 
 
 def _entries_hold(sig, table):

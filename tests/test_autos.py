@@ -72,6 +72,17 @@ def test_mul_gen_inverse_cancels():
     assert inverse(f).image(X1) == w("y1^-1 x1")
 
 
+def test_image_reads_only_letters_of_its_signature():
+    sig = Signature(1, 1, 1)
+    f = gen_aut(sig, m_name(1, 1, 2))
+    assert f.image(-1) == invert(f.image(1)) == parse_word(sig, "x1^-1 y1^-1")
+    assert f.image(-3) == gen_word(sig, -3)
+    # 0 and -(n+1) would index the signed rows' padding or another row.
+    for code in (0, 4, -4, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            f.image(code)
+
+
 def test_con_gen_images():
     assert con_gen(SIG, Y1, X1).image(Y1) == w("x1 y1 x1^-1")
     assert con_gen(SIG, Z1, Y1).image(Z1) == w("y1 z1 y1^-1")

@@ -91,11 +91,13 @@ def test_compose_reuses_untouched_entries():
     h = compose(f, g)
     for c in sig.gens():
         if c != 5:
-            assert h.images[c - 1] is f.images[c - 1]
-    # g's one moved entry uses only letters that f fixes.
-    assert h.images[4] is g.images[4]
+            assert h.fwd[c] is f.fwd[c] and h.fwd[-c] is f.fwd[-c]
+    # g's one moved row uses only letters that f fixes.
+    assert h.fwd[5] is g.fwd[5] and h.fwd[-5] is g.fwd[-5]
     # f's inverse table never mentions the letter g moves.
-    assert all(a is b for a, b in zip(h.inv_images, f.inv_images) if len(b) > 1)
+    reused = [c for c in sig.gens() if len(f.bwd[c]) > 1]
+    assert reused
+    assert all(h.bwd[c] is f.bwd[c] and h.bwd[-c] is f.bwd[-c] for c in reused)
 
 
 def _sympy_group(sig):

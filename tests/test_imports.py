@@ -7,7 +7,8 @@ The package's __init__.py is skipped by the import scan: its imports are
 the public re-exports.
 
 Also: every name that perfbench/layertrace.py wraps or reads exists on its
-module, so deleting one fails here rather than inside a traced benchmark run.
+module, and the Word views its compose hooks read hold an automorphism's
+rows, so deleting one fails here rather than inside a traced benchmark run.
 """
 
 import ast
@@ -16,6 +17,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from autfb import Signature, Word, parse_aut
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "autfb").glob("*.py"))
@@ -143,3 +146,14 @@ def test_every_name_the_tracer_reads_exists():
     ]
     assert missing == []
     assert len(names) > 50
+
+
+def test_the_word_views_the_tracer_reads_hold_the_rows():
+    """layertrace's compose hooks read w.letters from images and inv_images,
+    and concatenate the two."""
+    sig = Signature(2, 1, 1)
+    f = parse_aut(sig, "M[x1^+1,y1] C[z1,x2]^-1 I[2]")
+    for views, rows in ((f.images, f.fwd), (f.inv_images, f.bwd)):
+        assert type(views) is tuple and all(type(w) is Word for w in views)
+        assert tuple(w.letters for w in views) == rows[1 : sig.ngens + 1]
+    assert len(f.images + f.inv_images) == 2 * sig.ngens

@@ -5,7 +5,8 @@ images (inverting a row for a negative letter on the spot) and freely
 reducing the result; presentation._step, folded over a word's letters, is
 checked against the image table that spelling_aut builds by composition,
 and presentation._trivial against comparing that automorphism with the
-identity.
+identity, also on words whose later steps read the inverse rows that
+_step fills only on demand; presentation._join against _free_reduce.
 """
 
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import autfb.presentation as presentation
 from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut
 from autfb.automorphism import _signed, _substitute
+from autfb.freegroup import _free_reduce
 
 S222 = Signature(2, 2, 2)
 
@@ -113,12 +115,12 @@ def _inverse_word(w):
 
 
 @st.composite
-def _batch(draw):
+def _batch(draw, pools=_POOL, size=6):
     """A signature and a batch of words over its pool: random words, their
     prefixes (shared by several words), repeats, empty words and trivial
     words u v u^-1 v^-1 and u u^-1, in drawn order."""
-    sig = draw(st.sampled_from(_IMAGE_SIGS))
-    base = st.lists(st.sampled_from(_POOL[sig]), max_size=6).map(tuple)
+    sig = draw(st.sampled_from(sorted(pools)))
+    base = st.lists(st.sampled_from(pools[sig]), max_size=size).map(tuple)
     stems = draw(st.lists(base, min_size=1, max_size=4))
     stem = st.sampled_from(stems)
     word = st.one_of(
@@ -140,6 +142,76 @@ def test_trivial_matches_comparing_with_the_identity(case):
     sig, words = case
     want = [spelling_aut(sig, w) == identity(sig) for w in words]
     assert presentation._trivial(sig, [_encode(sig, w) for w in words]) == want
+
+
+# C, I and M letters at both powers, where a moved row reads a letter -d:
+# a later step then reads the inverse of a row an earlier step moved, which
+# _step fills only on demand.  Small signatures, so letters share codes.
+_LAZY_POOL = {
+    sig: [
+        u
+        for s in s_q_symbols(sig) + s_k_symbols(sig)
+        if s.kind in ("C", "I", "M")
+        for u in (s, s.inv())
+    ]
+    for sig in (Signature(1, 1, 2), Signature(2, 0, 1), Signature(2, 1, 1))
+}
+
+
+def test_the_lazy_pools_read_inverse_rows():
+    for sig, pool in _LAZY_POOL.items():
+        kinds = {(u.kind, u.power) for u in pool}
+        assert {("C", 1), ("C", -1), ("I", 1), ("I", -1), ("M", 1), ("M", -1)} <= kinds
+        moves = presentation._Moves(sig)
+        code = presentation._alphabet(sig).code
+        assert any(d < 0 for u in pool for _, row in moves[code[u]] for d in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batch(_LAZY_POOL, size=10))
+def test_trivial_matches_the_identity_on_words_that_read_inverse_rows(case):
+    sig, words = case
+    want = [spelling_aut(sig, w) == identity(sig) for w in words]
+    assert presentation._trivial(sig, [_encode(sig, w) for w in words]) == want
+
+
+def test_step_inverts_a_moved_row_only_when_it_is_read():
+    sig = Signature(2, 0, 1)
+    conj, mult = presentation.c_name(3, 1), presentation.m_name(1, -1, 3)
+    moves = presentation._Moves(sig)
+    code = presentation._alphabet(sig).code
+    root = _signed([(c,) for c in sig.gens()])
+    # C[z1,x1] moves z1 to x1 z1 x1^-1 and leaves its inverse row unbuilt.
+    acc = presentation._step(root, moves[code[conj]])
+    assert acc[3] == (1, 3, -1) and acc[-3] is None
+    # M[x1^-1,z1] moves x1 to x1 z1^-1, so it reads row -3: filled in place.
+    out = presentation._step(acc, moves[code[mult]])
+    assert acc[-3] == (1, -3, -1)
+    assert out[1] == (1, 1, -3, -1) and out[-1] is None
+    assert out[3] is acc[3] and out[-3] is None
+    assert tuple(out[1:4]) == spelling_aut(sig, (conj, mult)).fwd[1:4]
+
+
+@st.composite
+def _junction(draw):
+    """Two reduced tuples; y opens with the inverse of a drawn tail of x,
+    so the junction cancels over several letters, or all of x or y."""
+    x = _reduce(draw(_letters(4, 6)))
+    k = draw(st.integers(0, len(x)))
+    y = _reduce(list(_inverse(x[len(x) - k :])) + draw(_letters(4, 4)))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_junction())
+@example(((1, 2, 3), (-3, -2, 4)))
+@example(((1, 2), (-2, -1)))
+@example(((), (1,)))
+def test_join_cancels_at_the_junction(case):
+    x, y = case
+    got = presentation._join(x, y)
+    assert type(got) is tuple
+    assert got == _free_reduce(x + y)
 
 
 def test_trivial_answers_in_input_order():
