@@ -163,14 +163,8 @@ def _aut(sig, spelling, fwd, bwd):
     return f
 
 
-@lru_cache(maxsize=64)
-def _identity_rows(sig):
-    """The signed rows of the identity of sig, shared by every table."""
-    return _signed([(c,) for c in sig.gens()])
-
-
 def identity(sig):
-    rows = _identity_rows(sig)
+    rows = _signed([(c,) for c in sig.gens()])
     return _aut(sig, (), rows, rows)
 
 
@@ -203,11 +197,10 @@ def _gen_images(sig, name):
     if kind in ("P", "I") and any(sig.klass(i) != "x" for i in moved):
         raise ValueError(f"{kind} indices must be x's for {sig}")
     _check_letters(sig, [d for row in moved.values() for d in row])
-    rows = list(_identity_rows(sig))
+    rows = [(c,) for c in sig.gens()]
     for c, row in moved.items():
-        rows[c] = row
-        rows[-c] = _inverted(row)
-    return tuple(rows)
+        rows[c - 1] = row
+    return _signed(rows)
 
 
 def gen_aut(sig, name):

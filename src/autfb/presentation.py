@@ -37,10 +37,11 @@ route.
 The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
-arbitrarily deep relation layers (lpres_expand).  _action_rows holds one
-S_Q letter's coded rows (_action_word), signed (automorphism._signed), once
-per process; _action_table gathers them, and acting by one letter on a
-coded word is one _substitute step.  Three checks read the table:
+arbitrarily deep relation layers (lpres_expand).  _action_table holds its
+coded rows (_action_word), once per (S_Q letter, S_K symbol); each letter's
+rows are kept signed (automorphism._signed: every row beside its inverse),
+and acting by one letter on a coded word is one _substitute step.  Three
+checks read the table:
 
     lpres_expand               memoises by suffix: the relators of t w'
                                are t's table substituted into those of w'
@@ -71,7 +72,6 @@ from typing import NamedTuple
 from .freegroup import _free_reduce
 from .automorphism import (
     _cached_gen_aut,
-    _identity_rows,
     _inverted,
     _signed,
     _substitute,
@@ -141,31 +141,17 @@ class _Moves(dict):
         return rows
 
 
-def _join(x, y):
-    """The reduced x y of two reduced tuples: only the junction cancels."""
-    if not (x and y and x[-1] == -y[0]):
-        return x + y
-    k = 1
-    m = min(len(x), len(y))
-    while k < m and x[-1 - k] == -y[k]:
-        k += 1
-    return x[: len(x) - k] + y[k:]
-
-
 def _step(acc, moved):
     """The signed table (_signed) of w s from acc, the one of w: each row s
-    moves (at most 3 letters) joins acc's rows of its letters; no other row
-    changes.  A moved row's inverse is left None, and is filled in place
+    moves is acc substituted into s's image of it; no other row changes.
+    A moved row's inverse is left None, and is filled in acc, in place,
     only when a later step reads it."""
     out = list(acc)
     for c, row in moved:
-        img = None
         for d in row:
-            r = acc[d]
-            if r is None:
-                r = acc[d] = _inverted(acc[-d])
-            img = r if img is None else _join(img, r)
-        out[c] = img
+            if acc[d] is None:
+                acc[d] = _inverted(acc[-d])
+        out[c] = _substitute(acc, row)
         out[-c] = None
     return out
 
@@ -184,8 +170,8 @@ def _trivial(sig, words):
     """
     moves = _Moves(sig)
     ends = {}
+    stack = [list(_signed([(c,) for c in sig.gens()]))]
     n = sig.ngens
-    stack = [list(_identity_rows(sig))]
     prev = ()
     out = [True] * len(words)
     for i in sorted(range(len(words)), key=words.__getitem__):
@@ -1133,20 +1119,21 @@ def action_extend(sig, w, u):
     return u
 
 
-@lru_cache(maxsize=1024)  # the benchmark's verify grid reads 232 (signature, letter) pairs
-def _action_rows(sig, t):
-    """The action of the S_Q letter t (a code) on S_K codes (_alphabet), as
-    signed rows (_signed): row c is _action_word(sig, t, s_c), freely
-    reduced, and row -c its inverse, so acting by t on a coded word u is
-    _substitute(rows, u): the action is a homomorphism in u.  Built once
-    per process and shared by every caller; never mutate it."""
-    alpha = _alphabet(sig)
-    return _signed([_free_reduce(_action_word(sig, alpha.letter[t], s)) for s in alpha.s_k])
-
-
 def _action_table(sig, letters):
-    """{t: _action_rows(sig, t)}: the rows of the given S_Q letters only."""
-    return {t: _action_rows(sig, t) for t in letters}
+    """The action of the given S_Q letters (codes) on S_K codes (_alphabet).
+
+    table[t] is the signed rows (_signed) of t: table[t][c] is
+    _action_word(sig, t, s_c), freely reduced, and table[t][-c] its
+    inverse, so each row is built once per (letter, symbol) pair and
+    inverted once, and acting by t on a coded word u is
+    _substitute(table[t], u): the action is a homomorphism in u.  The
+    expansion's relators are such S_K codes.
+    """
+    alpha = _alphabet(sig)
+    return {
+        t: _signed([_free_reduce(_action_word(sig, alpha.letter[t], s)) for s in alpha.s_k])
+        for t in letters
+    }
 
 
 def _entries_hold(sig, table):

@@ -109,22 +109,6 @@ def test_verify_inverse_property_tabulates_the_action_once(monkeypatch):
     assert calls == {"_action_word": 42 * 22, "action_extend": 0}
 
 
-def test_the_action_commands_of_one_process_share_the_rows(monkeypatch):
-    calls = []
-    original = presentation._action_word
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(presentation, "_action_word", counted)
-    for family in ("action-table", "inverse-property", "table5"):
-        res = runner.invoke(main, ["verify", family, "--n", "2", "--k", "2", "--l", "2"])
-        assert res.exit_code == 0
-    # Each (S_Q letter, S_K symbol) row is built once, by the first command.
-    assert len(calls) == len(set(calls)) == 42 * 22
-
-
 def test_verify_rejects_unknown_family():
     res = runner.invoke(main, ["verify", "qx"])
     assert res.exit_code == 2

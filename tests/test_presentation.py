@@ -827,10 +827,7 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
         return _free_reduce(word + tuple(alpha.code[u] for u in extra))
 
     with mock.patch.object(presentation, "_action_word", wrong):
-        # The fixture clears the cached rows per test, not per example.
-        presentation._action_rows.cache_clear()
         relators, sound = lpres_expand_proved(sig, depth)
-    presentation._action_rows.cache_clear()
     relators = _decoded(sig, relators)
     entry = alpha.decode(wrong(sig, t, s))
     entry_holds = (
@@ -861,17 +858,6 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
     words = reduced_sq_words(sig, depth)
     assert calls["_action_word"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
     assert calls["_substitute"] == (len(words) - 1) * len(seeds)
-
-
-def test_the_action_row_cache_is_bounded():
-    """A fixed bound, far above the 232 (signature, letter) pairs that the
-    benchmark's verify grid reads, so a long-lived process cannot grow the
-    cache without limit while no run of the verify families evicts."""
-    verify_action_consistency(S222)
-    info = presentation._action_rows.cache_info()
-    assert info.currsize == 2 * len(s_q_symbols(S222))
-    assert info.maxsize is not None and info.maxsize >= 4 * 232
-    assert info.currsize <= info.maxsize
 
 
 def test_expansion_rejects_negative_depth():

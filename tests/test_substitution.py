@@ -6,7 +6,7 @@ reducing the result; presentation._step, folded over a word's letters, is
 checked against the image table that spelling_aut builds by composition,
 and presentation._trivial against comparing that automorphism with the
 identity, also on words whose later steps read the inverse rows that
-_step fills only on demand; presentation._join against _free_reduce.
+_step fills only on demand.
 """
 
 from hypothesis import example, given, settings
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import autfb.presentation as presentation
 from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut
 from autfb.automorphism import _signed, _substitute
-from autfb.freegroup import _free_reduce
 
 S222 = Signature(2, 2, 2)
 
@@ -190,28 +189,6 @@ def test_step_inverts_a_moved_row_only_when_it_is_read():
     assert out[1] == (1, 1, -3, -1) and out[-1] is None
     assert out[3] is acc[3] and out[-3] is None
     assert tuple(out[1:4]) == spelling_aut(sig, (conj, mult)).fwd[1:4]
-
-
-@st.composite
-def _junction(draw):
-    """Two reduced tuples; y opens with the inverse of a drawn tail of x,
-    so the junction cancels over several letters, or all of x or y."""
-    x = _reduce(draw(_letters(4, 6)))
-    k = draw(st.integers(0, len(x)))
-    y = _reduce(list(_inverse(x[len(x) - k :])) + draw(_letters(4, 4)))
-    return x, y
-
-
-@settings(max_examples=200, deadline=None)
-@given(_junction())
-@example(((1, 2, 3), (-3, -2, 4)))
-@example(((1, 2), (-2, -1)))
-@example(((), (1,)))
-def test_join_cancels_at_the_junction(case):
-    x, y = case
-    got = presentation._join(x, y)
-    assert type(got) is tuple
-    assert got == _free_reduce(x + y)
 
 
 def test_trivial_answers_in_input_order():
