@@ -24,12 +24,14 @@ images.
 _cached_gen_aut is the one source of a named generator's automorphism:
 spelling_aut, presentation's _trivial and _Moves, the rank rows and the
 cocycle witnesses all read it, and it keeps the 4,096 most recently used
-(signature, name).
+(signature, name).  parse_name keeps the same number of parsed tokens,
+keyed by (signature, token); a token that raises is not kept.
 
 _substitute over signed rows (_signed: each row beside its inverse) is
 the one substitution kernel, for compose, apply, from_images and every
 table of presentation.  Words appear only at the edges: the constructor,
-the images, inv_images and image views, apply and from_images.
+the images, inv_images and image views, apply and from_images; the
+membership tests read the rows.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import re
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .freegroup import Word, _check_letters, cyclic_reduce, delete_y
+from .freegroup import Word, _check_letters, _y_free
 
 
 class NotInAutFBError(ValueError):
@@ -357,11 +359,15 @@ def spelling_aut(sig, spelling):
 
 def is_in_autfb(f):
     """Does f fix the conjugacy class of every y and z generator?"""
-    sig = f.sig
-    for c in sig.yz_gens():
-        # A word is conjugate to the letter c exactly when its cyclic
-        # core is (c,); no rotation scan is needed.
-        if cyclic_reduce(f.image(c))[0].letters != (c,):
+    for c in f.sig.yz_gens():
+        # A reduced row is conjugate to the letter c exactly when its
+        # cyclic core is (c,); no rotation scan is needed.
+        row = f.fwd[c]
+        lo, hi = 0, len(row) - 1
+        while lo < hi and row[lo] == -row[hi]:
+            lo += 1
+            hi -= 1
+        if lo != hi or row[lo] != c:
             return False
     return True
 
@@ -383,8 +389,9 @@ def is_in_kernel(f):
     """
     if not is_in_autfb(f):
         raise NotInAutFBError("not a boundary-preserving automorphism")
-    for c in f.sig.xz_gens():
-        if delete_y(f.image(c)).letters != (c,):
+    sig = f.sig
+    for c in sig.xz_gens():
+        if _y_free(sig, f.fwd[c]) != (c,):
             return False
     return True
 
@@ -400,9 +407,12 @@ _P_RE = re.compile(r"P\[([1-9][0-9]*),([1-9][0-9]*)\](\^-1)?")
 _I_RE = re.compile(r"I\[([1-9][0-9]*)\](\^-1)?")
 
 
+@lru_cache(maxsize=4096)  # the benchmark's cochain rounds read 10 distinct tokens
 def parse_name(sig, tok):
     """One spelling token; its letters are read by Signature.letter_code
-    and its P/I indices by Signature.gen_code, so both are range-checked."""
+    and its P/I indices by Signature.gen_code, so both are range-checked.
+    Parsed names are kept per (signature, token); a bad token is not kept,
+    so it raises on every call."""
     m = _M_RE.fullmatch(tok)
     if m:
         w = sig.letter_code(m.group(3))

@@ -13,16 +13,21 @@ sums collapse to finite ones over explicitly computed supports.
 Conventions recorded in PairingContext: the section sigma multiplies the
 conjugation generators in the fixed order x_1 ... x_n z_1 ... z_l, and
 each element's invariant I_b is computed once and cached on the context,
-keyed by the automorphism's image table.  Each of the context's two caches
-keeps at most _CACHE_ENTRIES entries, dropping the oldest first.  Every lattice translate is read
-off that one sum (see _i_b), so zeta_r and the pairing are finite
-correlations of invariants; the pairing's two witness sums are taken once
-per context.  Generators come from automorphism._cached_gen_aut.
+keyed by the automorphism's image table.  I_b is read from the signed row
+f.fwd[b] followed by b^-1 by _project, the one projection kernel, which
+ny_project and i_s share; no Word is built on the way.  Each of the
+context's two caches keeps at most _CACHE_ENTRIES entries, dropping the
+oldest first.  Every lattice translate is read off that one sum (see
+_i_b), so zeta_r and the pairing are finite correlations of invariants;
+the pairing's two witness sums are taken once per context.  Generators
+come from automorphism._cached_gen_aut.
 """
 
 from __future__ import annotations
 
-from .freegroup import Signature, Word, delete_y, gen_word, multiply
+import operator
+
+from .freegroup import Signature, Word
 from .automorphism import (
     ClaimFailedError,
     NamedAut,
@@ -71,9 +76,13 @@ class FormalSum:
         return frozenset(self.terms)
 
     def shifted(self, d):
-        return FormalSum(
-            {tuple(a + b for a, b in zip(v, d)): c for v, c in self.terms.items()}
-        )
+        d = tuple(d)
+        out = {}
+        for v, c in self.terms.items():
+            if len(v) != len(d):
+                raise ValueError(f"cannot shift the point {v} by {d}: lengths differ")
+            out[tuple(map(operator.add, v, d))] = c
+        return FormalSum(out)
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -124,6 +133,8 @@ class PairingContext:
         self.b = b
         self.order = tuple(sig.xz_gens())
         self._index = {g: i for i, g in enumerate(self.order)}
+        # Each signed non-y letter's lattice coordinate and step, for _project.
+        self._steps = {e * g: (i, e) for g, i in self._index.items() for e in (1, -1)}
         self.A = self.unit(a)
         self.B = self.unit(b)
         self._sigma_cache = {}
@@ -142,6 +153,13 @@ class PairingContext:
     def scale(self, r, v):
         return tuple(r * c for c in v)
 
+    def point(self, x):
+        """x as a lattice point; one of the wrong length is refused."""
+        x = tuple(x)
+        if len(x) != len(self.order):
+            raise ValueError(f"lattice point {x} needs {len(self.order)} coordinates")
+        return x
+
 
 def _require_sig(ctx, v):
     """Refuse a word or automorphism v of a signature other than ctx's."""
@@ -149,29 +167,49 @@ def _require_sig(ctx, v):
         raise ValueError(f"signature mismatch: {v.sig} vs {ctx.sig}")
 
 
-def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
-    """Project a word with trivial y-free part onto the y^v basis.
+def _project(ctx, letters):
+    """The one projection kernel, over a sequence of letter codes.
 
-    One scan: non-y letters advance the running lattice prefix, each
-    occurrence of the chosen y contributes its sign at the current
-    prefix, and the remaining y-generators contribute nothing.
+    One scan: non-y letters advance the running lattice prefix and are
+    freely reduced on a stack, each occurrence of the chosen y contributes
+    its sign at the current prefix, and the remaining y-generators
+    contribute nothing.  A sequence whose y-free part does not reduce to
+    the identity is refused.
     """
-    _require_sig(ctx, u)
-    sig = ctx.sig
-    if bool(delete_y(u)):
-        raise ValueError("word survives deleting the y-generators")
+    steps = ctx._steps
+    y = ctx.y
     prefix = [0] * len(ctx.order)
+    kept = []
     terms = {}
-    for g in u.letters:
-        base = abs(g)
-        e = 1 if g > 0 else -1
-        if sig.is_y(base):
-            if base == ctx.y:
+    for g in letters:
+        step = steps.get(g)
+        if step is None:
+            if g == y or g == -y:
                 v = tuple(prefix)
-                terms[v] = terms.get(v, 0) + e
+                terms[v] = terms.get(v, 0) + (1 if g > 0 else -1)
+            continue
+        if kept and kept[-1] == -g:
+            kept.pop()
         else:
-            prefix[ctx._index[base]] += e
+            kept.append(g)
+        i, e = step
+        prefix[i] += e
+    if kept:
+        raise ValueError("word survives deleting the y-generators")
     return FormalSum(terms)
+
+
+def _project_at(ctx, f, s):
+    """_project of f(s) s^-1, read from the row f.fwd[s]; s^-1 cancels
+    against the row's last letter or is appended."""
+    row = f.fwd[s]
+    return _project(ctx, row[:-1] if row[-1:] == (s,) else (*row, -s))
+
+
+def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
+    """Project a word with trivial y-free part onto the y^v basis."""
+    _require_sig(ctx, u)
+    return _project(ctx, u.letters)
 
 
 def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
@@ -180,7 +218,7 @@ def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
     _require_kernel(f)
     if s not in ctx._index:
         raise ValueError(f"{s} is not an x- or z-generator code")
-    return ny_project(ctx, multiply(f.image(s), gen_word(ctx.sig, -s)))
+    return _project_at(ctx, f, s)
 
 
 def jprime_y(ctx: PairingContext, f: NamedAut):
@@ -198,6 +236,7 @@ def sigma(ctx: PairingContext, x) -> NamedAut:
     x = tuple(x)
     cached = ctx._sigma_cache.get(x)
     if cached is None:
+        ctx.point(x)
         acc = identity(ctx.sig)
         for g, exp in zip(ctx.order, x):
             if exp:
@@ -228,16 +267,16 @@ def _i_b(ctx: PairingContext, f: NamedAut) -> FormalSum:
     key = f.key()
     cached = ctx._twist_cache.get(key)
     if cached is None:
-        cached = _remember(ctx._twist_cache, key, i_s(ctx, f, ctx.b))
+        _require_sig(ctx, f)
+        _require_kernel(f)
+        cached = _remember(ctx._twist_cache, key, _project_at(ctx, f, ctx.b))
     return cached
 
 
 def _corr(p: FormalSum, q: FormalSum, d) -> int:
     """The finite correlation: sum over v of p[v] * q[v - d]."""
     qt = q.terms
-    return sum(
-        c * qt.get(tuple(a - b for a, b in zip(v, d)), 0) for v, c in p.terms.items()
-    )
+    return sum(c * qt.get(tuple(map(operator.sub, v, d)), 0) for v, c in p.terms.items())
 
 
 def alpha(ctx: PairingContext, r: int, f: NamedAut) -> int:
@@ -250,7 +289,7 @@ def alpha_twisted(ctx: PairingContext, x, r: int, f: NamedAut) -> int:
     """The lattice translate of alpha: evaluate on the sigma(x) transport."""
     _require_l(ctx, f)
     rA = ctx.scale(r, ctx.A)
-    return _i_b(ctx, f).coeff(tuple(p - q for p, q in zip(rA, x)))
+    return _i_b(ctx, f).coeff(tuple(map(operator.sub, rA, ctx.point(x))))
 
 
 def support_of_twist(ctx: PairingContext, r: int, f: NamedAut):

@@ -269,10 +269,15 @@ def abelianize(u):
     return tuple(coords)
 
 
+def _y_free(sig, letters):
+    """The reduced tuple of letters with every y letter deleted."""
+    lo, hi = sig.n, sig.n + sig.k
+    return _free_reduce(c for c in letters if not lo < abs(c) <= hi)
+
+
 def delete_y(u):
     """Kill every y letter, then reduce; the boundary projection."""
-    sig = u.sig
-    return Word(sig, _free_reduce(c for c in u.letters if not sig.is_y(c)), _reduced=True)
+    return Word(u.sig, _y_free(u.sig, u.letters), _reduced=True)
 
 
 def parse_word(sig, text):

@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autfb.automorphism as automorphism
+import word_routes
 from autfb import (
     GenName,
     NamedAut,
@@ -390,6 +391,29 @@ def test_spelling_roundtrip():
         assert parse_name(SIG, format_name(SIG, name)) == name
 
 
+def test_parse_name_cache_keeps_no_errors():
+    s111, s210 = Signature(1, 1, 1), Signature(2, 1, 0)
+    for tok in ("M[x1,y1]", "x9", "M[x9^+1,y1]", "I[2]"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_name(s111, tok)
+    assert parse_name(s210, "M[x2^+1,y1]") == m_name(2, 1, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_name(s111, "M[x2^+1,y1]")
+    assert parse_name(s210, "M[x2^+1,y1]") == m_name(2, 1, 3)
+    assert parse_name.cache_info().maxsize == 4096
+
+
+def test_parse_name_round_trip_holds_cold_and_cached():
+    for sig in (SIG, Signature(1, 1, 1), Signature(3, 1, 2)):
+        for name in s_k_symbols(sig) + s_q_symbols(sig):
+            for name in (name, name.inv()):
+                tok = format_name(sig, name)
+                assert parse_name(sig, tok) == name
+                assert parse_name(sig, tok) == name
+
+
 def test_parse_aut_applies_leftmost_last():
     f = parse_aut(SIG, "P[1,2] M[x1^+1,y1]")
     assert apply(f, w("x1")) == w("y1 x2")
@@ -478,6 +502,34 @@ def test_is_in_autfb_agrees_with_the_rotation_scan(sp, move):
         for c in list(SIG.y_gens()) + list(SIG.z_gens())
     )
     assert is_in_autfb(f) == expected
+
+
+def membership_cases():
+    """Kernel members (S_K only), boundary-preserving non-members (S_K and
+    S_Q) and elements outside Aut(F, boundary), each after a letter move."""
+    pools = (s_k_symbols(SIG), NAME_POOL, NAME_POOL + list(NON_MEMBERS) * 8)
+    return st.sampled_from(pools).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))), max_size=6
+        ).map(lambda ps: tuple(n._replace(power=p) for n, p in ps))
+    )
+
+
+@settings(max_examples=150)
+@given(membership_cases(), st.sampled_from((identity(SIG),) * 3 + LETTER_MOVES))
+@example((), identity(SIG))
+@example((s_q_symbols(SIG)[0],), identity(SIG))
+@example((), LETTER_MOVES[0])
+def test_membership_rows_match_the_word_route(sp, move):
+    f = compose(spelling_aut(SIG, sp), move)
+    assert is_in_autfb(f) == word_routes.is_in_autfb(f)
+    if word_routes.is_in_autfb(f):
+        assert is_in_kernel(f) == word_routes.is_in_kernel(f)
+    else:
+        with pytest.raises(NotInAutFBError):
+            is_in_kernel(f)
+        with pytest.raises(NotInAutFBError):
+            word_routes.is_in_kernel(f)
 
 
 def test_is_in_autfb_needs_the_letter_itself_as_cyclic_core():

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import autfb.cocycle as cocycle
+import word_routes
 from autfb import (
     ClaimFailedError,
     FormalSum,
@@ -25,6 +28,7 @@ from autfb import (
     is_in_l,
     jprime_y,
     kappa_eval,
+    m_name,
     mu_witnesses,
     mul_gen,
     multiply,
@@ -32,7 +36,9 @@ from autfb import (
     pairing,
     power,
     s_k_symbols,
+    s_q_symbols,
     sigma,
+    spelling_aut,
     support_of_twist,
     independence_witness,
     parse_word,
@@ -277,6 +283,91 @@ def test_twist_support_is_the_reflected_invariant_support(ctx111):
     }
     assert got == frozenset(expect)
     assert support_of_twist(ctx111, 1, identity(S111)) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# I_b from the signed row against the Word route
+
+
+CTX111 = PairingContext(S111, y=2, a=1, b=3)
+CTX221 = PairingContext(S221, y=3, a=1, b=2)
+
+
+def _kernel_elements(ctx):
+    """A product of S_K generators, raised to a power and moved by a
+    section: the power and the section lengthen the b-row."""
+    names = st.lists(
+        st.tuples(st.sampled_from(s_k_symbols(ctx.sig)), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=6,
+    ).map(lambda ps: tuple(n._replace(power=p) for n, p in ps))
+    points = st.tuples(*[st.integers(-2, 2)] * len(ctx.order))
+
+    def build(args):
+        sp, m, x = args
+        s = sigma(ctx, x)
+        return compose(compose(s, power(spelling_aut(ctx.sig, sp), m)), inverse(s))
+
+    return st.tuples(names, st.integers(-4, 4), points).map(build)
+
+
+@pytest.mark.parametrize("ctx", [CTX111, CTX221], ids=["S111", "S221"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_i_b_matches_the_word_route(ctx, data):
+    f = data.draw(_kernel_elements(ctx))
+    assert cocycle._i_b(ctx, f) == word_routes.i_b(ctx, f)
+    assert i_s(ctx, f, ctx.b) == word_routes.i_b(ctx, f)
+    for s in ctx.order:
+        u = multiply(f.image(s), gen_word(ctx.sig, -s))
+        assert ny_project(ctx, u) == word_routes.ny_project(ctx, u)
+
+
+def test_i_b_matches_the_word_route_on_long_b_rows():
+    for ctx in (CTX111, CTX221):
+        f_3, g = mu_witnesses(ctx, 3)
+        f = compose(sigma(ctx, ctx.B), power(compose(f_3, g), 9))
+        f = compose(f, inverse(sigma(ctx, ctx.B)))
+        assert len(f.fwd[ctx.b]) > 50
+        assert cocycle._i_b(ctx, f) == word_routes.i_b(ctx, f)
+
+
+def _non_kernel_moves(sig):
+    """S_Q generators stay in Aut(F, boundary) but leave the kernel; the
+    M moves of a y letter leave Aut(F, boundary) itself."""
+    y, x = sig.n + 1, 1
+    return list(s_q_symbols(sig)) + [m_name(y, 1, x), m_name(y, -1, x)]
+
+
+@pytest.mark.parametrize("ctx", [CTX111, CTX221], ids=["S111", "S221"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_non_kernel_elements_are_refused_on_both_routes(ctx, data):
+    f = data.draw(_kernel_elements(ctx))
+    move = gen_aut(ctx.sig, data.draw(st.sampled_from(_non_kernel_moves(ctx.sig))))
+    bad = compose(f, move)
+    fresh = PairingContext(ctx.sig, y=ctx.y, a=ctx.a, b=ctx.b)
+    with pytest.raises(ValueError):
+        cocycle._i_b(fresh, bad)
+    with pytest.raises(ValueError):
+        word_routes.i_b(fresh, bad)
+    assert not fresh._twist_cache
+
+
+def test_points_of_the_wrong_length_are_refused():
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    f = mu_witnesses(ctx, 1)[0]
+    for x in ((1, 0, 5), (1,)):
+        with pytest.raises(ValueError, match="coordinates"):
+            sigma(ctx, x)
+        with pytest.raises(ValueError, match="coordinates"):
+            alpha_twisted(ctx, x, 1, f)
+    for d in ((1,), (0, 0, 1)):
+        with pytest.raises(ValueError, match="lengths differ"):
+            cocycle._i_b(ctx, f).shifted(d)
+    assert sigma(ctx, (1, 0)) == con_gen(S111, 2, 1)
+    assert alpha_twisted(ctx, (0, 0), 1, f) == 1
+    assert FormalSum().shifted((1,)) == FormalSum()
 
 
 # ---------------------------------------------------------------------------
