@@ -24,8 +24,8 @@ images.
 _cached_gen_aut is the one source of a named generator's automorphism:
 spelling_aut, presentation's _trivial and _Moves, the rank rows and the
 cocycle witnesses all read it, and it keeps the 4,096 most recently used
-(signature, name).  parse_name keeps the same number of parsed tokens,
-keyed by (signature, token); a token that raises is not kept.
+(signature, name).  parse_spelling parses each distinct token of one
+spelling once, and keeps nothing between calls.
 
 _substitute over signed rows (_signed: each row beside its inverse) is
 the one substitution kernel, for compose, apply, from_images and every
@@ -82,12 +82,13 @@ class GenName(NamedTuple):
 
 
 def _name(kind, v, e, w, power, *indices):
-    """The checks every constructor shares: power +-1, positive indices."""
+    """The checks every constructor shares: power +-1, positive indices.
+    The tuple is built directly, as in base and inv."""
     if power not in (1, -1):
         raise ValueError("power must be +-1")
     if min(indices) <= 0:
         raise ValueError("generator codes must be positive")
-    return GenName(kind, v, e, w, power)
+    return tuple.__new__(GenName, (kind, v, e, w, power))
 
 
 def m_name(v, e, w, power=1):
@@ -407,12 +408,9 @@ _P_RE = re.compile(r"P\[([1-9][0-9]*),([1-9][0-9]*)\](\^-1)?")
 _I_RE = re.compile(r"I\[([1-9][0-9]*)\](\^-1)?")
 
 
-@lru_cache(maxsize=4096)  # the benchmark's cochain rounds read 10 distinct tokens
 def parse_name(sig, tok):
     """One spelling token; its letters are read by Signature.letter_code
-    and its P/I indices by Signature.gen_code, so both are range-checked.
-    Parsed names are kept per (signature, token); a bad token is not kept,
-    so it raises on every call."""
+    and its P/I indices by Signature.gen_code, so both are range-checked."""
     m = _M_RE.fullmatch(tok)
     if m:
         w = sig.letter_code(m.group(3))
@@ -435,7 +433,10 @@ def parse_name(sig, tok):
 
 
 def parse_spelling(sig, text):
-    return tuple(parse_name(sig, tok) for tok in text.split())
+    """The names of a spelling's tokens; a repeated token is parsed once."""
+    toks = text.split()
+    names = {tok: parse_name(sig, tok) for tok in dict.fromkeys(toks)}
+    return tuple(names[tok] for tok in toks)
 
 
 def parse_aut(sig, text):

@@ -91,10 +91,7 @@ class FormalSum:
         return FormalSum(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, 0) - c
-        return FormalSum(out)
+        return FormalSum(_minus(self.terms, other.terms))
 
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms
@@ -110,6 +107,18 @@ class FormalSum:
             return "FormalSum(0)"
         parts = [f"{c}*y^{v}" for v, c in sorted(self.terms.items())]
         return "FormalSum(" + " + ".join(parts) + ")"
+
+
+def _minus(p, q):
+    """The terms of p - q, for term maps that hold no zero coefficient."""
+    out = dict(p)
+    for v, c in q.items():
+        c = out.get(v, 0) - c
+        if c:
+            out[v] = c
+        else:
+            del out[v]
+    return out
 
 
 class PairingContext:
@@ -273,10 +282,9 @@ def _i_b(ctx: PairingContext, f: NamedAut) -> FormalSum:
     return cached
 
 
-def _corr(p: FormalSum, q: FormalSum, d) -> int:
-    """The finite correlation: sum over v of p[v] * q[v - d]."""
-    qt = q.terms
-    return sum(c * qt.get(tuple(map(operator.sub, v, d)), 0) for v, c in p.terms.items())
+def _corr(p, q, d) -> int:
+    """The finite correlation of two term maps: sum over v of p[v] * q[v - d]."""
+    return sum(c * q.get(tuple(map(operator.sub, v, d)), 0) for v, c in p.items())
 
 
 def alpha(ctx: PairingContext, r: int, f: NamedAut) -> int:
@@ -302,18 +310,19 @@ def support_of_twist(ctx: PairingContext, r: int, f: NamedAut):
 
 
 def _differences(ctx, g0, g1, g2):
-    """I_b(d1) - I_b(d0) and I_b(d2) - I_b(d1) for the drops d_i into L.
+    """The terms of I_b(d1) - I_b(d0) and I_b(d2) - I_b(d1) for the drops
+    d_i into L.
 
     The drop composes g with hat(g)^-1, which fixes b, so I_b(d) = I_b(g).
     """
-    i0, i1, i2 = (_i_b(ctx, g) for g in (g0, g1, g2))
-    return i1 - i0, i2 - i1
+    i0, i1, i2 = (_i_b(ctx, g).terms for g in (g0, g1, g2))
+    return _minus(i1, i0), _minus(i2, i1)
 
 
 def kappa_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
     """Difference-product cochain, arguments dropped into L by hats."""
     p, q = _differences(ctx, g0, g1, g2)
-    return p.coeff(ctx.scale(r, ctx.A)) * q.coeff(ctx.zero)
+    return p.get(ctx.scale(r, ctx.A), 0) * q.get(ctx.zero, 0)
 
 
 def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
@@ -357,7 +366,7 @@ def pairing(ctx: PairingContext, r: int, m: int) -> int:
         f_0, g = mu_witnesses(ctx, 0)
         for f in (f_0, g):
             _require_l(ctx, f)
-        ctx._witness_sums = (_i_b(ctx, f_0), _i_b(ctx, g))
+        ctx._witness_sums = (_i_b(ctx, f_0).terms, _i_b(ctx, g).terms)
     p, q = ctx._witness_sums
     return _corr(p, q, ctx.scale(r - m, ctx.A)) - _corr(q, p, ctx.scale(r + m, ctx.A))
 

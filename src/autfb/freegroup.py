@@ -118,8 +118,9 @@ class Signature(namedtuple("Signature", "n k l")):
         m = _LETTER_RE.fullmatch(text)
         if not m:
             raise ValueError(f"expected a generator like x1 or z2, got {text!r}")
-        code = self.gen_code(m.group(1), int(m.group(2)))
-        return -code if m.group(3) == "^-1" else code
+        klass, index, exp = m.groups()
+        code = self.gen_code(klass, int(index))
+        return -code if exp == "^-1" else code
 
 
 class Word:
@@ -271,8 +272,7 @@ def abelianize(u):
 
 def _y_free(sig, letters):
     """The reduced tuple of letters with every y letter deleted."""
-    lo, hi = sig.n, sig.n + sig.k
-    return _free_reduce(c for c in letters if not lo < abs(c) <= hi)
+    return _free_reduce(c for c in letters if not sig.is_y(c))
 
 
 def delete_y(u):

@@ -2,17 +2,17 @@
 references the signed-row versions in the package are checked against.
 
 Each one reads an automorphism through its Word views (image) and the
-word functions of freegroup (cyclic_reduce, delete_y, multiply), as the
-package did before it read the rows directly.  The membership and
-cochain tests read these helpers; the package does not.
+word functions of freegroup (is_conjugate, delete_y, multiply), not
+through the signed rows.  The membership and cochain tests read these
+helpers; the package does not.
 """
 
-from autfb import FormalSum, NotInAutFBError, cyclic_reduce, delete_y, gen_word, multiply
+from autfb import FormalSum, NotInAutFBError, delete_y, gen_word, is_conjugate, multiply
 
 
 def is_in_autfb(f):
-    """Every y and z letter's image has that letter as its cyclic core."""
-    return all(cyclic_reduce(f.image(c))[0].letters == (c,) for c in f.sig.yz_gens())
+    """Every y and z letter's image is conjugate to it, by a rotation scan."""
+    return all(is_conjugate(f.image(c), gen_word(f.sig, c)) for c in f.sig.yz_gens())
 
 
 def is_in_kernel(f):
