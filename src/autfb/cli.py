@@ -260,7 +260,7 @@ def expand(n, k, l, fmt, depth):
     words, sound = pr.lpres_expand_proved(sig, depth)
     text = pr._alphabet(sig).text
     for i in range(0, len(words), 256):  # an echo per line costs ~6 us
-        click.echo("\n".join(" ".join(text[c] for c in w) for w in words[i : i + 256]))
+        click.echo("\n".join(" ".join(map(text.__getitem__, w)) for w in words[i : i + 256]))
     status = "PASS" if sound else "FAIL"
     click.echo(f"# relations\t{len(words)}\tall-identity\t{status}")
     sys.exit(0 if sound else 1)

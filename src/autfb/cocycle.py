@@ -70,7 +70,16 @@ class FormalSum:
         return cls({tuple(v): c})
 
     def coeff(self, v):
-        return self.terms.get(tuple(v), 0)
+        """The coefficient of y^v.  A point whose length differs from that
+        of the terms' points raises ValueError; an empty sum has no rank,
+        so it reads 0 at every point."""
+        v = tuple(v)
+        c = self.terms.get(v)
+        if c is not None:
+            return c
+        if self.terms and len(v) != len(next(iter(self.terms))):
+            raise ValueError(f"cannot read the point {v} in a sum over points of another length")
+        return 0
 
     def support(self):
         return frozenset(self.terms)

@@ -1128,12 +1128,23 @@ def _action_table(sig, letters):
     inverted once, and acting by t on a coded word u is
     _substitute(table[t], u): the action is a homomorphism in u.  The
     expansion's relators are such S_K codes.
+
+    Most rows are (c,): every letter starts from one shared identity
+    table, and only the rows it moves are reduced and inverted.
     """
     alpha = _alphabet(sig)
-    return {
-        t: _signed([_free_reduce(_action_word(sig, alpha.letter[t], s)) for s in alpha.s_k])
-        for t in letters
-    }
+    m = len(alpha.s_k)
+    same = _signed([(c,) for c in range(1, m + 1)])
+    table = {}
+    for t in letters:
+        sub = list(same)
+        for c, s in enumerate(alpha.s_k, 1):
+            row = _action_word(sig, alpha.letter[t], s)
+            if row != (c,):
+                sub[c] = row = _free_reduce(row)
+                sub[-c] = _inverted(row)
+        table[t] = tuple(sub)
+    return table
 
 
 def _entries_hold(sig, table):
@@ -1407,6 +1418,10 @@ def _lpres_expand(sig, depth):
     relator made by a substitution holds the table's own ints, and table is
     the signed action table of every S_Q letter ({} when there are no
     seeds).
+
+    Two exact reuses cut the substitutions: a relator made only of letters
+    whose rows t fixes is its own image, and the words of one first letter
+    and length substitute each distinct relator once.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1418,21 +1433,45 @@ def _lpres_expand(sig, depth):
     if not seeds:  # S_K may then be empty
         return [], seeds, {}
     table = _action_table(sig, _sq_codes(sig))
+    m = len(_alphabet(sig).s_k)
+    # the signed codes whose row t fixes: t fixes a relator made of them
+    fixed = {t: {c for c in range(-m, m + 1) if sub[c] == (c,)} for t, sub in table.items()}
     stored = {}
     seen = set()
     out = []
+    group = None
     for w in _sq_words(sig, depth):
-        if w:
-            sub = table[w[0]]
-            rels = [_substitute(sub, r) for r in stored[w[1:]]]
+        if len(w) < 2:
+            if w:
+                sub, fix = table[w[0]], fixed[w[0]]
+                rels = [r if fix.issuperset(r) else _substitute(sub, r) for r in seeds]
+            else:
+                rels = seeds
+            for r in rels:
+                if r not in seen:
+                    seen.add(r)
+                    out.append(r)
         else:
-            rels = seeds
+            # t's image of r depends on (t, r) alone; _sq_words lists each
+            # length grouped by first letter, so one memo serves a group
+            if group != (w[0], len(w)):
+                group = (w[0], len(w))
+                sub, fix, memo = table[w[0]], fixed[w[0]], {}
+            rels = []
+            for r in stored[w[1:]]:
+                # a fixed r, and an image seen on its miss, are in seen
+                if fix.issuperset(r):
+                    rels.append(r)
+                    continue
+                img = memo.get(r)
+                if img is None:
+                    img = memo[r] = _substitute(sub, r)
+                    if img not in seen:
+                        seen.add(img)
+                        out.append(img)
+                rels.append(img)
         if len(w) < depth:
             stored[w] = rels
-        for r in rels:
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
     return out, seeds, table
 
 

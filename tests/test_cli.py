@@ -412,6 +412,27 @@ def test_expand_output_matches_the_recorded_digest(args):
     assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == want
 
 
+@pytest.mark.parametrize(
+    "sig,depth,want",
+    [
+        ((1, 1, 1), 4, "f043bb18b8c8467eeeb3b46ef111d8ac3ba5604384fc24a900a310666579ed98"),
+        ((2, 1, 0), 3, "6865ee3a0c27b4c8c8b5440d8eea33bb617c140fbe1f0e607aa0d919531c4204"),
+        ((0, 1, 2), 3, "56090dc6d3a7b8a60ea74b43b89435401208cc12aa8e313b043bf35dc97d1ab1"),
+        ((1, 2, 1), 2, "57345935a0295c43d5d505bcb27c0027eb0c54cc314f5416bae2dda622d9bed5"),
+    ],
+)
+def test_expand_output_where_words_share_relators(sig, depth, want):
+    """Depths at which many words of one first letter and length act on
+    the same relator, so the expansion reuses images: stdout sha256s
+    recorded at 2e38787, before any reuse."""
+    n, k, l = sig
+    res = runner.invoke(
+        main, ["expand", "--n", str(n), "--k", str(k), "--l", str(l), "--depth", str(depth)]
+    )
+    _assert_expand_verdict(res, "PASS")
+    assert hashlib.sha256(res.output.encode("utf-8")).hexdigest() == want
+
+
 @pytest.mark.parametrize("sig,depth", [((0, 2, 2), 1), ((2, 1, 0), 2), ((1, 2, 1), 2), ((3, 1, 1), 1)])
 def test_expand_lines_spell_the_library_relators(sig, depth):
     """The text path, at signatures the recorded digests do not cover:

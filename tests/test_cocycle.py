@@ -368,6 +368,13 @@ def test_points_of_the_wrong_length_are_refused():
     assert sigma(ctx, (1, 0)) == con_gen(S111, 2, 1)
     assert alpha_twisted(ctx, (0, 0), 1, f) == 1
     assert FormalSum().shifted((1,)) == FormalSum()
+    for v in ((1, 0, 0), (1,), ()):
+        with pytest.raises(ValueError, match="another length"):
+            FormalSum.point((1, 0)).coeff(v)
+    assert FormalSum.point((1, 0), 3).coeff([1, 0]) == 3
+    assert FormalSum.point((1, 0)).coeff((0, 1)) == 0
+    # an empty sum has no rank: every point reads 0
+    assert FormalSum().coeff((1, 0, 0)) == FormalSum().coeff(()) == 0
 
 
 # ---------------------------------------------------------------------------

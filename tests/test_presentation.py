@@ -49,6 +49,12 @@ from autfb.presentation import (
     in_s_q,
     reduced_sq_words,
 )
+from expansion_routes import (
+    dense_action_table,
+    expand_per_word,
+    relators_by_word,
+    seeds as reference_seeds,
+)
 from disjoint_support import (
     admissible,
     disjointness_conditions,
@@ -838,8 +844,12 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
         assert not sound
 
 
-@pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1)])
+@pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1), (Signature(2, 1, 0), 3)])
 def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
+    """_action_word runs once per (letter, symbol), and _substitute once per
+    distinct (first letter, length, relator) triple whose relator holds a
+    letter that the first letter moves: a fixed relator is its own image,
+    and a group of words with one first letter and length shares images."""
     calls = {"_action_word": 0, "_substitute": 0}
 
     def counted(name):
@@ -851,13 +861,49 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
 
         monkeypatch.setattr(presentation, name, wrapper)
 
+    table = dense_action_table(sig, presentation._sq_codes(sig))
+    rels = dict(relators_by_word(sig, depth))
     counted("_action_word")
     counted("_substitute")
     lpres_expand(sig, depth)
-    seeds = enumerate_relations("rk", sig)
-    words = reduced_sq_words(sig, depth)
+    triples = {
+        (w[0], len(w), r)
+        for w in rels
+        if w
+        for r in rels[w[1:]]
+        if any(table[w[0]][c] != (c,) for c in r)
+    }
     assert calls["_action_word"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
-    assert calls["_substitute"] == (len(words) - 1) * len(seeds)
+    assert calls["_substitute"] == len(triples)
+    # the work the per-word reference does, and the shortcuts remove
+    assert len(triples) < (len(rels) - 1) * len(rels[()])
+
+
+@pytest.mark.parametrize(
+    "sig,depth",
+    [(S111, 4), (Signature(2, 1, 0), 3), (Signature(0, 1, 2), 3), (Signature(1, 2, 1), 2), (S222, 2)],
+)
+def test_expansion_matches_the_per_word_reference(sig, depth):
+    """The relators, their order and the seeds equal those of the per-word
+    loop that substitutes every relator of every word."""
+    relators, seeds, table = presentation._lpres_expand(sig, depth)
+    assert relators == expand_per_word(sig, depth)
+    assert seeds == reference_seeds(sig)
+    assert table == dense_action_table(sig, presentation._sq_codes(sig))
+
+
+def test_action_tables_match_the_dense_build():
+    """At every signature up to (3,3,3), for every S_Q letter and for the
+    letters verify_table5 asks for, each table equals the one that reduces
+    and inverts every row."""
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if not n + k + l:
+            continue
+        sig = Signature(n, k, l)
+        full = presentation._sq_codes(sig)
+        table5 = list(dict.fromkeys(t for row in presentation._table5_rows(sig) for t in row[2:4]))
+        for letters in (full, table5):
+            assert presentation._action_table(sig, letters) == dense_action_table(sig, letters)
 
 
 def test_expansion_rejects_negative_depth():
