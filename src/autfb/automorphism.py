@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 from .freegroup import Word, _check_letters, _y_free
@@ -122,15 +122,17 @@ class NamedAut:
     fwd and bwd are the signed rows (_signed) of f and f^-1: fwd[c] is the
     letter tuple of f(c), fwd[-c] its inverse.  The constructor takes
     Words; images, inv_images and image are Word views of the rows.
+    The key is built on its first read and kept in _key.
     """
 
-    __slots__ = ("sig", "spelling", "fwd", "bwd")
+    __slots__ = ("sig", "spelling", "fwd", "bwd", "_key")
 
     def __init__(self, sig, spelling, images, inv_images):
         self.sig = sig
         self.spelling = tuple(spelling)
         self.fwd = _signed([w.letters for w in images])
         self.bwd = _signed([w.letters for w in inv_images])
+        self._key = None
 
     images = property(lambda self: _views(self.sig, self.fwd))
     inv_images = property(lambda self: _views(self.sig, self.bwd))
@@ -142,8 +144,11 @@ class NamedAut:
         return Word(self.sig, self.fwd[code], _reduced=True)
 
     def key(self):
-        """Hashable identity: the image table."""
-        return (self.sig, self.fwd[1 : self.sig.ngens + 1])
+        """Hashable identity: the image table, one tuple per automorphism."""
+        key = self._key
+        if key is None:
+            key = self._key = (self.sig, self.fwd[1 : self.sig.ngens + 1])
+        return key
 
     def __eq__(self, other):
         return isinstance(other, NamedAut) and self.key() == other.key()
@@ -162,7 +167,7 @@ def _views(sig, rows):
 def _aut(sig, spelling, fwd, bwd):
     """A NamedAut from signed row tuples, taken as they are."""
     f = object.__new__(NamedAut)
-    f.sig, f.spelling, f.fwd, f.bwd = sig, spelling, fwd, bwd
+    f.sig, f.spelling, f.fwd, f.bwd, f._key = sig, spelling, fwd, bwd, None
     return f
 
 
@@ -353,9 +358,16 @@ def _cached_gen_aut(sig, name):
 
 def spelling_aut(sig, spelling):
     """Evaluate a spelling (leftmost name applied last), folding from its
-    first generator; the empty spelling is the identity."""
-    auts = [_cached_gen_aut(sig, name) for name in spelling]
-    return reduce(compose, auts) if auts else identity(sig)
+    first generator as compose does, over the rows alone; one NamedAut is
+    built at the end.  The empty spelling is the identity."""
+    spelling = tuple(spelling)
+    if not spelling:
+        return identity(sig)
+    first, *rest = (_cached_gen_aut(sig, name) for name in spelling)
+    fwd, bwd = first.fwd, first.bwd
+    for g in rest:
+        fwd, bwd = _after(fwd, g.fwd), _after(g.bwd, bwd)
+    return _aut(sig, spelling, fwd, bwd)
 
 
 def is_in_autfb(f):

@@ -13,14 +13,17 @@ sums collapse to finite ones over explicitly computed supports.
 Conventions recorded in PairingContext: the section sigma multiplies the
 conjugation generators in the fixed order x_1 ... x_n z_1 ... z_l, and
 each element's invariant I_b is computed once and cached on the context,
-keyed by the automorphism's image table.  I_b is read from the signed row
-f.fwd[b] followed by b^-1 by _project, the one projection kernel, which
-ny_project and i_s share; no Word is built on the way.  Each of the
-context's two caches keeps at most _CACHE_ENTRIES entries, dropping the
-oldest first.  Every lattice translate is read off that one sum (see
-_i_b), so zeta_r and the pairing are finite correlations of invariants;
-the pairing's two witness sums are taken once per context.  Generators
-come from automorphism._cached_gen_aut.
+keyed by the automorphism's key (NamedAut.key, its image table, built
+once per automorphism), so two equal tables share one entry.  I_b is
+read from the signed row f.fwd[b] followed by b^-1 by _project, the one
+projection kernel, which ny_project and i_s share; no Word is built on
+the way.  The context also keeps the sections sigma(x) and the points rA
+(PairingContext.r_a) that alpha, kappa_eval, zeta_eval and pairing read.
+Each of these three caches keeps at most _CACHE_ENTRIES entries,
+dropping the oldest first.  Every lattice translate is read off that one
+sum (see _i_b), so zeta_r and the pairing are finite correlations of
+invariants; the pairing's two witness sums are taken once per context.
+Generators come from automorphism._cached_gen_aut.
 """
 
 from __future__ import annotations
@@ -94,12 +97,14 @@ class FormalSum:
         return FormalSum(out)
 
     def __add__(self, other):
+        _same_rank(self.terms, other.terms)
         out = dict(self.terms)
         for v, c in other.terms.items():
             out[v] = out.get(v, 0) + c
         return FormalSum(out)
 
     def __sub__(self, other):
+        _same_rank(self.terms, other.terms)
         return FormalSum(_minus(self.terms, other.terms))
 
     def __eq__(self, other):
@@ -116,6 +121,12 @@ class FormalSum:
             return "FormalSum(0)"
         parts = [f"{c}*y^{v}" for v, c in sorted(self.terms.items())]
         return "FormalSum(" + " + ".join(parts) + ")"
+
+
+def _same_rank(p, q):
+    """Refuse two non-empty term maps whose points differ in length."""
+    if p and q and len(next(iter(p))) != len(next(iter(q))):
+        raise ValueError("cannot combine sums over points of different lengths")
 
 
 def _minus(p, q):
@@ -157,6 +168,7 @@ class PairingContext:
         self.B = self.unit(b)
         self._sigma_cache = {}
         self._twist_cache = {}
+        self._points = {}
         self._witness_sums = None
 
     def unit(self, g, c=1):
@@ -170,6 +182,13 @@ class PairingContext:
 
     def scale(self, r, v):
         return tuple(r * c for c in v)
+
+    def r_a(self, r):
+        """The lattice point rA, kept in _points."""
+        v = self._points.get(r)
+        if v is None:
+            v = _remember(self._points, r, self.scale(r, self.A))
+        return v
 
     def point(self, x):
         """x as a lattice point; one of the wrong length is refused."""
@@ -293,26 +312,30 @@ def _i_b(ctx: PairingContext, f: NamedAut) -> FormalSum:
 
 def _corr(p, q, d) -> int:
     """The finite correlation of two term maps: sum over v of p[v] * q[v - d]."""
-    return sum(c * q.get(tuple(map(operator.sub, v, d)), 0) for v, c in p.items())
+    total = 0
+    for v, c in p.items():
+        e = q.get(tuple(map(operator.sub, v, d)))
+        if e:
+            total += c * e
+    return total
 
 
 def alpha(ctx: PairingContext, r: int, f: NamedAut) -> int:
     """Coefficient at the lattice point rA of the b-invariant."""
     _require_l(ctx, f)
-    return _i_b(ctx, f).coeff(ctx.scale(r, ctx.A))
+    return _i_b(ctx, f).coeff(ctx.r_a(r))
 
 
 def alpha_twisted(ctx: PairingContext, x, r: int, f: NamedAut) -> int:
     """The lattice translate of alpha: evaluate on the sigma(x) transport."""
     _require_l(ctx, f)
-    rA = ctx.scale(r, ctx.A)
-    return _i_b(ctx, f).coeff(tuple(map(operator.sub, rA, ctx.point(x))))
+    return _i_b(ctx, f).coeff(tuple(map(operator.sub, ctx.r_a(r), ctx.point(x))))
 
 
 def support_of_twist(ctx: PairingContext, r: int, f: NamedAut):
     """The finitely many x with a chance of a nonzero twisted value."""
     _require_l(ctx, f)
-    rA = ctx.scale(r, ctx.A)
+    rA = ctx.r_a(r)
     return frozenset(
         tuple(p - q for p, q in zip(rA, v)) for v in _i_b(ctx, f).support()
     )
@@ -331,7 +354,7 @@ def _differences(ctx, g0, g1, g2):
 def kappa_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
     """Difference-product cochain, arguments dropped into L by hats."""
     p, q = _differences(ctx, g0, g1, g2)
-    return p.get(ctx.scale(r, ctx.A), 0) * q.get(ctx.zero, 0)
+    return p.get(ctx.r_a(r), 0) * q.get(ctx.zero, 0)
 
 
 def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
@@ -341,7 +364,7 @@ def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
     second at -x; summing over x is the correlation at offset rA.
     """
     p, q = _differences(ctx, g0, g1, g2)
-    return _corr(p, q, ctx.scale(r, ctx.A))
+    return _corr(p, q, ctx.r_a(r))
 
 
 def mu_witnesses(ctx: PairingContext, m: int):
@@ -377,7 +400,7 @@ def pairing(ctx: PairingContext, r: int, m: int) -> int:
             _require_l(ctx, f)
         ctx._witness_sums = (_i_b(ctx, f_0).terms, _i_b(ctx, g).terms)
     p, q = ctx._witness_sums
-    return _corr(p, q, ctx.scale(r - m, ctx.A)) - _corr(q, p, ctx.scale(r + m, ctx.A))
+    return _corr(p, q, ctx.r_a(r - m)) - _corr(q, p, ctx.r_a(r + m))
 
 
 def independence_witness(ctx: PairingContext, m: int, s: int, t: int):

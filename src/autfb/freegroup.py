@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 
 _LETTER_RE = re.compile(r"([xyz])([1-9][0-9]*)(\^-?1)?")
 
@@ -114,13 +115,33 @@ class Signature(namedtuple("Signature", "n k l")):
     def letter_code(self, text):
         """Inverse of letter_name, and the one letter grammar: reads 'x2',
         'z1^-1' and 'x1^1'; any other exponent, and an index with a leading
-        zero or a non-ASCII digit, is an error."""
-        m = _LETTER_RE.fullmatch(text)
-        if not m:
-            raise ValueError(f"expected a generator like x1 or z2, got {text!r}")
-        klass, index, exp = m.groups()
-        code = self.gen_code(klass, int(index))
-        return -code if exp == "^-1" else code
+        zero or a non-ASCII digit, is an error.  A valid text is looked up
+        in the signature's letter table; any other falls through to the
+        grammar (_parse_letter), which gives its error."""
+        code = _letter_table(self).get(text)
+        return _parse_letter(self, text) if code is None else code
+
+
+@lru_cache(maxsize=16)
+def _letter_table(sig):
+    """Every valid letter text of sig (name, name^1 and name^-1 for each
+    generator, from letter_name) with its code."""
+    table = {}
+    for c in sig.gens():
+        name = sig.letter_name(c)
+        table[name] = table[name + "^1"] = c
+        table[name + "^-1"] = -c
+    return table
+
+
+def _parse_letter(sig, text):
+    """letter_code by the grammar alone."""
+    m = _LETTER_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"expected a generator like x1 or z2, got {text!r}")
+    klass, index, exp = m.groups()
+    code = sig.gen_code(klass, int(index))
+    return -code if exp == "^-1" else code
 
 
 class Word:
@@ -272,7 +293,8 @@ def abelianize(u):
 
 def _y_free(sig, letters):
     """The reduced tuple of letters with every y letter deleted."""
-    return _free_reduce(c for c in letters if not sig.is_y(c))
+    lo, hi = sig.n, sig.n + sig.k
+    return _free_reduce(c for c in letters if not lo < abs(c) <= hi)
 
 
 def delete_y(u):

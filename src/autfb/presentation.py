@@ -1457,19 +1457,18 @@ def _lpres_expand(sig, depth):
             if group != (w[0], len(w)):
                 group = (w[0], len(w))
                 sub, fix, memo = table[w[0]], fixed[w[0]], {}
-            rels = []
+            # a word of length depth is not stored: only its new images count
+            rels = [] if len(w) < depth else None
             for r in stored[w[1:]]:
-                # a fixed r, and an image seen on its miss, are in seen
-                if fix.issuperset(r):
-                    rels.append(r)
-                    continue
                 img = memo.get(r)
                 if img is None:
-                    img = memo[r] = _substitute(sub, r)
+                    # a fixed r is its own image, and is in seen already
+                    img = memo[r] = r if fix.issuperset(r) else _substitute(sub, r)
                     if img not in seen:
                         seen.add(img)
                         out.append(img)
-                rels.append(img)
+                if rels is not None:
+                    rels.append(img)
         if len(w) < depth:
             stored[w] = rels
     return out, seeds, table

@@ -1,5 +1,6 @@
 """Lattice projections, the section, the averaged cochain, the pairing."""
 
+import operator
 import random
 
 import pytest
@@ -377,6 +378,20 @@ def test_points_of_the_wrong_length_are_refused():
     assert FormalSum().coeff((1, 0, 0)) == FormalSum().coeff(()) == 0
 
 
+def test_sums_over_points_of_different_lengths_are_not_combined():
+    p, q = FormalSum.point((1, 0)), FormalSum.point((1, 0, 0), 2)
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different lengths"):
+            combine(p, q)
+        with pytest.raises(ValueError, match="different lengths"):
+            combine(q, p)
+    # an empty sum has no rank: it combines with a sum over any length
+    assert p + FormalSum() == p - FormalSum() == p
+    assert FormalSum() + q == q
+    assert FormalSum() - q == FormalSum.point((1, 0, 0), -2)
+    assert p + p - FormalSum.point((0, 1)) == FormalSum({(1, 0): 2, (0, 1): -1})
+
+
 # ---------------------------------------------------------------------------
 # the cochain and its averaging
 
@@ -551,10 +566,23 @@ def test_twist_cache_holds_one_entry_per_element():
     assert len(ctx._twist_cache) <= 7
 
 
+def test_key_is_built_once_and_equal_tables_share_a_twist_entry():
+    move, c = m_name(1, 1, 2), c_name(1, 3)
+    f = spelling_aut(S111, [move])
+    g = spelling_aut(S111, [move, c, c.inv()])
+    key = f.key()
+    assert f.key() is key
+    assert key == (f.sig, f.fwd[1 : S111.ngens + 1])
+    assert g is not f and g.key() == key
+    ctx = PairingContext(S111, y=2, a=1, b=3)
+    assert cocycle._i_b(ctx, f) is cocycle._i_b(ctx, g)
+    assert list(ctx._twist_cache) == [key]
+
+
 def test_context_caches_stay_at_their_cap_and_values_hold(monkeypatch):
-    """With the cap patched to 3, both caches overflow and drop their
-    oldest entries; zeta_eval, pairing and sigma give the values of an
-    uncapped context."""
+    """With the cap patched to 3, the twist, section and point caches
+    overflow and drop their oldest entries; zeta_eval, pairing and sigma
+    give the values of an uncapped context."""
     rng = random.Random(23)
     triples = [[_random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(3)] for _ in range(6)]
     points = [(i, j) for i in range(-2, 3) for j in range(-1, 2)]
@@ -564,7 +592,7 @@ def test_context_caches_stay_at_their_cap_and_values_hold(monkeypatch):
         [pairing(ref, r, m) for r in range(1, 5) for m in range(1, 5)],
         [sigma(ref, x) for x in points],
     )
-    assert len(ref._twist_cache) > 3 and len(ref._sigma_cache) > 3
+    assert len(ref._twist_cache) > 3 and len(ref._sigma_cache) > 3 and len(ref._points) > 3
     monkeypatch.setattr(cocycle, "_CACHE_ENTRIES", 3)
     ctx = PairingContext(S111, y=2, a=1, b=3)
     got = ([], [], [])
@@ -575,6 +603,7 @@ def test_context_caches_stay_at_their_cap_and_values_hold(monkeypatch):
     for r in range(1, 5):
         for m in range(1, 5):
             got[1].append(pairing(ctx, r, m))
+            assert len(ctx._points) <= 3
     for x in points:
         got[2].append(sigma(ctx, x))
         assert len(ctx._sigma_cache) <= 3

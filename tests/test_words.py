@@ -181,6 +181,44 @@ def test_letter_code_reads_the_letter_grammar():
             SIG.letter_code(text)
 
 
+def _index_text(index, style):
+    """index written plainly, with one or two leading zeros, or in
+    Arabic-Indic digits."""
+    if style == "zero":
+        return "0" + str(index)
+    if style == "zeros":
+        return "00" + str(index)
+    if style == "arabic":
+        return "".join(chr(0x660 + int(d)) for d in str(index))
+    return str(index)
+
+
+def _code_or_error(read, sig, text):
+    try:
+        return read(sig, text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def letter_texts(draw):
+    """A signature and a text over x, y and z, indices 0 to ngens + 2."""
+    sig = Signature(*draw(st.tuples(*(st.integers(0, 3) for _ in range(3))).filter(any)))
+    index = draw(st.integers(0, sig.ngens + 2))
+    style = draw(st.sampled_from(["plain", "zero", "zeros", "arabic"]))
+    exp = draw(st.sampled_from(["", "^1", "^-1", "^+1", "^2", "^-2"]))
+    return sig, draw(st.sampled_from("xyz")) + _index_text(index, style) + exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(letter_texts())
+def test_letter_table_agrees_with_the_grammar(case):
+    """Every text gives the code, or the ValueError, of the grammar alone."""
+    sig, text = case
+    want = _code_or_error(autfb.freegroup._parse_letter, sig, text)
+    assert _code_or_error(Signature.letter_code, sig, text) == want
+
+
 def test_module_docstring_example_runs():
     result = doctest.testmod(autfb.freegroup)
     assert result.failed == 0
