@@ -20,10 +20,10 @@ No floating point anywhere; ranks come from fraction-free elimination.
 
 from __future__ import annotations
 
-from .freegroup import Signature, Word, cyclic_reduce, gen_word, multiply
+from .freegroup import Signature, Word, gen_word, multiply
 from .freegroup import abelianize as ab_vector
 from .automorphism import ClaimFailedError, NamedAut, is_in_kernel
-from .automorphism import _cached_gen_aut
+from .automorphism import _cached_gen_aut, _conjugated
 from .presentation import s_k_symbols
 
 
@@ -163,12 +163,13 @@ def _wedge_at(f, c):
 
 
 def _conjugator(f, c, block):
-    """Exponents over block of the word conjugating the letter c."""
-    core, conj = cyclic_reduce(f.image(c))
-    if core.letters != (c,):
+    """Exponents over block of the word u with f(c) = u c u^-1."""
+    row = f.fwd[c]
+    n = _conjugated(row, c)
+    if n is None:
         raise ClaimFailedError(f"image of letter {c} is not a conjugate of it")
-    v = ab_vector(conj)
-    return tuple(v[g - 1] for g in block)
+    u = row[:n]
+    return tuple(u.count(g) - u.count(-g) for g in block)
 
 
 def act_hom(f: NamedAut):
@@ -215,7 +216,10 @@ def johnson_y(f: NamedAut, c: int):
 
 def int_rank(rows):
     """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows if any(r)]
+    rows = [list(r) for r in rows]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("rows differ in length")
+    m = [r for r in rows if any(r)]
     if not m:
         return 0
     ncols = len(m[0])

@@ -370,17 +370,21 @@ def spelling_aut(sig, spelling):
     return _aut(sig, spelling, fwd, bwd)
 
 
+def _conjugated(row, c):
+    """len(u) when the reduced row is u c u^-1, else None: the row is a
+    conjugate of c exactly when its cyclic core is (c,), so no rotation
+    scan is needed."""
+    lo, hi = 0, len(row) - 1
+    while lo < hi and row[lo] == -row[hi]:
+        lo += 1
+        hi -= 1
+    return lo if lo == hi and row[lo] == c else None
+
+
 def is_in_autfb(f):
     """Does f fix the conjugacy class of every y and z generator?"""
     for c in f.sig.yz_gens():
-        # A reduced row is conjugate to the letter c exactly when its
-        # cyclic core is (c,); no rotation scan is needed.
-        row = f.fwd[c]
-        lo, hi = 0, len(row) - 1
-        while lo < hi and row[lo] == -row[hi]:
-            lo += 1
-            hi -= 1
-        if lo != hi or row[lo] != c:
+        if _conjugated(f.fwd[c], c) is None:
             return False
     return True
 

@@ -43,8 +43,9 @@ rows are kept signed (automorphism._signed: every row beside its inverse),
 and acting by one letter on a coded word is one _substitute step.  Three
 checks read the table:
 
-    lpres_expand               memoises by suffix: the relators of t w'
-                               are t's table substituted into those of w'
+    lpres_expand               walks the words layer by layer: the
+                               relators of t w' are t's table substituted
+                               into those of w', one memo per (t, length)
     verify_action_consistency  the "action" line evaluates the entries
                                (_entries_hold); the "inverse" line undoes
                                each by t^-1's table
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain, filterfalse
 from typing import NamedTuple
 
 from .freegroup import _free_reduce
@@ -1407,6 +1409,8 @@ def _sq_words(sig, depth):
 
 def reduced_sq_words(sig, depth):
     """All reduced words over S_Q of length <= depth, deterministic order."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     return list(map(_alphabet(sig).decode, _sq_words(sig, depth)))
 
 
@@ -1419,9 +1423,11 @@ def _lpres_expand(sig, depth):
     the signed action table of every S_Q letter ({} when there are no
     seeds).
 
-    Two exact reuses cut the substitutions: a relator made only of letters
-    whose rows t fixes is its own image, and the words of one first letter
-    and length substitute each distinct relator once.
+    One walk over lengths and letters keeps the (first letter, relators)
+    of each word of the last length, in _sq_words order, and t acts on
+    each whose first letter is not t^-1.  A relator made only of letters
+    whose rows t fixes is its own image and never enters the memo, and
+    the words t w' of one length substitute each distinct relator once.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1434,43 +1440,26 @@ def _lpres_expand(sig, depth):
         return [], seeds, {}
     table = _action_table(sig, _sq_codes(sig))
     m = len(_alphabet(sig).s_k)
-    # the signed codes whose row t fixes: t fixes a relator made of them
-    fixed = {t: {c for c in range(-m, m + 1) if sub[c] == (c,)} for t, sub in table.items()}
-    stored = {}
-    seen = set()
-    out = []
-    group = None
-    for w in _sq_words(sig, depth):
-        if len(w) < 2:
-            if w:
-                sub, fix = table[w[0]], fixed[w[0]]
-                rels = [r if fix.issuperset(r) else _substitute(sub, r) for r in seeds]
-            else:
-                rels = seeds
-            for r in rels:
-                if r not in seen:
-                    seen.add(r)
-                    out.append(r)
-        else:
-            # t's image of r depends on (t, r) alone; _sq_words lists each
-            # length grouped by first letter, so one memo serves a group
-            if group != (w[0], len(w)):
-                group = (w[0], len(w))
-                sub, fix, memo = table[w[0]], fixed[w[0]], {}
-            # a word of length depth is not stored: only its new images count
-            rels = [] if len(w) < depth else None
-            for r in stored[w[1:]]:
-                img = memo.get(r)
-                if img is None:
-                    # a fixed r is its own image, and is in seen already
-                    img = memo[r] = r if fix.issuperset(r) else _substitute(sub, r)
-                    if img not in seen:
-                        seen.add(img)
-                        out.append(img)
-                if rels is not None:
-                    rels.append(img)
-        if len(w) < depth:
-            stored[w] = rels
+    out = list(dict.fromkeys(seeds))
+    seen = set(out)
+    layer = [(0, seeds)]  # the empty word's 0 is no letter's inverse
+    for length in range(1, depth + 1):
+        last, layer = layer, []
+        for t, sub in table.items():
+            # t fixes a relator made only of the codes whose rows it fixes,
+            # and its image of any other r depends on (t, r) alone
+            fix = {c for c in range(-m, m + 1) if sub[c] == (c,)}
+            acted = [rels for first, rels in last if first != -t]
+            # a fixed r is its own image, and is in seen already
+            moved = dict.fromkeys(filterfalse(fix.issuperset, chain.from_iterable(acted)))
+            images = [_substitute(sub, r) for r in moved]
+            for img in images:
+                if img not in seen:
+                    seen.add(img)
+                    out.append(img)
+            if length < depth:  # the last length's images are not read
+                memo = dict(zip(moved, images))
+                layer += ((t, [memo.get(r, r) for r in rels]) for rels in acted)
     return out, seeds, table
 
 
@@ -1481,11 +1470,11 @@ def lpres_expand(sig, depth):
     order; depth 0 is exactly the seed set written as lhs rhs^-1.
 
     The relators are built as S_K codes (_alphabet), decoded on return.
-    Acting by w = t w' is acting by w' and then by t, and _sq_words lists
-    w' before w, so the relators of w are t's signed rows substituted
-    into the stored relators of w' (_substitute: a letter -c reads the row
-    of c inverted once when the table was built); only words shorter than
-    depth are stored.
+    Acting by w = t w' is acting by w' and then by t, so the relators of w
+    are t's signed rows substituted into those of w' (_substitute: a
+    letter -c reads the row of c inverted once when the table was built).
+    The words are walked one length at a time, each length's words in
+    _sq_words order, and only the last length's relators are kept.
 
     So every relator is trivial once every seed is and every table entry
     is right.  If each entry table[t][c] evaluates to t s_c t^-1, then the

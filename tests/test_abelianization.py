@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import word_routes
 from autfb import (
     Signature,
     WedgeElement,
@@ -204,6 +205,19 @@ def test_act_hom_is_additive():
         )
 
 
+@pytest.mark.parametrize("sig", [S222, S022], ids=["S222", "S022"])
+def test_johnson_y_z_match_the_cyclic_reduce_route(sig):
+    """The row scan's conjugator equals the one cyclic_reduce splits off
+    the Word image, at every y and z letter of random kernel elements."""
+    rng = random.Random(11)
+    for _ in range(80):
+        f = _random_kernel_element(sig, rng, rng.randrange(1, 6))
+        for c in sig.y_gens():
+            assert johnson_y(f, c) == word_routes.johnson_y(f, c)
+        for c in sig.z_gens():
+            assert johnson_z(f, c) == word_routes.johnson_z(f, c)
+
+
 def test_boundary_class_matches_the_conjugating_word():
     rng = random.Random(9)
     for _ in range(80):
@@ -247,6 +261,10 @@ def test_int_rank_edge_cases():
     assert int_rank([(0, 0), (0, 0)]) == 0
     assert int_rank([(1, 0), (0, 1), (1, 1)]) == 2
     assert int_rank([(2, 4), (3, 6)]) == 1
+    # rows of different lengths are refused, zero rows included
+    for rows in ([(2, 4), (1, 2, 3)], [(1, 2, 3), (2, 4)], [(0, 0), (1, 2, 3)]):
+        with pytest.raises(ValueError):
+            int_rank(rows)
 
 
 def test_int_rank_against_rational_elimination():

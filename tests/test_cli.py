@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import autfb.abelianization as abelianization
 import autfb.presentation as presentation
-from autfb import Signature, c_name, format_spelling, gen_word, m_name
+from autfb import Signature, c_name, format_spelling, m_name
 from autfb.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
@@ -259,9 +259,9 @@ def test_a_word_file_that_is_not_utf8_is_a_usage_error(tmp_path, command):
 
 
 def test_johnson_failed_claim_exits_one(monkeypatch):
-    # Report every image as a conjugate of the wrong letter, so the claim
-    # that a kernel element conjugates each y-letter fails.
-    monkeypatch.setattr(abelianization, "cyclic_reduce", lambda w: (gen_word(w.sig, 1), w))
+    # Report no image as a conjugate of its letter, so the claim that a
+    # kernel element conjugates each y-letter fails.
+    monkeypatch.setattr(abelianization, "_conjugated", lambda row, c: None)
     res = runner.invoke(
         main,
         ["johnson", "--n", "1", "--k", "1", "--l", "1", "--aut", "M[x1^+1,y1]"],

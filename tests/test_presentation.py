@@ -4,6 +4,8 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -906,6 +908,26 @@ def test_action_tables_match_the_dense_build():
             assert presentation._action_table(sig, letters) == dense_action_table(sig, letters)
 
 
+def test_expansion_frees_little_beyond_its_dedup_set():
+    """What _lpres_expand frees on return stays below a set of its relators
+    plus 1 MiB: besides seen, it holds only the layer the next length reads,
+    and the last length keeps no image lists."""
+    presentation._alphabet(S222)
+    tracemalloc.start()
+    try:
+        relators, _, _ = presentation._lpres_expand(S222, 2)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < sys.getsizeof(set(relators)) + 2**20
+
+
 def test_expansion_rejects_negative_depth():
     with pytest.raises(ValueError):
         lpres_expand(S111, -1)
+
+
+def test_reduced_sq_words_rejects_negative_depth():
+    assert reduced_sq_words(S111, 0) == [()]
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        reduced_sq_words(S111, -1)

@@ -1,13 +1,23 @@
-"""The Word routes of membership and of the lattice projection: the
-references the signed-row versions in the package are checked against.
+"""The Word routes of membership, of the Johnson maps at a boundary letter
+and of the lattice projection: the references the signed-row versions in
+the package are checked against.
 
 Each one reads an automorphism through its Word views (image) and the
-word functions of freegroup (is_conjugate, delete_y, multiply), not
-through the signed rows.  The membership and cochain tests read these
-helpers; the package does not.
+word functions of freegroup (is_conjugate, cyclic_reduce, delete_y,
+multiply), not through the signed rows.  The membership, abelianization
+and cochain tests read these helpers; the package does not.
 """
 
-from autfb import FormalSum, NotInAutFBError, delete_y, gen_word, is_conjugate, multiply
+from autfb import (
+    FormalSum,
+    NotInAutFBError,
+    abelianize,
+    cyclic_reduce,
+    delete_y,
+    gen_word,
+    is_conjugate,
+    multiply,
+)
 
 
 def is_in_autfb(f):
@@ -20,6 +30,26 @@ def is_in_kernel(f):
     if not is_in_autfb(f):
         raise NotInAutFBError("not a boundary-preserving automorphism")
     return all(delete_y(f.image(c)).letters == (c,) for c in f.sig.xz_gens())
+
+
+def _conjugator(f, c, block):
+    """Exponents over block of the conjugator cyclic_reduce splits off f(c)."""
+    if not is_in_kernel(f):
+        raise ValueError("automorphism is not in the kernel")
+    core, conj = cyclic_reduce(f.image(c))
+    assert core.letters == (c,), "a kernel element conjugates each boundary letter"
+    v = abelianize(conj)
+    return tuple(v[g - 1] for g in block)
+
+
+def johnson_y(f, c):
+    """(x,z)-block exponent vector of the word conjugating a y-letter."""
+    return _conjugator(f, c, f.sig.xz_gens())
+
+
+def johnson_z(f, c):
+    """y-block exponent vector of the word conjugating a z-letter."""
+    return _conjugator(f, c, f.sig.y_gens())
 
 
 def ny_project(ctx, u):
