@@ -38,10 +38,11 @@ The action map action_f(t, s) rewrites t s t^-1 (t an S_Q letter, s an S_K
 symbol) as a word over S_K; extended over words it gives the substitution
 rule whose iterated application expands the finite seed relation set into
 arbitrarily deep relation layers (lpres_expand).  _action_table holds its
-coded rows (_action_word), once per (S_Q letter, S_K symbol); each letter's
-rows are kept signed (automorphism._signed: every row beside its inverse),
-and acting by one letter on a coded word is one _substitute step.  Three
-checks read the table:
+coded rows (_action_word), computed only for the (S_Q letter, S_K symbol)
+pairs whose fields share a code, since the letter fixes every other
+symbol; each letter's rows are kept signed (automorphism._signed: every
+row beside its inverse), and acting by one letter on a coded word is one
+_substitute step.  Three checks read the table:
 
     lpres_expand               walks the words layer by layer: the
                                relators of t w' are t's table substituted
@@ -59,9 +60,10 @@ leaves them coded for the command line to spell.
 A check hands all its coded words to one _trivial call, which decides
 whether each evaluates to the identity, folding each prefix the sorted
 words share once.  Its step (_step) rewrites only the forward rows the
-letter's generator moves (_Moves, keyed by code), and inverts a row only
-when it is read.  eval_symbol_word is automorphism.spelling_aut, which
-builds both tables of a NamedAut: the independent reference for _trivial.
+letter's generator moves (_Moves, keyed by code, reads only the rows of
+the codes the letter's name holds), and inverts a row only when it is
+read.  eval_symbol_word is automorphism.spelling_aut, which builds both
+tables of a NamedAut: the independent reference for _trivial.
 """
 
 from __future__ import annotations
@@ -129,16 +131,19 @@ def eval_symbol_word(sig, w):
 class _Moves(dict):
     """code -> the rows its letter's generator moves at sig, as (c, image
     letters): c is moved when the generator's row (NamedAut.fwd) of c is
-    not (c,).  Each letter's generator is read once per map."""
+    not (c,).  Only the rows at the name's own codes (v, and w unless it is
+    0) are read, since _gen_images moves no other row.  Each letter's
+    generator is read once per map."""
 
     def __init__(self, sig):
         self.sig = sig
         self.letter = _alphabet(sig).letter
 
     def __missing__(self, s):
-        fwd = _cached_gen_aut(self.sig, self.letter[s]).fwd
+        name = self.letter[s]
+        fwd = _cached_gen_aut(self.sig, name).fwd
         rows = self[s] = tuple(
-            (c, fwd[c]) for c in range(1, self.sig.ngens + 1) if fwd[c] != (c,)
+            (c, fwd[c]) for c in (name.v, name.w) if c and fwd[c] != (c,)
         )
         return rows
 
@@ -993,30 +998,34 @@ def enumerate_relations(family, sig):
 
 
 class Report:
-    """Line-per-instance verification record: PASS / FAIL / SKIP."""
+    """Line-per-instance verification record: PASS / FAIL / SKIP.
+
+    lines holds one (family, params or note, status) tuple per line; add
+    and skip append to it and keep the running count of each status."""
 
     def __init__(self):
         self.lines = []
+        self._counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
 
     def add(self, family, params, ok):
-        self.lines.append((family, params, "PASS" if ok else "FAIL"))
+        status = "PASS" if ok else "FAIL"
+        self.lines.append((family, params, status))
+        self._counts[status] += 1
 
     def skip(self, family, note):
         self.lines.append((family, note, "SKIP"))
+        self._counts["SKIP"] += 1
 
     @property
     def counts(self):
-        c = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-        for _, _, status in self.lines:
-            c[status] += 1
-        return c
+        return dict(self._counts)
 
     @property
     def all_passed(self):
-        return self.counts["FAIL"] == 0
+        return self._counts["FAIL"] == 0
 
     def format(self, summary=False):
-        c = self.counts
+        c = self._counts
         body = [] if summary else [f"{f}\t{p}\t{s}" for f, p, s in self.lines]
         footer = (
             f"# total\t{len(self.lines)}\tpass\t{c['PASS']}"
@@ -1073,7 +1082,7 @@ def _action_word(sig, t, s):
         x, sign = _perm_apply(t, s.w, 1)
         return (C[s.v, x] * sign,)
     p = t.power
-    if sig.klass(s.v) == "y":
+    if sig.is_y(s.v):
         # s = C[y,u] is moved only when t moves u itself
         y, u = s.v, s.w
         if t.v != u:
@@ -1132,16 +1141,27 @@ def _action_table(sig, letters):
     expansion's relators are such S_K codes.
 
     Most rows are (c,): every letter starts from one shared identity
-    table, and only the rows it moves are reduced and inverted.
+    table, and only the rows it moves are reduced and inverted.  near maps
+    each generator code to the S_K codes whose symbol names it (as s.v or
+    s.w), and _action_word runs only on the symbols near t.v or t.w, in
+    ascending code (t.w is 0 for I, and names no symbol).  That is exact,
+    because _action_word returns (s,) unless the fields of s meet those of
+    t: P and I relabel only the x's they name, and an M or C letter moves
+    a symbol only through its moved letter t.v or its multiplier t.w.
     """
     alpha = _alphabet(sig)
-    m = len(alpha.s_k)
-    same = _signed([(c,) for c in range(1, m + 1)])
+    s_k = alpha.s_k
+    same = _signed([(c,) for c in range(1, len(s_k) + 1)])
+    near = {}
+    for c, s in enumerate(s_k, 1):
+        near.setdefault(s.v, []).append(c)
+        near.setdefault(s.w, []).append(c)
     table = {}
     for t in letters:
+        u = alpha.letter[t]
         sub = list(same)
-        for c, s in enumerate(alpha.s_k, 1):
-            row = _action_word(sig, alpha.letter[t], s)
+        for c in sorted({*near.get(u.v, ()), *near.get(u.w, ())}):
+            row = _action_word(sig, u, s_k[c - 1])
             if row != (c,):
                 sub[c] = row = _free_reduce(row)
                 sub[-c] = _inverted(row)
@@ -1187,12 +1207,17 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
     to the concrete conjugate t s t^-1 ("action"), and acting by t^-1
     undoes acting by t as words over S_K ("inverse"), checked formally on
     the coded table.  Only the requested families are reported, in the
-    order given for each (t, s).  The "action" lines are _entries_hold's:
-    a FAIL line is one whose entry does not evaluate to its conjugate.
+    order given for each (t, s); families must be a non-empty selection of
+    ACTION_FAMILIES without repeats.  The "action" lines are
+    _entries_hold's: a FAIL line is one whose entry does not evaluate to
+    its conjugate.
     """
+    families = tuple(families)
     unknown = set(families) - set(ACTION_FAMILIES)
     if unknown:
         raise ValueError(f"unknown action families {sorted(unknown)}")
+    if not families or len(set(families)) < len(families):
+        raise ValueError(f"action families must be non-empty and distinct: {families}")
     report = Report()
     letters = _sq_codes(sig)
     alpha = _alphabet(sig)

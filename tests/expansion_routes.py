@@ -1,16 +1,18 @@
-"""The per-word expansion and the dense action table: the references that
-presentation._lpres_expand and presentation._action_table are checked
-against.
+"""The per-word expansion, the dense action table and the full scan of a
+generator's moved rows: the references that presentation._lpres_expand,
+presentation._action_table and presentation._Moves are checked against.
 
-Neither reuses any work.  Every row of every S_Q letter is reduced and
-inverted, and every relator of every S_Q word is substituted, also where
-the letter fixes it or where another word of the same first letter and
-length substituted the same relator.  The expansion tests read these
-helpers; the package does not.
+None reuses any work or skips a row.  Every row of every S_Q letter is
+reduced and inverted, every relator of every S_Q word is substituted,
+also where the letter fixes it or where another word of the same first
+letter and length substituted the same relator, and every row of a
+generator is compared with the identity.  The expansion and substitution
+tests read these helpers; the package does not.
 """
 
 import autfb.presentation as presentation
-from autfb.automorphism import _inverted, _signed, _substitute
+from autfb import s_k_symbols, s_q_symbols
+from autfb.automorphism import _cached_gen_aut, _inverted, _signed, _substitute
 from autfb.freegroup import _free_reduce
 
 
@@ -23,6 +25,20 @@ def dense_action_table(sig, letters):
         )
         for t in letters
     }
+
+
+def meeting_pairs(sig):
+    """The number of (S_Q letter at either power, S_K symbol) pairs whose
+    fields share a nonzero code: the pairs a letter can move."""
+    return 2 * sum(
+        bool(({t.v, t.w} - {0}) & {s.v, s.w}) for t in s_q_symbols(sig) for s in s_k_symbols(sig)
+    )
+
+
+def full_scan_moves(sig, code):
+    """The (c, row) of every row 1..n that code's generator does not fix."""
+    fwd = _cached_gen_aut(sig, presentation._alphabet(sig).letter[code]).fwd
+    return tuple((c, fwd[c]) for c in sig.gens() if fwd[c] != (c,))
 
 
 def seeds(sig):

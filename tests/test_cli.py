@@ -10,8 +10,9 @@ from click.testing import CliRunner
 
 import autfb.abelianization as abelianization
 import autfb.presentation as presentation
-from autfb import Signature, c_name, format_spelling, m_name
+from autfb import Signature, c_name, format_spelling, m_name, s_k_symbols, s_q_symbols
 from autfb.cli import main
+from expansion_routes import meeting_pairs
 
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -105,8 +106,12 @@ def test_verify_inverse_property_tabulates_the_action_once(monkeypatch):
         main, ["verify", "inverse-property", "--n", "2", "--k", "2", "--l", "2"]
     )
     assert res.exit_code == 0
-    # 42 S_Q letters (21 symbols at either power) times 22 S_K symbols.
-    assert calls == {"_action_word": 42 * 22, "action_extend": 0}
+    # 42 S_Q letters (21 symbols at either power) times 22 S_K symbols make
+    # 924 pairs; the table reads only the 416 whose fields share a code.
+    sig = Signature(2, 2, 2)
+    dense = 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
+    assert (meeting_pairs(sig), dense) == (416, 42 * 22)
+    assert calls == {"_action_word": meeting_pairs(sig), "action_extend": 0}
 
 
 def test_verify_rejects_unknown_family():

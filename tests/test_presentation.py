@@ -54,6 +54,7 @@ from autfb.presentation import (
 from expansion_routes import (
     dense_action_table,
     expand_per_word,
+    meeting_pairs,
     relators_by_word,
     seeds as reference_seeds,
 )
@@ -439,6 +440,27 @@ def test_report_mechanics():
     assert r.format(summary=True) == text.splitlines()[-1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.booleans(), st.none()), max_size=20))
+def test_report_counts_equal_a_recount_of_its_lines(ops):
+    """add and skip keep the counts; any mix of them reads as a recount."""
+    r = Report()
+    for i, ok in enumerate(ops):
+        if ok is None:
+            r.skip("G", f"note {i}")
+        else:
+            r.add("F", f"p={i}", ok)
+    recount = {status: sum(ln[2] == status for ln in r.lines) for status in ("PASS", "FAIL", "SKIP")}
+    assert r.counts == recount
+    assert r.all_passed == (recount["FAIL"] == 0)
+    assert r.format(summary=True) == (
+        f"# total\t{len(r.lines)}\tpass\t{recount['PASS']}"
+        f"\tfail\t{recount['FAIL']}\tskip\t{recount['SKIP']}"
+    )
+    r.counts["FAIL"] += 1  # a copy: the report's own counts stay
+    assert r.counts == recount
+
+
 # ---------------------------------------------------------------------------
 # the rewriting action
 
@@ -561,6 +583,24 @@ def test_action_consistency_skips_an_empty_alphabet_for_each_family():
         assert verify_action_consistency(Signature(2, 0, 0), families).lines == skip
     with pytest.raises(ValueError):
         verify_action_consistency(S111, ("actoin",))
+
+
+@pytest.mark.parametrize(
+    "families", [(), ("action", "action"), ("inverse", "action", "inverse")]
+)
+def test_action_consistency_rejects_empty_or_repeated_families(families):
+    """No family would give a passing report of no checks, and a repeated
+    one would report each of its lines twice."""
+    for sig in (S111, Signature(2, 0, 0)):
+        with pytest.raises(ValueError):
+            verify_action_consistency(sig, families)
+
+
+def test_action_consistency_reads_a_families_iterator_once():
+    families = ("inverse", "action")
+    want = verify_action_consistency(S111, families).lines
+    assert len(want) == 2 * len(_sq_letters(S111)) * len(s_k_symbols(S111))
+    assert verify_action_consistency(S111, iter(families)).lines == want
 
 
 def _corrupt_one_pair(monkeypatch, sig, t, s):
@@ -817,7 +857,8 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
     """One action entry gets up to three extra S_K letters; the transport
     verdict fails exactly when that entry no longer evaluates to t s t^-1,
     and always when the relator-by-relator reference finds a nontrivial
-    relator."""
+    relator.  The built table's rows c and -c of t are replaced, so the
+    corruption reaches the table also where t fixes s."""
     sig, depth = case
     syms = s_k_symbols(sig)
     t = data.draw(st.sampled_from(_sq_letters(sig)))
@@ -826,18 +867,21 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
         data.draw(st.lists(st.sampled_from(syms + [u.inv() for u in syms]), min_size=1, max_size=3))
     )
     alpha = presentation._alphabet(sig)
-    original = presentation._action_word
+    tc, c = alpha.code[t], alpha.code[s]
+    row = _free_reduce(presentation._action_word(sig, t, s) + tuple(alpha.code[u] for u in extra))
+    original = presentation._action_table
 
-    def wrong(sig_, t_, s_):
-        word = original(sig_, t_, s_)
-        if (t_, s_) != (t, s):
-            return word
-        return _free_reduce(word + tuple(alpha.code[u] for u in extra))
+    def wrong(sig_, letters):
+        table = original(sig_, letters)
+        sub = list(table[tc])
+        sub[c], sub[-c] = row, automorphism._inverted(row)
+        table[tc] = tuple(sub)
+        return table
 
-    with mock.patch.object(presentation, "_action_word", wrong):
+    with mock.patch.object(presentation, "_action_table", wrong):
         relators, sound = lpres_expand_proved(sig, depth)
     relators = _decoded(sig, relators)
-    entry = alpha.decode(wrong(sig, t, s))
+    entry = alpha.decode(row)
     entry_holds = (
         eval_symbol_word(sig, entry).images == eval_symbol_word(sig, (t, s, t.inv())).images
     )
@@ -848,10 +892,11 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
 
 @pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1), (Signature(2, 1, 0), 3)])
 def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
-    """_action_word runs once per (letter, symbol), and _substitute once per
-    distinct (first letter, length, relator) triple whose relator holds a
-    letter that the first letter moves: a fixed relator is its own image,
-    and a group of words with one first letter and length shares images."""
+    """_action_word runs once per (letter, symbol) pair whose fields share
+    a code (no other symbol can move), and _substitute once per distinct
+    (first letter, length, relator) triple whose relator holds a letter
+    that the first letter moves: a fixed relator is its own image, and a
+    group of words with one first letter and length shares images."""
     calls = {"_action_word": 0, "_substitute": 0}
 
     def counted(name):
@@ -875,7 +920,8 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
         for r in rels[w[1:]]
         if any(table[w[0]][c] != (c,) for c in r)
     }
-    assert calls["_action_word"] == 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
+    dense = 2 * len(s_q_symbols(sig)) * len(s_k_symbols(sig))
+    assert calls["_action_word"] == meeting_pairs(sig) < dense
     assert calls["_substitute"] == len(triples)
     # the work the per-word reference does, and the shortcuts remove
     assert len(triples) < (len(rels) - 1) * len(rels[()])
@@ -895,10 +941,10 @@ def test_expansion_matches_the_per_word_reference(sig, depth):
 
 
 def test_action_tables_match_the_dense_build():
-    """At every signature up to (3,3,3), for every S_Q letter and for the
-    letters verify_table5 asks for, each table equals the one that reduces
-    and inverts every row."""
-    for n, k, l in itertools.product(range(4), repeat=3):
+    """At every signature up to (3,3,3) and at (4,3,3), for every S_Q letter
+    and for the letters verify_table5 asks for, each table equals the one
+    that reduces and inverts every row."""
+    for n, k, l in [*itertools.product(range(4), repeat=3), (4, 3, 3)]:
         if not n + k + l:
             continue
         sig = Signature(n, k, l)

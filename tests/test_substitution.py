@@ -6,8 +6,12 @@ reducing the result; presentation._step, folded over a word's letters, is
 checked against the image table that spelling_aut builds by composition,
 and presentation._trivial against comparing that automorphism with the
 identity, also on words whose later steps read the inverse rows that
-_step fills only on demand.
+_step fills only on demand.  presentation._Moves, which reads a
+generator's rows only at its name's codes, is checked against the full
+scan of every row.
 """
+
+import itertools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 import autfb.presentation as presentation
 from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut
 from autfb.automorphism import _signed, _substitute
+from expansion_routes import full_scan_moves
 
 S222 = Signature(2, 2, 2)
 
@@ -155,6 +160,18 @@ _LAZY_POOL = {
     ]
     for sig in (Signature(1, 1, 2), Signature(2, 0, 1), Signature(2, 1, 1))
 }
+
+
+def test_moves_equal_the_full_scan():
+    """At every n, k, l <= 3, each S_K and S_Q code at both powers moves
+    the rows that a scan of all n rows finds, in the same order."""
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if not n + k + l:
+            continue
+        sig = Signature(n, k, l)
+        moves = presentation._Moves(sig)
+        for c in presentation._alphabet(sig).letter:
+            assert moves[c] == full_scan_moves(sig, c), (sig, c)
 
 
 def test_the_lazy_pools_read_inverse_rows():
