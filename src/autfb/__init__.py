@@ -93,7 +93,6 @@ from .abelianization import (
     johnson_z,
     closed_form_rank,
     wedge_class,
-    wedge_push,
 )
 from .cocycle import (
     FormalSum,

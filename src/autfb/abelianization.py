@@ -12,18 +12,19 @@ maps computed:
     abelianization_rank
                  exact integer rank of the stacked generator images
 
-The maps read the signature from f.sig.  Each public call checks kernel
-membership once, then reads its blocks through shared unchecked readers.
+The maps read f.sig and the signed rows f.fwd, never a Word; wedge_class
+is the one Word edge.  Each public call checks kernel membership once,
+then reads its blocks through shared unchecked readers over letters.
 
 No floating point anywhere; ranks come from fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from .freegroup import Signature, Word, gen_word, multiply
+from .freegroup import Signature, Word
 from .freegroup import abelianize as ab_vector
 from .automorphism import ClaimFailedError, NamedAut, is_in_kernel
-from .automorphism import _cached_gen_aut, _conjugated
+from .automorphism import _cached_gen_aut, _conjugated, _times_inverse
 from .presentation import s_k_symbols
 
 
@@ -31,11 +32,15 @@ from .presentation import s_k_symbols
 # lattice helpers
 
 
+def _exponents(letters, block):
+    """The exponent sum in a letter tuple of each code of block."""
+    return tuple(letters.count(g) - letters.count(-g) for g in block)
+
+
 def ab_matrix(f: NamedAut):
     """Matrix of the abelianized action, rows and columns by code - 1."""
-    n = f.sig.ngens
-    cols = [ab_vector(f.image(c)) for c in f.sig.gens()]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    gens = f.sig.gens()
+    return tuple(zip(*(_exponents(f.fwd[c], gens) for c in gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +99,6 @@ class WedgeElement:
         )
 
 
-def wedge_single(i, j, c=1):
-    return WedgeElement({(i, j): c})
-
-
 def wedge_class(u: Word):
     """Class of a zero-exponent-sum word in the exterior square.
 
@@ -109,10 +110,14 @@ def wedge_class(u: Word):
     """
     if any(c != 0 for c in ab_vector(u)):
         raise ValueError("word has nonzero exponent sums")
-    ngens = u.sig.ngens
+    return _wedge(u.letters, u.sig.ngens)
+
+
+def _wedge(letters, ngens):
+    """wedge_class's scan over a letter tuple, with no exponent check."""
     prefix = [0] * (ngens + 1)
     coeffs = {}
-    for g in u.letters:
+    for g in letters:
         base = abs(g)
         e = 1 if g > 0 else -1
         for q in range(base + 1, ngens + 1):
@@ -121,26 +126,6 @@ def wedge_class(u: Word):
                 coeffs[key] = coeffs.get(key, 0) + e * prefix[q]
         prefix[base] += e
     return WedgeElement(coeffs)
-
-
-def wedge_push(matrix, w: WedgeElement):
-    """Induced map of an abelianized action on the exterior square."""
-    out = {}
-    ngens = len(matrix)
-    for (i, j), c in w.coeffs.items():
-        col_i = [matrix[p][i - 1] for p in range(ngens)]
-        col_j = [matrix[p][j - 1] for p in range(ngens)]
-        for p in range(ngens):
-            if not col_i[p]:
-                continue
-            for q in range(ngens):
-                if p == q or not col_j[q]:
-                    continue
-                a, b, cc = p + 1, q + 1, c * col_i[p] * col_j[q]
-                if a > b:
-                    a, b, cc = b, a, -cc
-                out[(a, b)] = out.get((a, b), 0) + cc
-    return WedgeElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +139,15 @@ def _require_kernel(f):
 
 def _act_rows(f):
     sig = f.sig
-    cols = [ab_vector(f.image(x)) for x in sig.x_gens()]
-    return tuple(tuple(v[y - 1] for v in cols) for y in sig.y_gens())
+    cols = [_exponents(f.fwd[x], sig.y_gens()) for x in sig.x_gens()]
+    return tuple(tuple(v[i] for v in cols) for i in range(sig.k))
 
 
 def _wedge_at(f, c):
-    return wedge_class(multiply(f.image(c), gen_word(f.sig, -c)))
+    """Wedge class of f(c) c^-1 at a boundary letter c.  Its callers have
+    checked that f is in the kernel, which sends each boundary letter to a
+    conjugate of itself, so f(c) c^-1 has zero exponent sums unchecked."""
+    return _wedge(_times_inverse(f, c), f.sig.ngens)
 
 
 def _conjugator(f, c, block):
@@ -168,8 +156,7 @@ def _conjugator(f, c, block):
     n = _conjugated(row, c)
     if n is None:
         raise ClaimFailedError(f"image of letter {c} is not a conjugate of it")
-    u = row[:n]
-    return tuple(u.count(g) - u.count(-g) for g in block)
+    return _exponents(row[:n], block)
 
 
 def act_hom(f: NamedAut):
@@ -245,19 +232,29 @@ def int_rank(rows):
     return rank
 
 
+def image_blocks(sig: Signature):
+    """The blocks of generator_image_row with x's, in order: the label, the
+    letters with a row each and the letters a row counts.  A holds the
+    act_hom rows, J' johnson_y at each y and J johnson_z at each z."""
+    return (
+        ("A", sig.y_gens(), sig.x_gens()),
+        ("J'", sig.y_gens(), sig.xz_gens()),
+        ("J", sig.z_gens(), sig.y_gens()),
+    )
+
+
 def generator_image_row(f: NamedAut):
     """Image of a kernel element in the stacked abelian target: with x's,
-    the act_hom rows, then johnson_y at each y and johnson_z at each z;
-    without, the flattened johnson_full classes."""
+    the image_blocks in order; without, the flattened johnson_full classes."""
     _require_kernel(f)
     sig = f.sig
     if sig.n == 0:
         return tuple(v for c in sig.gens() for v in _wedge_at(f, c).flatten(sig.ngens))
+    _, *conjugators = image_blocks(sig)
     row = [v for r in _act_rows(f) for v in r]
-    for c in sig.y_gens():
-        row.extend(_conjugator(f, c, sig.xz_gens()))
-    for c in sig.z_gens():
-        row.extend(_conjugator(f, c, sig.y_gens()))
+    for _, letters, block in conjugators:
+        for c in letters:
+            row.extend(_conjugator(f, c, block))
     return tuple(row)
 
 

@@ -30,8 +30,10 @@ spelling once, and keeps nothing between calls.
 _substitute over signed rows (_signed: each row beside its inverse) is
 the one substitution kernel, for compose, apply, from_images and every
 table of presentation.  Words appear only at the edges: the constructor,
-the images, inv_images and image views, apply and from_images; the
-membership tests read the rows.
+the images, inv_images and image views, apply and from_images.  The
+membership tests here and the Johnson maps and cochains above read the
+rows, through two readers: _conjugated splits a row u c u^-1, and
+_times_inverse gives the letters of f(c) c^-1.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .freegroup import Word, _check_letters, _y_free
+from .freegroup import Word, _check_letters, _same_sig, _y_free
 
 
 class NotInAutFBError(ValueError):
@@ -292,8 +294,7 @@ def _substitute(sub, letters):
 def apply(f, u):
     """f(u); a homomorphism in u (the image of a negative letter is the
     inverse of the image of the positive one)."""
-    if f.sig != u.sig:
-        raise ValueError(f"signature mismatch: {f.sig} vs {u.sig}")
+    _same_sig(f, u)
     return Word(u.sig, _substitute(f.fwd, u.letters), _reduced=True)
 
 
@@ -325,8 +326,7 @@ def compose(f, g):
     row of g but the moved ones is of the first kind, and only the rows of
     f.bwd that hold a moved letter are substituted.
     """
-    if f.sig != g.sig:
-        raise ValueError(f"signature mismatch: {f.sig} vs {g.sig}")
+    _same_sig(f, g)
     return _aut(f.sig, f.spelling + g.spelling, _after(f.fwd, g.fwd), _after(g.bwd, f.bwd))
 
 
@@ -379,6 +379,13 @@ def _conjugated(row, c):
         lo += 1
         hi -= 1
     return lo if lo == hi and row[lo] == c else None
+
+
+def _times_inverse(f, c):
+    """The reduced letters of f(c) c^-1, read from the row f.fwd[c]: c^-1
+    cancels the row's last letter or is appended."""
+    row = f.fwd[c]
+    return row[:-1] if row[-1:] == (c,) else (*row, -c)
 
 
 def is_in_autfb(f):

@@ -164,20 +164,15 @@ def johnson(n, k, l, fmt, aut_text, word_file):
                 )
                 click.echo(f"J[{sig.letter_name(c)}]\t{cells if w else '0'}")
         else:
-            # generator_image_row's blocks: A, J' and J, in that order.
             row = ab.generator_image_row(f)
             if fmt == "text":
                 click.echo("# action matrix: rows y, columns x")
             i = 0
-            for label, letters, width in (
-                ("A", sig.y_gens(), sig.n),
-                ("J'", sig.y_gens(), sig.n + sig.l),
-                ("J", sig.z_gens(), sig.k),
-            ):
+            for label, letters, block in ab.image_blocks(sig):
                 for c in letters:
-                    cells = "\t".join(str(v) for v in row[i : i + width])
+                    cells = "\t".join(str(v) for v in row[i : i + len(block)])
                     click.echo(f"{label}[{sig.letter_name(c)}]\t{cells}")
-                    i += width
+                    i += len(block)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except ClaimFailedError as exc:

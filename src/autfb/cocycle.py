@@ -15,14 +15,15 @@ conjugation generators in the fixed order x_1 ... x_n z_1 ... z_l, and
 each element's invariant I_b is computed once and cached on the context,
 keyed by the automorphism's key (NamedAut.key, its image table, built
 once per automorphism), so two equal tables share one entry.  I_b is
-read from the signed row f.fwd[b] followed by b^-1 by _project, the one
-projection kernel, which ny_project and i_s share; no Word is built on
-the way.  The context also keeps the sections sigma(x) and the points rA
-(PairingContext.r_a) that alpha, kappa_eval, zeta_eval and pairing read.
-Each of these three caches keeps at most _CACHE_ENTRIES entries,
-dropping the oldest first.  Every lattice translate is read off that one
-sum (see _i_b), so zeta_r and the pairing are finite correlations of
-invariants; the pairing's two witness sums are taken once per context.
+_project, the one projection kernel, which ny_project and i_s share,
+over the letters of f(b) b^-1 that automorphism._times_inverse reads
+from the signed row f.fwd[b]; no Word is built on the way.  The context
+also keeps the sections sigma(x) and the points rA (PairingContext.r_a)
+that alpha, kappa_eval, zeta_eval and pairing read.  Each of these three
+caches keeps at most _CACHE_ENTRIES entries, dropping the oldest first.
+Every lattice translate is read off that one sum (see _i_b), so zeta_r
+and the pairing are finite correlations of invariants; the pairing's two
+witness sums are taken once per context.
 Generators come from automorphism._cached_gen_aut.
 """
 
@@ -30,11 +31,12 @@ from __future__ import annotations
 
 import operator
 
-from .freegroup import Signature, Word
+from .freegroup import Signature, Word, _same_sig
 from .automorphism import (
     ClaimFailedError,
     NamedAut,
     _cached_gen_aut,
+    _times_inverse,
     c_name,
     compose,
     identity,
@@ -149,6 +151,8 @@ class PairingContext:
             raise ValueError("needs at least one y-generator")
         if sig.n + sig.l < 2:
             raise ValueError("needs at least two non-y generators")
+        if min(y, a, b) <= 0:
+            raise ValueError("generator codes must be positive")
         if sig.klass(y) != "y":
             raise ValueError(f"{y} is not a y-generator code")
         for g in (a, b):
@@ -198,12 +202,6 @@ class PairingContext:
         return x
 
 
-def _require_sig(ctx, v):
-    """Refuse a word or automorphism v of a signature other than ctx's."""
-    if v.sig != ctx.sig:
-        raise ValueError(f"signature mismatch: {v.sig} vs {ctx.sig}")
-
-
 def _project(ctx, letters):
     """The one projection kernel, over a sequence of letter codes.
 
@@ -236,31 +234,24 @@ def _project(ctx, letters):
     return FormalSum(terms)
 
 
-def _project_at(ctx, f, s):
-    """_project of f(s) s^-1, read from the row f.fwd[s]; s^-1 cancels
-    against the row's last letter or is appended."""
-    row = f.fwd[s]
-    return _project(ctx, row[:-1] if row[-1:] == (s,) else (*row, -s))
-
-
 def ny_project(ctx: PairingContext, u: Word) -> FormalSum:
     """Project a word with trivial y-free part onto the y^v basis."""
-    _require_sig(ctx, u)
+    _same_sig(u, ctx)
     return _project(ctx, u.letters)
 
 
 def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
     """Projection of f(s) s^-1; s ranges over the x- and z-generators."""
-    _require_sig(ctx, f)
+    _same_sig(f, ctx)
     _require_kernel(f)
     if s not in ctx._index:
         raise ValueError(f"{s} is not an x- or z-generator code")
-    return _project_at(ctx, f, s)
+    return _project(ctx, _times_inverse(f, s))
 
 
 def jprime_y(ctx: PairingContext, f: NamedAut):
     """Lattice point recording how f conjugates the chosen y."""
-    _require_sig(ctx, f)
+    _same_sig(f, ctx)
     return johnson_y(f, ctx.y)
 
 
@@ -304,9 +295,9 @@ def _i_b(ctx: PairingContext, f: NamedAut) -> FormalSum:
     key = f.key()
     cached = ctx._twist_cache.get(key)
     if cached is None:
-        _require_sig(ctx, f)
+        _same_sig(f, ctx)
         _require_kernel(f)
-        cached = _remember(ctx._twist_cache, key, _project_at(ctx, f, ctx.b))
+        cached = _remember(ctx._twist_cache, key, _project(ctx, _times_inverse(f, ctx.b)))
     return cached
 
 

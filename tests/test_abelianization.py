@@ -33,11 +33,10 @@ from autfb import (
     s_k_symbols,
     closed_form_rank,
     wedge_class,
-    wedge_push,
     parse_word,
 )
 from autfb import abelianization, automorphism, freegroup, presentation
-from autfb.abelianization import wedge_single
+from word_routes import wedge_push, wedge_single
 
 S022 = Signature(0, 2, 2)
 S222 = Signature(2, 2, 2)
@@ -216,6 +215,29 @@ def test_johnson_y_z_match_the_cyclic_reduce_route(sig):
             assert johnson_y(f, c) == word_routes.johnson_y(f, c)
         for c in sig.z_gens():
             assert johnson_z(f, c) == word_routes.johnson_z(f, c)
+
+
+@pytest.mark.parametrize(
+    "sig", [S222, S022, Signature(3, 1, 1)], ids=["S222", "S022", "S311"]
+)
+def test_row_readers_match_the_word_routes(sig):
+    """ab_matrix, act_hom, johnson_class, johnson_full and the rank row read
+    the signed rows; each equals its Word route on random kernel elements,
+    and the rank row is as long as its image_blocks."""
+    rng = random.Random(12)
+    for _ in range(60):
+        f = _random_kernel_element(sig, rng, rng.randrange(1, 6))
+        assert ab_matrix(f) == word_routes.ab_matrix(f)
+        assert act_hom(f) == word_routes.act_hom(f)
+        for c in sig.yz_gens():
+            assert johnson_class(f, c) == word_routes.johnson_class(f, c)
+        row = abelianization.generator_image_row(f)
+        assert row == word_routes.generator_image_row(f)
+        if sig.n == 0:
+            assert johnson_full(f) == word_routes.johnson_full(f)
+        else:
+            blocks = abelianization.image_blocks(sig)
+            assert len(row) == sum(len(rows) * len(cols) for _, rows, cols in blocks)
 
 
 def test_boundary_class_matches_the_conjugating_word():

@@ -43,10 +43,8 @@ from autfb import (
     verify_action_consistency,
     verify_relations,
     verify_table5,
-    wedge_push,
     zeta_eval,
 )
-from autfb.abelianization import wedge_single
 from disjoint_support import (
     admissible,
     disjointness_conditions,
@@ -54,6 +52,7 @@ from disjoint_support import (
     mult_set,
     support,
 )
+from word_routes import wedge_push, wedge_single
 
 S222 = Signature(2, 2, 2)
 

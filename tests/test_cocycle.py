@@ -93,6 +93,12 @@ def test_context_rejects_bad_choices():
         PairingContext(S111, y=2, a=3, b=3)
 
 
+@pytest.mark.parametrize("y, a, b", [(2, -1, 3), (2, 1, -3), (-2, 1, 3)])
+def test_context_refuses_non_positive_codes(y, a, b):
+    with pytest.raises(ValueError, match="must be positive"):
+        PairingContext(S111, y=y, a=a, b=b)
+
+
 def test_context_layout(ctx111, ctx221):
     assert ctx111.order == (1, 3)
     assert ctx111.A == (1, 0) and ctx111.B == (0, 1)

@@ -4,7 +4,9 @@ of the package imports inside its body.
 
 Scans src/autfb/*.py and tests/*.py with the standard-library ast module.
 The package's __init__.py is skipped by the import scan: its imports are
-the public re-exports.
+the public re-exports.  Outside freegroup, only the public Word edges in
+WORD_EDGES may read a Word view or a Word's letters, or call Word or a
+word function; every other function reads the signed rows.
 
 Also: every name that perfbench/layertrace.py wraps or reads exists on its
 module, and the Word views its compose hooks read hold an automorphism's
@@ -117,6 +119,59 @@ def test_the_scan_finds_an_import_inside_a_function():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_imports_inside_functions(path):
     assert imports_inside_functions(path.read_text()) == []
+
+
+# The functions outside freegroup that take or give a Word, by module.
+# from_images takes Words too, but reads them only through NamedAut.__init__.
+WORD_EDGES = {
+    "automorphism": {"NamedAut.__init__", "NamedAut.image", "_views", "apply"},
+    "abelianization": {"wedge_class"},
+    "cocycle": {"ny_project"},
+}
+WORD_ATTRS = {"image", "images", "inv_images", "letters"}
+WORD_CALLS = {"Word", "gen_word", "multiply", "abelianize", "ab_vector"}
+
+
+def word_reads(source):
+    """Names of the functions (Class.method for a method, <module> outside
+    any) that read one of WORD_ATTRS or call one of WORD_CALLS."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Attribute) and node.attr in WORD_ATTRS:
+            found.add(scope or "<module>")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in WORD_CALLS:
+                found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_finds_word_reads():
+    source = (
+        "def f(a):\n    return a.image(1)\n"
+        "class C:\n    def m(self, u):\n        return fg.multiply(u, u)\n"
+        "def g(a):\n    return a.fwd[1]\n"
+        "w = Word(s, ())\n"
+    )
+    assert word_reads(source) == {"f", "C.m", "<module>"}
+    assert word_reads("def h(u):\n    return _wedge(u.letters)\n") == {"h"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "freegroup.py"], ids=lambda p: p.name
+)
+def test_words_only_at_the_edges(path):
+    """No function off the list meets a Word, and every listed edge still
+    does, so the list cannot go stale."""
+    assert sorted(word_reads(path.read_text())) == sorted(WORD_EDGES.get(path.stem, ()))
 
 
 def _layertrace():

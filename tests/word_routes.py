@@ -1,22 +1,26 @@
-"""The Word routes of membership, of the Johnson maps at a boundary letter
-and of the lattice projection: the references the signed-row versions in
-the package are checked against.
+"""The Word routes of membership, of the Johnson maps and of the lattice
+projection: the references the signed-row versions in the package are
+checked against.
 
 Each one reads an automorphism through its Word views (image) and the
 word functions of freegroup (is_conjugate, cyclic_reduce, delete_y,
-multiply), not through the signed rows.  The membership, abelianization
-and cochain tests read these helpers; the package does not.
+multiply, gen_word), not through the signed rows.  The membership,
+abelianization and cochain tests read these helpers; the package does
+not.  The module also holds wedge_single and wedge_push, the two
+exterior-square maps that only tests use.
 """
 
 from autfb import (
     FormalSum,
     NotInAutFBError,
+    WedgeElement,
     abelianize,
     cyclic_reduce,
     delete_y,
     gen_word,
     is_conjugate,
     multiply,
+    wedge_class,
 )
 
 
@@ -32,10 +36,54 @@ def is_in_kernel(f):
     return all(delete_y(f.image(c)).letters == (c,) for c in f.sig.xz_gens())
 
 
-def _conjugator(f, c, block):
-    """Exponents over block of the conjugator cyclic_reduce splits off f(c)."""
+def _require_kernel(f):
     if not is_in_kernel(f):
         raise ValueError("automorphism is not in the kernel")
+
+
+def ab_matrix(f):
+    """Matrix of the abelianized action, from the abelianized image words."""
+    n = f.sig.ngens
+    cols = [abelianize(f.image(c)) for c in f.sig.gens()]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def act_hom(f):
+    """k x n matrix: the y-block of each abelianized x image, transposed."""
+    _require_kernel(f)
+    sig = f.sig
+    cols = [abelianize(f.image(x)) for x in sig.x_gens()]
+    return tuple(tuple(v[y - 1] for v in cols) for y in sig.y_gens())
+
+
+def johnson_class(f, c):
+    """wedge_class of the Word f(c) c^-1 at a boundary letter c."""
+    _require_kernel(f)
+    return wedge_class(multiply(f.image(c), gen_word(f.sig, -c)))
+
+
+def johnson_full(f):
+    """johnson_class at every letter of a signature with no x's."""
+    return {c: johnson_class(f, c) for c in f.sig.gens()}
+
+
+def generator_image_row(f):
+    """With x's, the act_hom rows, johnson_y at each y and johnson_z at
+    each z; without, the flattened johnson_full classes."""
+    sig = f.sig
+    if sig.n == 0:
+        return tuple(v for w in johnson_full(f).values() for v in w.flatten(sig.ngens))
+    row = [v for r in act_hom(f) for v in r]
+    for c in sig.y_gens():
+        row.extend(johnson_y(f, c))
+    for c in sig.z_gens():
+        row.extend(johnson_z(f, c))
+    return tuple(row)
+
+
+def _conjugator(f, c, block):
+    """Exponents over block of the conjugator cyclic_reduce splits off f(c)."""
+    _require_kernel(f)
     core, conj = cyclic_reduce(f.image(c))
     assert core.letters == (c,), "a kernel element conjugates each boundary letter"
     v = abelianize(conj)
@@ -73,6 +121,30 @@ def ny_project(ctx, u):
 
 def i_b(ctx, f):
     """ny_project of f(b) b^-1, built as Words, for a kernel element f."""
-    if not is_in_kernel(f):
-        raise ValueError("automorphism is not in the kernel")
+    _require_kernel(f)
     return ny_project(ctx, multiply(f.image(ctx.b), gen_word(ctx.sig, -ctx.b)))
+
+
+def wedge_single(i, j, c=1):
+    """c times the basis element e_i ^ e_j."""
+    return WedgeElement({(i, j): c})
+
+
+def wedge_push(matrix, w):
+    """Induced map of an abelianized action on the exterior square."""
+    out = {}
+    ngens = len(matrix)
+    for (i, j), c in w.coeffs.items():
+        col_i = [matrix[p][i - 1] for p in range(ngens)]
+        col_j = [matrix[p][j - 1] for p in range(ngens)]
+        for p in range(ngens):
+            if not col_i[p]:
+                continue
+            for q in range(ngens):
+                if p == q or not col_j[q]:
+                    continue
+                a, b, cc = p + 1, q + 1, c * col_i[p] * col_j[q]
+                if a > b:
+                    a, b, cc = b, a, -cc
+                out[(a, b)] = out.get((a, b), 0) + cc
+    return WedgeElement(out)
