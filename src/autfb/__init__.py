@@ -38,27 +38,23 @@ from .automorphism import (
     apply,
     c_name,
     compose,
-    con_gen,
     format_name,
     format_spelling,
     from_images,
     gen_aut,
     i_name,
     identity,
-    inv_gen,
     inverse,
     is_in_autfb,
     is_in_autfb_prime,
     is_in_kernel,
     m_name,
-    mul_gen,
     p_name,
     parse_aut,
     parse_name,
     parse_spelling,
     power,
     spelling_aut,
-    swap_gen,
 )
 from .presentation import (
     RelationInstance,

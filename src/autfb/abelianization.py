@@ -166,9 +166,9 @@ def act_hom(f: NamedAut):
 
 
 def johnson_class(f: NamedAut, c: int) -> WedgeElement:
-    """Wedge class of f(c) c^-1 at a boundary letter c."""
+    """Wedge class of f(c) c^-1 at a boundary letter c (a positive code)."""
     _require_kernel(f)
-    if f.sig.klass(c) not in ("y", "z"):
+    if c < 0 or f.sig.klass(c) not in ("y", "z"):
         raise ValueError("boundary letter expected")
     return _wedge_at(f, c)
 
@@ -184,7 +184,7 @@ def johnson_full(f: NamedAut):
 def johnson_z(f: NamedAut, c: int):
     """y-block exponent vector of the word conjugating a z-letter."""
     _require_kernel(f)
-    if f.sig.klass(c) != "z":
+    if c < 0 or f.sig.klass(c) != "z":
         raise ValueError("z-generator expected")
     return _conjugator(f, c, f.sig.y_gens())
 
@@ -192,7 +192,7 @@ def johnson_z(f: NamedAut, c: int):
 def johnson_y(f: NamedAut, c: int):
     """(x,z)-block exponent vector of the word conjugating a y-letter."""
     _require_kernel(f)
-    if f.sig.klass(c) != "y":
+    if c < 0 or f.sig.klass(c) != "y":
         raise ValueError("y-generator expected")
     return _conjugator(f, c, f.sig.xz_gens())
 

@@ -27,13 +27,16 @@ cocycle witnesses all read it, and it keeps the 4,096 most recently used
 (signature, name).  parse_spelling parses each distinct token of one
 spelling once, and keeps nothing between calls.
 
-_substitute over signed rows (_signed: each row beside its inverse) is
-the one substitution kernel, for compose, apply, from_images and every
-table of presentation.  Words appear only at the edges: the constructor,
-the images, inv_images and image views, apply and from_images.  The
-membership tests here and the Johnson maps and cochains above read the
-rows, through two readers: _conjugated splits a row u c u^-1, and
-_times_inverse gives the letters of f(c) c^-1.
+NamedAut(sig, spelling, fwd, bwd) is the one constructor: it takes signed
+rows (_signed: each row beside its inverse) as they are, and from_images
+is the one route from Word tables, which it converts and checks.
+_substitute over signed rows is the one substitution kernel, for compose,
+apply, from_images and every table of presentation.  Words appear only at
+the edges: from_images, the images and inv_images views, and apply (the
+image of one letter c is apply(f, gen_word(sig, c))).  The membership
+tests here and the Johnson maps and cochains above read the rows, through
+two readers: _conjugated splits a row u c u^-1, and _times_inverse gives
+the letters of f(c) c^-1.
 """
 
 from __future__ import annotations
@@ -121,29 +124,19 @@ def i_name(i, power=1):
 class NamedAut:
     """An automorphism f of F(n,k,l): spelling plus both image tables.
 
-    fwd and bwd are the signed rows (_signed) of f and f^-1: fwd[c] is the
-    letter tuple of f(c), fwd[-c] its inverse.  The constructor takes
-    Words; images, inv_images and image are Word views of the rows.
-    The key is built on its first read and kept in _key.
+    fwd and bwd are the signed rows (_signed) of f and f^-1, taken as they
+    are: fwd[c] is the letter tuple of f(c), fwd[-c] its inverse.  images
+    and inv_images are Word views of the rows.  The key is built on its
+    first read and kept in _key.
     """
 
     __slots__ = ("sig", "spelling", "fwd", "bwd", "_key")
 
-    def __init__(self, sig, spelling, images, inv_images):
-        self.sig = sig
-        self.spelling = tuple(spelling)
-        self.fwd = _signed([w.letters for w in images])
-        self.bwd = _signed([w.letters for w in inv_images])
-        self._key = None
+    def __init__(self, sig, spelling, fwd, bwd):
+        self.sig, self.spelling, self.fwd, self.bwd, self._key = sig, spelling, fwd, bwd, None
 
     images = property(lambda self: _views(self.sig, self.fwd))
     inv_images = property(lambda self: _views(self.sig, self.bwd))
-
-    def image(self, code):
-        """Image word of a single (possibly negative) letter code."""
-        if not 0 < abs(code) <= self.sig.ngens:
-            raise ValueError(f"letter code {code} out of range for {self.sig}")
-        return Word(self.sig, self.fwd[code], _reduced=True)
 
     def key(self):
         """Hashable identity: the image table, one tuple per automorphism."""
@@ -166,16 +159,9 @@ def _views(sig, rows):
     return tuple(Word(sig, row, _reduced=True) for row in rows[1 : sig.ngens + 1])
 
 
-def _aut(sig, spelling, fwd, bwd):
-    """A NamedAut from signed row tuples, taken as they are."""
-    f = object.__new__(NamedAut)
-    f.sig, f.spelling, f.fwd, f.bwd, f._key = sig, spelling, fwd, bwd, None
-    return f
-
-
 def identity(sig):
     rows = _signed([(c,) for c in sig.gens()])
-    return _aut(sig, (), rows, rows)
+    return NamedAut(sig, (), rows, rows)
 
 
 def _gen_images(sig, name):
@@ -216,31 +202,11 @@ def _gen_images(sig, name):
 def gen_aut(sig, name):
     """Realize one GenName (with its power) as a NamedAut; both tables
     come from _gen_images, at name and at name.inv()."""
-    return _aut(sig, (name,), _gen_images(sig, name), _gen_images(sig, name.inv()))
-
-
-def mul_gen(sig, v, e, w):
-    """M[v^e,w]: v -> w v (e = +1) or v -> v w^-1 (e = -1), rest fixed."""
-    return gen_aut(sig, m_name(v, e, w))
-
-
-def con_gen(sig, v, w):
-    """C[v,w]: v -> w v w^-1, rest fixed."""
-    return gen_aut(sig, c_name(v, w))
-
-
-def swap_gen(sig, i, j):
-    """P[i,j]: x_i <-> x_j; an involution."""
-    return gen_aut(sig, p_name(i, j))
-
-
-def inv_gen(sig, i):
-    """I[i]: x_i -> x_i^-1; an involution."""
-    return gen_aut(sig, i_name(i))
+    return NamedAut(sig, (name,), _gen_images(sig, name), _gen_images(sig, name.inv()))
 
 
 def from_images(sig, images, inv_images):
-    """Ad-hoc constructor from raw tables, with an empty spelling.
+    """The one constructor from Word tables, with an empty spelling.
 
     The pair of tables is checked to be one word of sig per generator and
     mutually inverse before the value is released; an unchecked table is
@@ -251,11 +217,11 @@ def from_images(sig, images, inv_images):
         raise ValueError(f"image tables need {sig.ngens} words each")
     if any(w.sig != sig for w in images + inv_images):
         raise ValueError(f"signature mismatch: an image word is not of {sig}")
-    f = NamedAut(sig, (), images, inv_images)
+    fwd, bwd = (_signed([w.letters for w in table]) for table in (images, inv_images))
     for c in sig.gens():
-        if _substitute(f.fwd, f.bwd[c]) != (c,) or _substitute(f.bwd, f.fwd[c]) != (c,):
+        if _substitute(fwd, bwd[c]) != (c,) or _substitute(bwd, fwd[c]) != (c,):
             raise ValueError("image tables are not mutually inverse")
-    return f
+    return NamedAut(sig, (), fwd, bwd)
 
 
 def _inverted(row):
@@ -327,13 +293,13 @@ def compose(f, g):
     f.bwd that hold a moved letter are substituted.
     """
     _same_sig(f, g)
-    return _aut(f.sig, f.spelling + g.spelling, _after(f.fwd, g.fwd), _after(g.bwd, f.bwd))
+    return NamedAut(f.sig, f.spelling + g.spelling, _after(f.fwd, g.fwd), _after(g.bwd, f.bwd))
 
 
 def inverse(f):
     """Swap the tables, reverse the spelling, flip each power."""
     spelling = tuple(name.inv() for name in reversed(f.spelling))
-    return _aut(f.sig, spelling, f.bwd, f.fwd)
+    return NamedAut(f.sig, spelling, f.bwd, f.fwd)
 
 
 def power(f, m):
@@ -367,7 +333,7 @@ def spelling_aut(sig, spelling):
     fwd, bwd = first.fwd, first.bwd
     for g in rest:
         fwd, bwd = _after(fwd, g.fwd), _after(g.bwd, bwd)
-    return _aut(sig, spelling, fwd, bwd)
+    return NamedAut(sig, spelling, fwd, bwd)
 
 
 def _conjugated(row, c):

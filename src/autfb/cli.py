@@ -113,7 +113,7 @@ def verify(family, n, k, l, fmt, summary):
     sig = _signature(n, k, l)
     if family in ("action-table", "inverse-property"):
         keep = "action" if family == "action-table" else "inverse"
-        report = pr.verify_action_consistency(sig, (keep,))
+        report = pr.verify_action_consistency(sig, keep)
     elif family == "table5":
         report = pr.verify_table5(sig)
     else:

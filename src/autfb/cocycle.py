@@ -175,9 +175,16 @@ class PairingContext:
         self._points = {}
         self._witness_sums = None
 
+    def _slot(self, g):
+        """The lattice coordinate of the x- or z-generator code g."""
+        i = self._index.get(g)
+        if i is None:
+            raise ValueError(f"{g} is not an x- or z-generator code")
+        return i
+
     def unit(self, g, c=1):
         v = [0] * len(self.order)
-        v[self._index[g]] = c
+        v[self._slot(g)] = c
         return tuple(v)
 
     @property
@@ -244,8 +251,7 @@ def i_s(ctx: PairingContext, f: NamedAut, s: int) -> FormalSum:
     """Projection of f(s) s^-1; s ranges over the x- and z-generators."""
     _same_sig(f, ctx)
     _require_kernel(f)
-    if s not in ctx._index:
-        raise ValueError(f"{s} is not an x- or z-generator code")
+    ctx._slot(s)
     return _project(ctx, _times_inverse(f, s))
 
 

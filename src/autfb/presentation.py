@@ -47,15 +47,16 @@ _substitute step.  Three checks read the table:
     lpres_expand               walks the words layer by layer: the
                                relators of t w' are t's table substituted
                                into those of w', one memo per (t, length)
-    verify_action_consistency  the "action" line evaluates the entries
-                               (_entries_hold); the "inverse" line undoes
-                               each by t^-1's table
+    verify_action_consistency  one family per call: "action" evaluates
+                               the entries (_entries_hold), "inverse"
+                               undoes each by t^-1's table (_undone)
     verify_table5              both orders of two letters, one step each
 
 _entries_hold evaluates the entries of the S_Q letters of power +1; those
-of power -1 follow by transport.  lpres_expand_proved decides that every
-relator is trivial from the seeds and the entries, not the relators, and
-leaves them coded for the command line to spell.
+of power -1 follow by transport, whose premise is their _undone lines.
+lpres_expand_proved decides that every relator is trivial from the seeds
+and the entries, not the relators, and leaves them coded for the command
+line to spell.
 
 A check hands all its coded words to one _trivial call, which decides
 whether each evaluates to the identity, folding each prefix the sorted
@@ -1169,6 +1170,17 @@ def _action_table(sig, letters):
     return table
 
 
+def _undone(table, t, codes):
+    """[whether table[-t] substitutes table[t][c] back to (c,), for c in
+    codes]: acting by t^-1 undoes acting by t on s_c.  A row that t fixes
+    is (c,), which substitutes to table[-t][c], so that row is read."""
+    row = table[t]
+    return [
+        table[-t][c] == (c,) if row[c] == (c,) else _substitute(table[-t], row[c]) == (c,)
+        for c in codes
+    ]
+
+
 def _entries_hold(sig, table):
     """{t: [whether table[t][c] evaluates to t s_c t^-1, for c = 1, 2, ...]}.
 
@@ -1177,8 +1189,9 @@ def _entries_hold(sig, table):
     Those of t = t'^-1 follow by transport: if every entry of t' holds,
     substituting table[t'] into a word u over S_K evaluates to t' u t'^-1,
     so a row table[t][c] that table[t'] substitutes back to (c,) (its
-    "inverse" line) evaluates to t s_c t^-1.  When a premise fails, the
-    power -1 entries are evaluated too, so each flag is its entry's own.
+    "inverse" line, _undone) evaluates to t s_c t^-1.  When a premise
+    fails, the power -1 entries are evaluated too, so each flag is its
+    entry's own.
     """
     codes = range(1, len(_alphabet(sig).s_k) + 1)
 
@@ -1188,36 +1201,25 @@ def _entries_hold(sig, table):
 
     holds = evaluate([t for t in table if t > 0])
     inverse = [t for t in table if t < 0]
-    if all(map(all, holds.values())) and all(
-        _substitute(table[-t], table[t][c]) == (c,) for t in inverse for c in codes
-    ):
+    if all(map(all, holds.values())) and all(all(_undone(table, t, codes)) for t in inverse):
         holds.update((t, [True] * len(codes)) for t in inverse)
     else:
         holds.update(evaluate(inverse))
     return holds
 
 
-ACTION_FAMILIES = ("action", "inverse")
+def verify_action_consistency(sig, family):
+    """Ground truth for the rewriting table, in one of two senses.
 
-
-def verify_action_consistency(sig, families=ACTION_FAMILIES):
-    """Ground truth for the rewriting table, in both senses.
-
-    For every S_Q letter t and S_K symbol s: the rewritten word evaluates
-    to the concrete conjugate t s t^-1 ("action"), and acting by t^-1
-    undoes acting by t as words over S_K ("inverse"), checked formally on
-    the coded table.  Only the requested families are reported, in the
-    order given for each (t, s); families must be a non-empty selection of
-    ACTION_FAMILIES without repeats.  The "action" lines are
-    _entries_hold's: a FAIL line is one whose entry does not evaluate to
-    its conjugate.
+    For every S_Q letter t and S_K symbol s, family "action" checks that
+    the rewritten word evaluates to the concrete conjugate t s t^-1 (the
+    lines are _entries_hold's: a FAIL line is one whose entry does not
+    evaluate to its conjugate), and family "inverse" that acting by t^-1
+    undoes acting by t as words over S_K (_undone), checked formally on
+    the coded table.
     """
-    families = tuple(families)
-    unknown = set(families) - set(ACTION_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown action families {sorted(unknown)}")
-    if not families or len(set(families)) < len(families):
-        raise ValueError(f"action families must be non-empty and distinct: {families}")
+    if family not in ("action", "inverse"):
+        raise ValueError(f"unknown action family {family!r}")
     report = Report()
     letters = _sq_codes(sig)
     alpha = _alphabet(sig)
@@ -1225,16 +1227,14 @@ def verify_action_consistency(sig, families=ACTION_FAMILIES):
         report.skip("action", "alphabet empty at this signature")
         return report
     table = _action_table(sig, letters)
-    holds = _entries_hold(sig, table) if "action" in families else None
+    codes = range(1, len(alpha.s_k) + 1)
+    if family == "action":
+        holds = _entries_hold(sig, table)
+    else:
+        holds = {t: _undone(table, t, codes) for t in letters}
     for t in letters:
-        for c in range(1, len(alpha.s_k) + 1):
-            params = f"t={alpha.text[t]},s={alpha.text[c]}"
-            for family in families:
-                if family == "action":
-                    ok = holds[t][c - 1]
-                else:
-                    ok = _substitute(table[-t], table[t][c]) == (c,)
-                report.add(family, params, ok)
+        for c, ok in zip(codes, holds[t]):
+            report.add(family, f"t={alpha.text[t]},s={alpha.text[c]}", ok)
     return report
 
 

@@ -14,9 +14,9 @@ from autfb import (
     abelianization_rank,
     act_hom,
     apply,
+    c_name,
     commutator,
     compose,
-    con_gen,
     cyclic_reduce,
     gen_aut,
     gen_word,
@@ -25,20 +25,23 @@ from autfb import (
     inverse,
     invert,
     multiply,
+    parse_aut,
     johnson_class,
     johnson_full,
     johnson_y,
     johnson_z,
-    mul_gen,
+    m_name,
     s_k_symbols,
     closed_form_rank,
     wedge_class,
     parse_word,
 )
-from autfb import abelianization, automorphism, freegroup, presentation
-from word_routes import wedge_push, wedge_single
+import autfb
+from autfb import abelianization, automorphism, cli, cocycle, freegroup, presentation
+from word_routes import random_kernel, wedge_push, wedge_single
 
 S022 = Signature(0, 2, 2)
+S111 = Signature(1, 1, 1)
 S222 = Signature(2, 2, 2)
 
 
@@ -53,7 +56,7 @@ def test_ab_vector_counts_signed_occurrences():
 
 
 def test_ab_matrix_of_a_multiplier_move():
-    m = ab_matrix(mul_gen(S222, 1, 1, 3))
+    m = ab_matrix(gen_aut(S222, m_name(1, 1, 3)))
     assert m[2][0] == 1  # y1 row picks up the x1 column
     ident = tuple(
         tuple(int(i == j) for j in range(6)) for i in range(6)
@@ -96,21 +99,21 @@ def test_wedge_push_matrices():
 
 def test_act_hom_picks_out_the_multiplier_entry():
     for e in (1, -1):
-        got = act_hom(mul_gen(S222, 1, e, 3))
+        got = act_hom(gen_aut(S222, m_name(1, e, 3)))
         assert got == ((e, 0), (0, 0))
-    assert act_hom(con_gen(S222, 5, 3)) == ((0, 0), (0, 0))
+    assert act_hom(gen_aut(S222, c_name(5, 3))) == ((0, 0), (0, 0))
     with pytest.raises(ValueError):
-        act_hom(mul_gen(S222, 1, 1, 5))  # z multiplier: not in the kernel
+        act_hom(gen_aut(S222, m_name(1, 1, 5)))  # z multiplier: not in the kernel
 
 
 def test_johnson_full_needs_no_x_letters():
     with pytest.raises(ValueError):
-        johnson_full(con_gen(S222, 5, 3))
+        johnson_full(gen_aut(S222, c_name(5, 3)))
 
 
 def test_boundary_conjugation_bullets_without_x_generators():
     # y1=1 y2=2 z1=3 z2=4
-    full = johnson_full(con_gen(S022, 1, 2))
+    full = johnson_full(gen_aut(S022, c_name(1, 2)))
     assert full == {
         1: wedge_single(1, 2),
         2: WedgeElement(),
@@ -159,8 +162,34 @@ def test_boundary_conjugation_bullets_with_x_generators():
             assert all(v == zeros_y for c, v in jy.items() if c != name.v)
 
 
+# A kernel element at (1,1,1): its class at z1 = 3 is -e2^e3, and the
+# readers refuse the negative codes -3 and -2 rather than drop the sign.
+F111 = "C[z1,y1] M[x1^+1,y1]"
+
+
+def test_johnson_class_refuses_a_negative_code():
+    f = parse_aut(S111, F111)
+    assert johnson_class(f, 3) == wedge_single(2, 3, -1)
+    with pytest.raises(ValueError, match="boundary letter expected"):
+        johnson_class(f, -3)
+
+
+def test_johnson_y_refuses_a_negative_code():
+    f = parse_aut(S111, F111)
+    assert johnson_y(f, 2) == (0, 0)
+    with pytest.raises(ValueError, match="y-generator expected"):
+        johnson_y(f, -2)
+
+
+def test_johnson_z_refuses_a_negative_code():
+    f = parse_aut(S111, F111)
+    assert johnson_z(f, 3) == (1,)
+    with pytest.raises(ValueError, match="z-generator expected"):
+        johnson_z(f, -3)
+
+
 def test_johnson_argument_validation():
-    f = con_gen(S222, 5, 3)
+    f = gen_aut(S222, c_name(5, 3))
     with pytest.raises(ValueError):
         johnson_z(f, 3)  # y-letter passed to the z map
     with pytest.raises(ValueError):
@@ -168,23 +197,14 @@ def test_johnson_argument_validation():
     with pytest.raises(ValueError):
         johnson_class(f, 1)  # x is not a boundary letter
     with pytest.raises(ValueError):
-        johnson_class(mul_gen(S222, 1, 1, 5), 3)
-
-
-def _random_kernel_element(sig, rng, length):
-    pool = s_k_symbols(sig)
-    f = identity(sig)
-    for _ in range(length):
-        g = gen_aut(sig, rng.choice(pool))
-        f = compose(f, g if rng.randrange(2) else inverse(g))
-    return f
+        johnson_class(gen_aut(S222, m_name(1, 1, 5)), 3)
 
 
 def test_boundary_class_twisted_additivity():
     rng = random.Random(7)
     for _ in range(120):
-        f = _random_kernel_element(S222, rng, rng.randrange(1, 5))
-        g = _random_kernel_element(S222, rng, rng.randrange(1, 5))
+        f = random_kernel(S222, rng, rng.randrange(1, 5))
+        g = random_kernel(S222, rng, rng.randrange(1, 5))
         m = ab_matrix(f)
         for c in (3, 4, 5, 6):
             lhs = johnson_class(compose(f, g), c)
@@ -195,8 +215,8 @@ def test_boundary_class_twisted_additivity():
 def test_act_hom_is_additive():
     rng = random.Random(8)
     for _ in range(120):
-        f = _random_kernel_element(S222, rng, rng.randrange(1, 5))
-        g = _random_kernel_element(S222, rng, rng.randrange(1, 5))
+        f = random_kernel(S222, rng, rng.randrange(1, 5))
+        g = random_kernel(S222, rng, rng.randrange(1, 5))
         got = act_hom(compose(f, g))
         fa, ga = act_hom(f), act_hom(g)
         assert got == tuple(
@@ -210,7 +230,7 @@ def test_johnson_y_z_match_the_cyclic_reduce_route(sig):
     the Word image, at every y and z letter of random kernel elements."""
     rng = random.Random(11)
     for _ in range(80):
-        f = _random_kernel_element(sig, rng, rng.randrange(1, 6))
+        f = random_kernel(sig, rng, rng.randrange(1, 6))
         for c in sig.y_gens():
             assert johnson_y(f, c) == word_routes.johnson_y(f, c)
         for c in sig.z_gens():
@@ -226,7 +246,7 @@ def test_row_readers_match_the_word_routes(sig):
     and the rank row is as long as its image_blocks."""
     rng = random.Random(12)
     for _ in range(60):
-        f = _random_kernel_element(sig, rng, rng.randrange(1, 6))
+        f = random_kernel(sig, rng, rng.randrange(1, 6))
         assert ab_matrix(f) == word_routes.ab_matrix(f)
         assert act_hom(f) == word_routes.act_hom(f)
         for c in sig.yz_gens():
@@ -243,7 +263,7 @@ def test_row_readers_match_the_word_routes(sig):
 def test_boundary_class_matches_the_conjugating_word():
     rng = random.Random(9)
     for _ in range(80):
-        f = _random_kernel_element(S222, rng, rng.randrange(1, 5))
+        f = random_kernel(S222, rng, rng.randrange(1, 5))
         for c in (3, 4, 5, 6):
             u = multiply(
                 apply(f, gen_word(S222, c)), invert(gen_word(S222, c))
@@ -319,18 +339,22 @@ def test_rank_closed_form():
 
 
 def test_rank_rows_read_the_stored_generator_images(monkeypatch):
-    """With the generator cache warm, every rank row reads the images its
-    generator already holds and builds no one-letter word."""
+    """With the generator cache warm, every rank row reads the generator
+    _cached_gen_aut already holds: no module calls gen_aut again."""
     abelianization_rank(S222)
     calls = []
 
-    def counted(sig, code):
-        calls.append(code)
-        return gen_word(sig, code)
+    def counted(sig, name):
+        calls.append(name)
+        return gen_aut(sig, name)
 
-    for mod in (freegroup, automorphism, abelianization, presentation):
-        if getattr(mod, "gen_word", None) is gen_word:
-            monkeypatch.setattr(mod, "gen_word", counted)
+    patched = 0
+    for mod in (autfb, freegroup, automorphism, presentation, abelianization, cocycle, cli):
+        for attr, value in list(vars(mod).items()):
+            if value is gen_aut:
+                monkeypatch.setattr(mod, attr, counted)
+                patched += 1
+    assert patched >= 2  # automorphism's own binding and autfb's re-export
     assert abelianization_rank(S222) == closed_form_rank(S222)
     assert calls == []
 
@@ -348,7 +372,7 @@ def test_each_rank_row_and_johnson_full_check_the_kernel_once(monkeypatch):
         assert abelianization_rank(sig) == closed_form_rank(sig)
     assert len(calls) == sum(len(s_k_symbols(sig)) for sig in sigs) == 104
     calls.clear()
-    johnson_full(con_gen(S022, 1, 2))
+    johnson_full(gen_aut(S022, c_name(1, 2)))
     assert len(calls) == 1
 
 
@@ -361,15 +385,15 @@ def _comm_aut(f, g):
 
 
 def test_split_multiplier_pair_is_a_commutator():
-    m = mul_gen(S222, 1, 1, 3)
-    mi = mul_gen(S222, 1, -1, 3)
-    c = con_gen(S222, 3, 1)
+    m = gen_aut(S222, m_name(1, 1, 3))
+    mi = gen_aut(S222, m_name(1, -1, 3))
+    c = gen_aut(S222, c_name(3, 1))
     assert compose(m, mi) == _comm_aut(m, c)
     assert compose(m, mi) != _comm_aut(c, m)
 
 
 def test_y_by_y_conjugation_is_a_commutator():
-    lhs = con_gen(S222, 3, 4)
-    rhs = _comm_aut(inverse(con_gen(S222, 3, 1)), mul_gen(S222, 1, 1, 4))
+    lhs = gen_aut(S222, c_name(3, 4))
+    rhs = _comm_aut(inverse(gen_aut(S222, c_name(3, 1))), gen_aut(S222, m_name(1, 1, 4)))
     assert lhs == rhs
-    assert lhs != _comm_aut(mul_gen(S222, 1, 1, 4), inverse(con_gen(S222, 3, 1)))
+    assert lhs != _comm_aut(gen_aut(S222, m_name(1, 1, 4)), inverse(gen_aut(S222, c_name(3, 1))))

@@ -16,8 +16,8 @@ from autfb import (
     abelianization_rank,
     act_hom,
     action_extend,
+    c_name,
     compose,
-    con_gen,
     eval_symbol_word,
     gen_aut,
     hat,
@@ -30,8 +30,8 @@ from autfb import (
     johnson_y,
     johnson_z,
     lpres_expand,
+    m_name,
     mu_witnesses,
-    mul_gen,
     pairing,
     s_k_symbols,
     s_q_symbols,
@@ -52,7 +52,7 @@ from disjoint_support import (
     mult_set,
     support,
 )
-from word_routes import wedge_push, wedge_single
+from word_routes import random_kernel, wedge_push, wedge_single
 
 S222 = Signature(2, 2, 2)
 
@@ -92,10 +92,10 @@ def test_a02_full_group_relation_tables():
 
 def test_a03_rewriting_action_consistency():
     t0 = time.perf_counter()
-    rep = verify_action_consistency(S222)
-    assert rep.all_passed
-    families = {ln[0] for ln in rep.lines}
-    assert families == {"action", "inverse"}
+    for family in ("action", "inverse"):
+        rep = verify_action_consistency(S222, family)
+        assert rep.all_passed
+        assert {ln[0] for ln in rep.lines} == {family}
     _hold_to_budget(3, t0, 30.0)
     _report(3, "rewriting action and inverse consistency")
 
@@ -210,9 +210,9 @@ def test_a08_proof_bullet_values():
         for c in s022.gens():
             expect = wedge_single(name.v, name.w) if c == name.v else WedgeElement()
             assert full[c] == expect
-    assert johnson_full(con_gen(s022, 1, 2))[1] == wedge_single(1, 2)
-    assert johnson_full(con_gen(s022, 3, 2))[3] == wedge_single(2, 3, -1)
-    assert johnson_full(con_gen(s022, 1, 4))[1] == wedge_single(1, 4)
+    assert johnson_full(gen_aut(s022, c_name(1, 2)))[1] == wedge_single(1, 2)
+    assert johnson_full(gen_aut(s022, c_name(3, 2)))[3] == wedge_single(2, 3, -1)
+    assert johnson_full(gen_aut(s022, c_name(1, 4)))[1] == wedge_single(1, 4)
 
     # with x-generators: multiplier moves hit only the action matrix,
     # conjugation moves hit exactly one per-letter block
@@ -244,7 +244,7 @@ def test_a08_proof_bullet_values():
             assert jy[name.v] == tuple(vec)
             assert set(jz.values()) == {zeros_z}
             assert all(v == zeros_y for c, v in jy.items() if c != name.v)
-    assert act_hom(mul_gen(S222, 1, 1, 3)) == ((1, 0), (0, 0))
+    assert act_hom(gen_aut(S222, m_name(1, 1, 3))) == ((1, 0), (0, 0))
     _report(8, "per-letter values behind the two rank counts")
 
 
@@ -323,20 +323,11 @@ def test_a11_independent_witness_family():
     _report(11, "independent witness family in the boundary-fixing subgroup")
 
 
-def _random_kernel(sig, rng, max_len):
-    pool = s_k_symbols(sig)
-    f = identity(sig)
-    for _ in range(rng.randrange(1, max_len + 1)):
-        g = gen_aut(sig, rng.choice(pool))
-        f = compose(f, g if rng.randrange(2) else inverse(g))
-    return f
-
-
 def test_a12_averaged_cochain_laws():
     ctx = PairingContext(Signature(1, 1, 1), y=2, a=1, b=3)
     rng = random.Random(52)
     for _ in range(500):
-        g0, g1, g2, g3 = (_random_kernel(ctx.sig, rng, 8) for _ in range(4))
+        g0, g1, g2, g3 = (random_kernel(ctx.sig, rng, rng.randrange(1, 9)) for _ in range(4))
         for r in (1, 2, 3):
             total = (
                 zeta_eval(ctx, r, g1, g2, g3)
@@ -346,8 +337,8 @@ def test_a12_averaged_cochain_laws():
             )
             assert total == 0
     for _ in range(500):
-        trip = [_random_kernel(ctx.sig, rng, 8) for _ in range(3)]
-        h = _random_kernel(ctx.sig, rng, 8)
+        trip = [random_kernel(ctx.sig, rng, rng.randrange(1, 9)) for _ in range(3)]
+        h = random_kernel(ctx.sig, rng, rng.randrange(1, 9))
         moved = [compose(h, t) for t in trip]
         for r in (1, 2, 3):
             assert zeta_eval(ctx, r, *moved) == zeta_eval(ctx, r, *trip)
@@ -357,8 +348,8 @@ def test_a12_averaged_cochain_laws():
 def test_a13_twisted_additivity_and_transport():
     rng = random.Random(53)
     for _ in range(1000):
-        f = _random_kernel(S222, rng, 4)
-        g = _random_kernel(S222, rng, 4)
+        f = random_kernel(S222, rng, rng.randrange(1, 5))
+        g = random_kernel(S222, rng, rng.randrange(1, 5))
         m = ab_matrix(f)
         for c in (3, 4, 5, 6):
             lhs = johnson_class(compose(f, g), c)
@@ -367,7 +358,7 @@ def test_a13_twisted_additivity_and_transport():
 
     ctx = PairingContext(Signature(2, 2, 1), y=3, a=1, b=2)
     for _ in range(1000):
-        f = _random_kernel(ctx.sig, rng, 3)
+        f = random_kernel(ctx.sig, rng, rng.randrange(1, 4))
         f = compose(f, inverse(hat(ctx, f)))
         x = tuple(rng.randrange(-2, 3) for _ in ctx.order)
         s = sigma(ctx, x)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import autfb.automorphism as automorphism
 import word_routes
+from word_routes import image
 from autfb import (
     GenName,
     NamedAut,
@@ -16,7 +17,6 @@ from autfb import (
     apply,
     c_name,
     compose,
-    con_gen,
     format_name,
     format_spelling,
     from_images,
@@ -24,14 +24,12 @@ from autfb import (
     gen_word,
     i_name,
     identity,
-    inv_gen,
     invert,
     inverse,
     is_in_autfb,
     is_in_autfb_prime,
     is_in_kernel,
     m_name,
-    mul_gen,
     multiply,
     p_name,
     parse_aut,
@@ -42,7 +40,6 @@ from autfb import (
     s_k_symbols,
     s_q_symbols,
     spelling_aut,
-    swap_gen,
     parse_word,
 )
 
@@ -58,43 +55,46 @@ def w(text):
 # generator images
 
 
-def test_mul_gen_images():
-    f = mul_gen(SIG, X1, 1, Y1)
-    assert f.image(X1) == w("y1 x1")
-    assert all(f.image(c) == gen_word(SIG, c) for c in SIG.gens() if c != X1)
-    g = mul_gen(SIG, X1, -1, Y1)
-    assert g.image(X1) == w("x1 y1^-1")
+def test_m_images():
+    f = gen_aut(SIG, m_name(X1, 1, Y1))
+    assert image(f, X1) == w("y1 x1")
+    assert all(image(f, c) == gen_word(SIG, c) for c in SIG.gens() if c != X1)
+    g = gen_aut(SIG, m_name(X1, -1, Y1))
+    assert image(g, X1) == w("x1 y1^-1")
 
 
-def test_mul_gen_inverse_cancels():
-    f = mul_gen(SIG, X1, 1, Y1)
+def test_m_inverse_cancels():
+    f = gen_aut(SIG, m_name(X1, 1, Y1))
     assert compose(f, inverse(f)) == identity(SIG)
-    assert inverse(f).image(X1) == w("y1^-1 x1")
+    assert image(inverse(f), X1) == w("y1^-1 x1")
 
 
 def test_image_reads_only_letters_of_its_signature():
     sig = Signature(1, 1, 1)
     f = gen_aut(sig, m_name(1, 1, 2))
-    assert f.image(-1) == invert(f.image(1)) == parse_word(sig, "x1^-1 y1^-1")
-    assert f.image(-3) == gen_word(sig, -3)
+    assert image(f, -1) == invert(image(f, 1)) == parse_word(sig, "x1^-1 y1^-1")
+    assert image(f, -3) == gen_word(sig, -3)
     # 0 and -(n+1) would index the signed rows' padding or another row.
     for code in (0, 4, -4, 7):
         with pytest.raises(ValueError, match="out of range"):
-            f.image(code)
+            image(f, code)
+    with pytest.raises(ValueError, match="signature mismatch"):
+        apply(f, gen_word(SIG, 1))
 
 
-def test_con_gen_images():
-    assert con_gen(SIG, Y1, X1).image(Y1) == w("x1 y1 x1^-1")
-    assert con_gen(SIG, Z1, Y1).image(Z1) == w("y1 z1 y1^-1")
-    assert apply(con_gen(SIG, Y1, X1), w("y2")) == w("y2")
+def test_c_images():
+    assert image(gen_aut(SIG, c_name(Y1, X1)), Y1) == w("x1 y1 x1^-1")
+    assert image(gen_aut(SIG, c_name(Z1, Y1)), Z1) == w("y1 z1 y1^-1")
+    assert apply(gen_aut(SIG, c_name(Y1, X1)), w("y2")) == w("y2")
 
 
 def test_swap_and_inv_images():
-    assert apply(swap_gen(SIG, 1, 2), w("x1")) == w("x2")
-    assert apply(swap_gen(SIG, 1, 2), w("y1")) == w("y1")
-    f = inv_gen(SIG, 1)
+    swap = gen_aut(SIG, p_name(1, 2))
+    assert apply(swap, w("x1")) == w("x2")
+    assert apply(swap, w("y1")) == w("y1")
+    f = gen_aut(SIG, i_name(1))
     assert apply(f, apply(f, w("x1"))) == w("x1")
-    assert compose(swap_gen(SIG, 1, 2), swap_gen(SIG, 1, 2)) == identity(SIG)
+    assert compose(swap, swap) == identity(SIG)
 
 
 def test_name_constructors_validate():
@@ -105,9 +105,9 @@ def test_name_constructors_validate():
     with pytest.raises(ValueError):
         m_name(1, 2, 3)
     with pytest.raises(ValueError):
-        swap_gen(SIG, 1, 3)
+        gen_aut(SIG, p_name(1, 3))
     with pytest.raises(ValueError):
-        inv_gen(SIG, 5)
+        gen_aut(SIG, i_name(5))
     # every constructor rejects a non-positive index and a power other than +-1
     bad = [
         lambda: i_name(0),
@@ -137,7 +137,7 @@ def _ref_tables(sig):
     return [gen_word(sig, c) for c in sig.gens()], [gen_word(sig, c) for c in sig.gens()]
 
 
-def ref_mul_gen(sig, v, e, w):
+def ref_m(sig, v, e, w):
     images, inv_images = _ref_tables(sig)
     vv, ww = gen_word(sig, v), gen_word(sig, w)
     if e == 1:
@@ -146,46 +146,45 @@ def ref_mul_gen(sig, v, e, w):
     else:
         images[v - 1] = multiply(vv, invert(ww))
         inv_images[v - 1] = multiply(vv, ww)
-    return NamedAut(sig, (m_name(v, e, w),), images, inv_images)
+    return images, inv_images
 
 
-def ref_con_gen(sig, v, w):
+def ref_c(sig, v, w):
     images, inv_images = _ref_tables(sig)
     vv, ww = gen_word(sig, v), gen_word(sig, w)
     images[v - 1] = multiply(multiply(ww, vv), invert(ww))
     inv_images[v - 1] = multiply(multiply(invert(ww), vv), ww)
-    return NamedAut(sig, (c_name(v, w),), images, inv_images)
+    return images, inv_images
 
 
-def ref_swap_gen(sig, i, j):
+def ref_p(sig, i, j):
     if not (1 <= i <= sig.n and 1 <= j <= sig.n):
         raise ValueError(f"P indices out of range for {sig}")
     images, _ = _ref_tables(sig)
     images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-    return NamedAut(sig, (p_name(i, j),), images, list(images))
+    return images, list(images)
 
 
-def ref_inv_gen(sig, i):
+def ref_i(sig, i):
     if not 1 <= i <= sig.n:
         raise ValueError(f"I index out of range for {sig}")
     images, _ = _ref_tables(sig)
     images[i - 1] = invert(images[i - 1])
-    return NamedAut(sig, (i_name(i),), images, list(images))
+    return images, list(images)
 
 
-def ref_gen_aut(sig, name):
-    """Each kind written out at power +1; power -1 swaps the tables."""
+def ref_gen_tables(sig, name):
+    """Both Word tables of a name, each kind written out at power +1;
+    power -1 swaps the tables."""
     if name.kind == "M":
-        f = ref_mul_gen(sig, name.v, name.e, name.w)
+        tables = ref_m(sig, name.v, name.e, name.w)
     elif name.kind == "C":
-        f = ref_con_gen(sig, name.v, name.w)
+        tables = ref_c(sig, name.v, name.w)
     elif name.kind == "P":
-        f = ref_swap_gen(sig, name.v, name.w)
+        tables = ref_p(sig, name.v, name.w)
     else:
-        f = ref_inv_gen(sig, name.v)
-    if name.power == -1:
-        return NamedAut(sig, (name,), f.inv_images, f.images)
-    return f
+        tables = ref_i(sig, name.v)
+    return tables[::-1] if name.power == -1 else tables
 
 
 def _names_up_to(top):
@@ -210,15 +209,15 @@ def test_gen_aut_matches_the_hand_written_constructors(sig):
         valid = max(base.v, base.w) <= (sig.ngens if base.kind in ("M", "C") else sig.n)
         for name in (base, base.inv()):
             if valid:
-                got, ref = gen_aut(sig, name), ref_gen_aut(sig, name)
-                assert got.images == ref.images
-                assert got.inv_images == ref.inv_images
-                assert got.spelling == ref.spelling == (name,)
+                got, (images, inv_images) = gen_aut(sig, name), ref_gen_tables(sig, name)
+                assert got.images == tuple(images)
+                assert got.inv_images == tuple(inv_images)
+                assert got.spelling == (name,)
             else:
                 with pytest.raises(ValueError):
                     gen_aut(sig, name)
                 with pytest.raises(ValueError):
-                    ref_gen_aut(sig, name)
+                    ref_gen_tables(sig, name)
     # A GenName built by hand is checked as its constructor would check it.
     for name in (
         GenName("M", 1, 1, 1, 1),
@@ -246,19 +245,19 @@ def test_the_generator_cache_is_bounded():
 
 
 def test_apply_instances():
-    f = mul_gen(SIG, X1, 1, Y1)
+    f = gen_aut(SIG, m_name(X1, 1, Y1))
     assert apply(f, w("x1 x1")) == w("y1 x1 y1 x1")
     assert apply(identity(SIG), w("x2 z1^-1")) == w("x2 z1^-1")
-    assert apply(con_gen(SIG, Y1, X1), w("y1^-1")) == w("x1 y1^-1 x1^-1")
+    assert apply(gen_aut(SIG, c_name(Y1, X1)), w("y1^-1")) == w("x1 y1^-1 x1^-1")
 
 
 def test_compose_instances():
-    f = mul_gen(SIG, X1, 1, Y1)
-    assert compose(f, f).image(X1) == w("y1 y1 x1")
+    f = gen_aut(SIG, m_name(X1, 1, Y1))
+    assert image(compose(f, f), X1) == w("y1 y1 x1")
 
 
 def test_power_matches_repeated_composition():
-    f = con_gen(SIG, Y1, X1)
+    f = gen_aut(SIG, c_name(Y1, X1))
     assert power(f, 3) == compose(f, compose(f, f))
     assert power(f, -2) == inverse(compose(f, f))
     assert power(f, 0) == identity(SIG)
@@ -284,6 +283,14 @@ def test_power_matches_the_linear_reference(text):
         assert got.images == want.images
         assert got.inv_images == want.inv_images
         assert got.spelling == want.spelling
+
+
+def test_the_constructor_takes_signed_rows_as_they_are():
+    f = parse_aut(SIG, "M[x1^+1,y1] C[z1,x2]^-1")
+    spelling = parse_spelling(SIG, "C[y1,x1]")
+    g = NamedAut(SIG, spelling, f.fwd, f.bwd)
+    assert g == f and g.spelling == spelling
+    assert g.fwd is f.fwd and g.bwd is f.bwd
 
 
 def test_from_images_checks_inverse_tables():
@@ -342,13 +349,13 @@ def test_sq_members_fix_boundary_classes_but_not_the_projection():
 
 
 def test_prime_membership_is_exact_fixing():
-    assert is_in_autfb_prime(mul_gen(SIG, X1, 1, Y1))
-    assert not is_in_autfb_prime(con_gen(SIG, Y1, X1))
-    assert is_in_autfb_prime(mul_gen(SIG, X1, 1, X2))
+    assert is_in_autfb_prime(gen_aut(SIG, m_name(X1, 1, Y1)))
+    assert not is_in_autfb_prime(gen_aut(SIG, c_name(Y1, X1)))
+    assert is_in_autfb_prime(gen_aut(SIG, m_name(X1, 1, X2)))
 
 
 def test_kernel_test_rejects_non_members_loudly():
-    f = mul_gen(SIG, Y1, 1, X1)
+    f = gen_aut(SIG, m_name(Y1, 1, X1))
     assert not is_in_autfb(f)
     with pytest.raises(NotInAutFBError):
         is_in_kernel(f)
@@ -356,10 +363,10 @@ def test_kernel_test_rejects_non_members_loudly():
 
 def test_abelian_cycle_witnesses_commute():
     y, a, b = Y1, X1, Z1
-    cya = con_gen(SIG, y, a)
-    g = compose(con_gen(SIG, a, y), con_gen(SIG, b, y))
+    cya = gen_aut(SIG, c_name(y, a))
+    g = compose(gen_aut(SIG, c_name(a, y)), gen_aut(SIG, c_name(b, y)))
     for m in range(1, 7):
-        f_m = compose(compose(power(cya, m), con_gen(SIG, b, y)), power(cya, -m))
+        f_m = compose(compose(power(cya, m), gen_aut(SIG, c_name(b, y))), power(cya, -m))
         assert compose(f_m, g) == compose(g, f_m)
 
 
@@ -516,10 +523,10 @@ def test_is_in_autfb_agrees_with_the_rotation_scan(sp, move):
 
 def test_is_in_autfb_needs_the_letter_itself_as_cyclic_core():
     # y1 -> x1 y1 x1^-2, whose cyclic core y1 x1^-1 is not a single letter.
-    assert not is_in_autfb(compose(con_gen(SIG, Y1, X1), mul_gen(SIG, Y1, -1, X1)))
+    assert not is_in_autfb(compose(gen_aut(SIG, c_name(Y1, X1)), gen_aut(SIG, m_name(Y1, -1, X1))))
     for move in LETTER_MOVES:
         assert not is_in_autfb(move)
-        assert not is_in_autfb(compose(con_gen(SIG, Y2, X1), move))
+        assert not is_in_autfb(compose(gen_aut(SIG, c_name(Y2, X1)), move))
 
 
 def test_key_distinguishes_image_tables():

@@ -18,7 +18,6 @@ from autfb import (
     alpha_twisted,
     c_name,
     compose,
-    con_gen,
     conjugate,
     gen_aut,
     gen_word,
@@ -31,7 +30,6 @@ from autfb import (
     kappa_eval,
     m_name,
     mu_witnesses,
-    mul_gen,
     multiply,
     ny_project,
     pairing,
@@ -45,6 +43,8 @@ from autfb import (
     parse_word,
     zeta_eval,
 )
+
+from word_routes import random_kernel
 
 S111 = Signature(1, 1, 1)
 S221 = Signature(2, 2, 1)
@@ -97,6 +97,16 @@ def test_context_rejects_bad_choices():
 def test_context_refuses_non_positive_codes(y, a, b):
     with pytest.raises(ValueError, match="must be positive"):
         PairingContext(S111, y=y, a=a, b=b)
+
+
+def test_unit_refuses_a_code_off_the_lattice(ctx111):
+    """The y code 2, the out-of-range 9, 0 and a negative code have no
+    coordinate, and unit refuses them with i_s's error."""
+    for g in (2, 9, 0, -1):
+        with pytest.raises(ValueError, match=f"{g} is not an x- or z-generator code"):
+            ctx111.unit(g)
+        with pytest.raises(ValueError, match=f"{g} is not an x- or z-generator code"):
+            i_s(ctx111, identity(S111), g)
 
 
 def test_context_layout(ctx111, ctx221):
@@ -186,7 +196,7 @@ def test_i_s_validates_its_arguments(ctx111):
     with pytest.raises(ValueError):
         i_s(ctx111, identity(S111), 2)  # y code
     with pytest.raises(ValueError):
-        i_s(ctx111, mul_gen(S111, 1, 1, 3), 1)  # not in the kernel
+        i_s(ctx111, gen_aut(S111, m_name(1, 1, 3)), 1)  # not in the kernel
     other = identity(S221)
     for call in (
         lambda: i_s(ctx111, other, 1),
@@ -199,9 +209,9 @@ def test_i_s_validates_its_arguments(ctx111):
 
 
 def test_jprime_and_membership(ctx111):
-    assert jprime_y(ctx111, con_gen(S111, 2, 1)) == (1, 0)
-    assert jprime_y(ctx111, inverse(con_gen(S111, 2, 3))) == (0, -1)
-    assert not is_in_l(ctx111, con_gen(S111, 2, 1))
+    assert jprime_y(ctx111, gen_aut(S111, c_name(2, 1))) == (1, 0)
+    assert jprime_y(ctx111, inverse(gen_aut(S111, c_name(2, 3)))) == (0, -1)
+    assert not is_in_l(ctx111, gen_aut(S111, c_name(2, 1)))
     assert is_in_l(ctx111, identity(S111))
     f_m, g = mu_witnesses(ctx111, 2)
     assert is_in_l(ctx111, f_m) and is_in_l(ctx111, g)
@@ -209,7 +219,7 @@ def test_jprime_and_membership(ctx111):
 
 def test_sigma_is_a_section(ctx111):
     assert sigma(ctx111, ctx111.zero) == identity(S111)
-    assert sigma(ctx111, ctx111.A) == con_gen(S111, 2, 1)
+    assert sigma(ctx111, ctx111.A) == gen_aut(S111, c_name(2, 1))
     rng = random.Random(12)
     for _ in range(40):
         x = tuple(rng.randrange(-3, 4) for _ in ctx111.order)
@@ -219,23 +229,14 @@ def test_sigma_is_a_section(ctx111):
 def test_hat_reads_off_the_section_value(ctx111):
     f_m, g = mu_witnesses(ctx111, 1)
     assert hat(ctx111, f_m) == identity(S111)
-    c = con_gen(S111, 2, 1)
+    c = gen_aut(S111, c_name(2, 1))
     assert hat(ctx111, c) == c
     mixed = compose(c, g)
     assert hat(ctx111, mixed) == c
 
 
-def _random_kernel(sig, rng, length):
-    pool = s_k_symbols(sig)
-    f = identity(sig)
-    for _ in range(length):
-        g = gen_aut(sig, rng.choice(pool))
-        f = compose(f, g if rng.randrange(2) else inverse(g))
-    return f
-
-
 def _random_l(ctx, rng, length):
-    f = _random_kernel(ctx.sig, rng, length)
+    f = random_kernel(ctx.sig, rng, length)
     return compose(f, inverse(hat(ctx, f)))
 
 
@@ -260,7 +261,7 @@ def test_alpha_worked_instances(ctx111):
             assert alpha(ctx111, r, f_m) == int(r == m)
         assert alpha(ctx111, 0, g) == 1
     with pytest.raises(ValueError):
-        alpha(ctx111, 1, con_gen(S111, 2, 1))
+        alpha(ctx111, 1, gen_aut(S111, c_name(2, 1)))
 
 
 def test_twisted_alpha_translates_the_invariant(ctx111):
@@ -326,7 +327,7 @@ def test_i_b_matches_the_word_route(ctx, data):
     assert cocycle._i_b(ctx, f) == word_routes.i_b(ctx, f)
     assert i_s(ctx, f, ctx.b) == word_routes.i_b(ctx, f)
     for s in ctx.order:
-        u = multiply(f.image(s), gen_word(ctx.sig, -s))
+        u = multiply(word_routes.image(f, s), gen_word(ctx.sig, -s))
         assert ny_project(ctx, u) == word_routes.ny_project(ctx, u)
 
 
@@ -372,7 +373,7 @@ def test_points_of_the_wrong_length_are_refused():
     for d in ((1,), (0, 0, 1)):
         with pytest.raises(ValueError, match="lengths differ"):
             cocycle._i_b(ctx, f).shifted(d)
-    assert sigma(ctx, (1, 0)) == con_gen(S111, 2, 1)
+    assert sigma(ctx, (1, 0)) == gen_aut(S111, c_name(2, 1))
     assert alpha_twisted(ctx, (0, 0), 1, f) == 1
     assert FormalSum().shifted((1,)) == FormalSum()
     for v in ((1, 0, 0), (1,), ()):
@@ -424,9 +425,9 @@ def test_zeta_vanishes_on_constant_triples(ctx111):
 def test_zeta_is_left_invariant(ctx111):
     rng = random.Random(15)
     for _ in range(30):
-        trip = [_random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(3)]
+        trip = [random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(3)]
         base = zeta_eval(ctx111, 1, *trip)
-        h = _random_kernel(S111, rng, rng.randrange(1, 3))
+        h = random_kernel(S111, rng, rng.randrange(1, 3))
         moved = [compose(h, t) for t in trip]
         assert zeta_eval(ctx111, 1, *moved) == base
         x = tuple(rng.randrange(-2, 3) for _ in ctx111.order)
@@ -438,7 +439,7 @@ def test_zeta_is_a_cocycle_in_small_samples(ctx111):
     rng = random.Random(16)
     for _ in range(20):
         g0, g1, g2, g3 = (
-            _random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(4)
+            random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(4)
         )
         for r in (1, 2):
             total = (
@@ -510,7 +511,7 @@ def test_zeta_and_kappa_match_the_composition_route(sig, y, a, b):
     rng = random.Random(17)
     nonzero = 0
     for _ in range(30):
-        trip = [_random_kernel(sig, rng, rng.randrange(2, 9)) for _ in range(3)]
+        trip = [random_kernel(sig, rng, rng.randrange(2, 9)) for _ in range(3)]
         for g in trip:
             drop = compose(g, inverse(hat(ctx, g)))
             assert is_in_l(ctx, drop)
@@ -590,7 +591,7 @@ def test_context_caches_stay_at_their_cap_and_values_hold(monkeypatch):
     overflow and drop their oldest entries; zeta_eval, pairing and sigma
     give the values of an uncapped context."""
     rng = random.Random(23)
-    triples = [[_random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(3)] for _ in range(6)]
+    triples = [[random_kernel(S111, rng, rng.randrange(1, 4)) for _ in range(3)] for _ in range(6)]
     points = [(i, j) for i in range(-2, 3) for j in range(-1, 2)]
     ref = PairingContext(S111, y=2, a=1, b=3)
     want = (

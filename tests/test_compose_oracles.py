@@ -13,6 +13,7 @@ from autfb import (
     apply,
     c_name,
     compose,
+    from_images,
     gen_aut,
     identity,
     inverse,
@@ -32,7 +33,8 @@ def ref_compose(f, g):
     f.inv_images."""
     images = [apply(f, w) for w in g.images]
     inv_images = [apply(inverse(g), w) for w in f.inv_images]
-    return NamedAut(f.sig, f.spelling + g.spelling, images, inv_images)
+    h = from_images(f.sig, images, inv_images)
+    return NamedAut(f.sig, f.spelling + g.spelling, h.fwd, h.bwd)
 
 
 def all_names(sig):

@@ -122,13 +122,14 @@ def test_no_imports_inside_functions(path):
 
 
 # The functions outside freegroup that take or give a Word, by module.
-# from_images takes Words too, but reads them only through NamedAut.__init__.
+# NamedAut takes signed rows; from_images is its one route from Word tables,
+# _views builds the images and inv_images views, and apply maps one Word.
 WORD_EDGES = {
-    "automorphism": {"NamedAut.__init__", "NamedAut.image", "_views", "apply"},
+    "automorphism": {"from_images", "_views", "apply"},
     "abelianization": {"wedge_class"},
     "cocycle": {"ny_project"},
 }
-WORD_ATTRS = {"image", "images", "inv_images", "letters"}
+WORD_ATTRS = {"images", "inv_images", "letters"}
 WORD_CALLS = {"Word", "gen_word", "multiply", "abelianize", "ab_vector"}
 
 
@@ -156,7 +157,7 @@ def word_reads(source):
 
 def test_the_scan_finds_word_reads():
     source = (
-        "def f(a):\n    return a.image(1)\n"
+        "def f(a):\n    return a.images[1]\n"
         "class C:\n    def m(self, u):\n        return fg.multiply(u, u)\n"
         "def g(a):\n    return a.fwd[1]\n"
         "w = Word(s, ())\n"

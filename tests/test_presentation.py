@@ -32,7 +32,6 @@ from autfb import (
     lpres_expand,
     lpres_expand_proved,
     m_name,
-    mul_gen,
     p_name,
     s_k_symbols,
     s_n_symbols,
@@ -201,7 +200,7 @@ def test_sym_inv_reverses_and_inverts():
 
 def test_eval_symbol_word_instances():
     assert eval_symbol_word(S222, ()) == identity(S222)
-    assert eval_symbol_word(S222, (m_name(1, 1, 3),)) == mul_gen(S222, 1, 1, 3)
+    assert eval_symbol_word(S222, (m_name(1, 1, 3),)) == gen_aut(S222, m_name(1, 1, 3))
     for inst in enumerate_relations("rk", S111):
         rel = sym_mul(inst.lhs, sym_inv(inst.rhs))
         assert eval_symbol_word(S111, rel) == identity(S111)
@@ -511,10 +510,10 @@ def test_action_extend_homomorphic_in_the_target_word():
 
 
 def test_action_consistency_small_signatures():
-    rep = verify_action_consistency(S111)
-    assert rep.counts == {"PASS": 80, "FAIL": 0, "SKIP": 0}
-    rep = verify_action_consistency(Signature(0, 1, 2))
-    assert rep.counts == {"PASS": 32, "FAIL": 0, "SKIP": 0}
+    for sig, pairs in ((S111, 40), (Signature(0, 1, 2), 16)):
+        for family in ("action", "inverse"):
+            rep = verify_action_consistency(sig, family)
+            assert rep.counts == {"PASS": pairs, "FAIL": 0, "SKIP": 0}, (sig, family)
 
 
 def _action_consistency_by_action_extend(sig):
@@ -556,51 +555,35 @@ def _table5_by_action_extend(sig):
 
 
 def _assert_action_checks_match_the_reference(sig):
-    """Compare line by line; return the action pair's and table5's reports."""
+    """Compare line by line, one call per family; return the two families'
+    reports and table5's."""
     ref = _action_consistency_by_action_extend(sig)
-    rep = verify_action_consistency(sig)
-    assert rep.lines == ref.lines, sig
+    reps = []
     for family in ("action", "inverse"):
         want = [ln for ln in ref.lines if ln[0] == family or ln[2] == "SKIP"]
-        assert verify_action_consistency(sig, (family,)).lines == want, (sig, family)
+        reps.append(verify_action_consistency(sig, family))
+        assert reps[-1].lines == want, (sig, family)
     residues = verify_table5(sig)
     assert residues.lines == _table5_by_action_extend(sig).lines, sig
-    return rep, residues
+    return reps, residues
 
 
 def test_action_consistency_sweep():
     for n in range(0, 4):
         for k in range(1, 4):
             for l in range(0, 4):
-                rep, residues = _assert_action_checks_match_the_reference(Signature(n, k, l))
-                assert rep.all_passed, (n, k, l)
+                reps, residues = _assert_action_checks_match_the_reference(Signature(n, k, l))
+                assert all(rep.all_passed for rep in reps), (n, k, l)
                 assert residues.all_passed, (n, k, l)
 
 
 def test_action_consistency_skips_an_empty_alphabet_for_each_family():
     skip = [("action", "alphabet empty at this signature", "SKIP")]
-    for families in (("action",), ("inverse",), ("action", "inverse")):
-        assert verify_action_consistency(Signature(2, 0, 0), families).lines == skip
-    with pytest.raises(ValueError):
-        verify_action_consistency(S111, ("actoin",))
-
-
-@pytest.mark.parametrize(
-    "families", [(), ("action", "action"), ("inverse", "action", "inverse")]
-)
-def test_action_consistency_rejects_empty_or_repeated_families(families):
-    """No family would give a passing report of no checks, and a repeated
-    one would report each of its lines twice."""
-    for sig in (S111, Signature(2, 0, 0)):
+    for family in ("action", "inverse"):
+        assert verify_action_consistency(Signature(2, 0, 0), family).lines == skip
+    for wrong in ("actoin", ("action",)):
         with pytest.raises(ValueError):
-            verify_action_consistency(sig, families)
-
-
-def test_action_consistency_reads_a_families_iterator_once():
-    families = ("inverse", "action")
-    want = verify_action_consistency(S111, families).lines
-    assert len(want) == 2 * len(_sq_letters(S111)) * len(s_k_symbols(S111))
-    assert verify_action_consistency(S111, iter(families)).lines == want
+            verify_action_consistency(S111, wrong)
 
 
 def _corrupt_one_pair(monkeypatch, sig, t, s):
@@ -619,13 +602,13 @@ def _corrupt_one_pair(monkeypatch, sig, t, s):
 def test_a_wrong_action_word_fails_its_action_line(monkeypatch):
     t, s = m_name(2, 1, 1, power=-1), m_name(1, 1, 3)
     _corrupt_one_pair(monkeypatch, S222, t, s)
-    rep = verify_action_consistency(S222, ("action",))
+    rep = verify_action_consistency(S222, "action")
     failed = [ln for ln in rep.lines if ln[2] == "FAIL"]
     assert failed == [("action", f"t={format_name(S222, t)},s={format_name(S222, s)}", "FAIL")]
     assert rep.counts["PASS"] == len(rep.lines) - 1
     # The tabulated and the action_extend routes agree on the broken table too.
     _assert_action_checks_match_the_reference(S222)
-    assert not verify_action_consistency(S222, ("inverse",)).all_passed
+    assert not verify_action_consistency(S222, "inverse").all_passed
 
 
 @pytest.mark.parametrize("power", [1, -1])
@@ -636,7 +619,7 @@ def test_a_corrupted_row_fails_only_its_own_action_line(monkeypatch, power):
     t, s = m_name(2, 1, 1, power=power), m_name(1, -1, 3)
     _corrupt_one_pair(monkeypatch, S222, t, s)
     _assert_action_checks_match_the_reference(S222)
-    rep = verify_action_consistency(S222, ("action",))
+    rep = verify_action_consistency(S222, "action")
     failed = [ln for ln in rep.lines if ln[2] == "FAIL"]
     assert failed == [("action", f"t={format_name(S222, t)},s={format_name(S222, s)}", "FAIL")]
 
@@ -650,7 +633,7 @@ def test_a_correct_table_evaluates_only_the_power_plus_one_entries(monkeypatch):
         return original(sig, batch)
 
     monkeypatch.setattr(presentation, "_trivial", counted)
-    rep = verify_action_consistency(S222, ("action",))
+    rep = verify_action_consistency(S222, "action")
     assert rep.counts == {"PASS": 42 * 22, "FAIL": 0, "SKIP": 0}
     # Each word is an entry's row followed by t s^-1 t^-1.
     assert len(words) == 21 * 22
@@ -658,6 +641,45 @@ def test_a_correct_table_evaluates_only_the_power_plus_one_entries(monkeypatch):
     assert {(w[-3], w[-2].inv()) for w in words} == {
         (t, s) for t in s_q_symbols(S222) for s in s_k_symbols(S222)
     }
+
+
+def test_a_corrupted_fixed_row_fails_its_inverse_lines(monkeypatch):
+    """t fixes s, and the row of (t^-1, s) in the table is s times another
+    S_K letter.  The "inverse" line of (t, s) reads that row without
+    substituting (_undone on a row t fixes), the line of (t^-1, s)
+    substitutes it, and both fail.  The transport premise of the power -1
+    entries fails too, so _entries_hold evaluates them, and the one FAIL
+    "action" line is that of (t^-1, s)."""
+    alpha = presentation._alphabet(S222)
+    t, s = m_name(2, 1, 1), c_name(5, 3)
+    tc, c = alpha.code[t], alpha.code[s]
+    extra = alpha.code[m_name(1, 1, 3)]
+    original = presentation._action_table
+
+    def corrupted(sig, letters):
+        table = original(sig, letters)
+        assert table[tc][c] == (c,)
+        back = list(table[-tc])
+        back[c], back[-c] = (c, extra), (-extra, -c)
+        table[-tc] = tuple(back)
+        return table
+
+    monkeypatch.setattr(presentation, "_action_table", corrupted)
+    lines = [f"t={format_name(S222, u)},s={format_name(S222, s)}" for u in (t, t.inv())]
+    rep = verify_action_consistency(S222, "inverse")
+    assert [ln for ln in rep.lines if ln[2] == "FAIL"] == [("inverse", p, "FAIL") for p in lines]
+    words = []
+    original_trivial = presentation._trivial
+
+    def counted(sig, batch):
+        words.extend(map(presentation._alphabet(sig).decode, batch))
+        return original_trivial(sig, batch)
+
+    monkeypatch.setattr(presentation, "_trivial", counted)
+    rep = verify_action_consistency(S222, "action")
+    assert [ln for ln in rep.lines if ln[2] == "FAIL"] == [("action", lines[1], "FAIL")]
+    assert len(words) == 42 * 22
+    assert sum(w[-3].power == -1 for w in words) == 21 * 22
 
 
 def test_a_corrupted_residue_fails_its_table5_line(monkeypatch):

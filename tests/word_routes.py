@@ -2,12 +2,12 @@
 projection: the references the signed-row versions in the package are
 checked against.
 
-Each one reads an automorphism through its Word views (image) and the
-word functions of freegroup (is_conjugate, cyclic_reduce, delete_y,
-multiply, gen_word), not through the signed rows.  The membership,
-abelianization and cochain tests read these helpers; the package does
-not.  The module also holds wedge_single and wedge_push, the two
-exterior-square maps that only tests use.
+Each one reads an automorphism through apply (image) and the word
+functions of freegroup (is_conjugate, cyclic_reduce, delete_y, multiply,
+gen_word), not through the signed rows.  The membership, abelianization
+and cochain tests read these helpers; the package does not.  The module
+also holds wedge_single and wedge_push, the two exterior-square maps that
+only tests use, and random_kernel, the seeded sampler of kernel elements.
 """
 
 from autfb import (
@@ -15,25 +15,47 @@ from autfb import (
     NotInAutFBError,
     WedgeElement,
     abelianize,
+    apply,
+    compose,
     cyclic_reduce,
     delete_y,
+    gen_aut,
     gen_word,
+    identity,
+    inverse,
     is_conjugate,
     multiply,
+    s_k_symbols,
     wedge_class,
 )
 
 
+def image(f, c):
+    """The Word f(c) of one (possibly negative) letter code."""
+    return apply(f, gen_word(f.sig, c))
+
+
+def random_kernel(sig, rng, length):
+    """A product of length S_K generators, each drawn from rng at a random
+    power, composed onto the identity."""
+    pool = s_k_symbols(sig)
+    f = identity(sig)
+    for _ in range(length):
+        g = gen_aut(sig, rng.choice(pool))
+        f = compose(f, g if rng.randrange(2) else inverse(g))
+    return f
+
+
 def is_in_autfb(f):
     """Every y and z letter's image is conjugate to it, by a rotation scan."""
-    return all(is_conjugate(f.image(c), gen_word(f.sig, c)) for c in f.sig.yz_gens())
+    return all(is_conjugate(image(f, c), gen_word(f.sig, c)) for c in f.sig.yz_gens())
 
 
 def is_in_kernel(f):
     """Deleting the y letters from each x and z image gives the letter back."""
     if not is_in_autfb(f):
         raise NotInAutFBError("not a boundary-preserving automorphism")
-    return all(delete_y(f.image(c)).letters == (c,) for c in f.sig.xz_gens())
+    return all(delete_y(image(f, c)).letters == (c,) for c in f.sig.xz_gens())
 
 
 def _require_kernel(f):
@@ -44,7 +66,7 @@ def _require_kernel(f):
 def ab_matrix(f):
     """Matrix of the abelianized action, from the abelianized image words."""
     n = f.sig.ngens
-    cols = [abelianize(f.image(c)) for c in f.sig.gens()]
+    cols = [abelianize(image(f, c)) for c in f.sig.gens()]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -52,14 +74,14 @@ def act_hom(f):
     """k x n matrix: the y-block of each abelianized x image, transposed."""
     _require_kernel(f)
     sig = f.sig
-    cols = [abelianize(f.image(x)) for x in sig.x_gens()]
+    cols = [abelianize(image(f, x)) for x in sig.x_gens()]
     return tuple(tuple(v[y - 1] for v in cols) for y in sig.y_gens())
 
 
 def johnson_class(f, c):
     """wedge_class of the Word f(c) c^-1 at a boundary letter c."""
     _require_kernel(f)
-    return wedge_class(multiply(f.image(c), gen_word(f.sig, -c)))
+    return wedge_class(multiply(image(f, c), gen_word(f.sig, -c)))
 
 
 def johnson_full(f):
@@ -84,7 +106,7 @@ def generator_image_row(f):
 def _conjugator(f, c, block):
     """Exponents over block of the conjugator cyclic_reduce splits off f(c)."""
     _require_kernel(f)
-    core, conj = cyclic_reduce(f.image(c))
+    core, conj = cyclic_reduce(image(f, c))
     assert core.letters == (c,), "a kernel element conjugates each boundary letter"
     v = abelianize(conj)
     return tuple(v[g - 1] for g in block)
@@ -122,7 +144,7 @@ def ny_project(ctx, u):
 def i_b(ctx, f):
     """ny_project of f(b) b^-1, built as Words, for a kernel element f."""
     _require_kernel(f)
-    return ny_project(ctx, multiply(f.image(ctx.b), gen_word(ctx.sig, -ctx.b)))
+    return ny_project(ctx, multiply(image(f, ctx.b), gen_word(ctx.sig, -ctx.b)))
 
 
 def wedge_single(i, j, c=1):
