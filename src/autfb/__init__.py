@@ -33,7 +33,6 @@ from .freegroup import (
 from .automorphism import (
     ClaimFailedError,
     GenName,
-    NamedAut,
     NotInAutFBError,
     apply,
     c_name,

@@ -27,9 +27,11 @@ cocycle witnesses all read it, and it keeps the 4,096 most recently used
 (signature, name).  parse_spelling parses each distinct token of one
 spelling once, and keeps nothing between calls.
 
-NamedAut(sig, spelling, fwd, bwd) is the one constructor: it takes signed
-rows (_signed: each row beside its inverse) as they are, and from_images
-is the one route from Word tables, which it converts and checks.
+NamedAut(sig, spelling, fwd, bwd) is the package's one row constructor:
+it takes signed rows (_signed: each row beside its inverse) as they are,
+unchecked, so the package does not export it.  Callers build values with
+gen_aut, parse_aut and from_images, the one route from Word tables, which
+it converts and checks.
 _substitute over signed rows is the one substitution kernel, for compose,
 apply, from_images and every table of presentation.  Words appear only at
 the edges: from_images, the images and inv_images views, and apply (the
@@ -125,7 +127,9 @@ class NamedAut:
     """An automorphism f of F(n,k,l): spelling plus both image tables.
 
     fwd and bwd are the signed rows (_signed) of f and f^-1, taken as they
-    are: fwd[c] is the letter tuple of f(c), fwd[-c] its inverse.  images
+    are, unchecked: fwd[c] is the letter tuple of f(c), fwd[-c] its
+    inverse.  Only the package calls this constructor; from outside, use
+    gen_aut or from_images.  images
     and inv_images are Word views of the rows.  The key is built on its
     first read and kept in _key.
     """

@@ -1172,13 +1172,8 @@ def _action_table(sig, letters):
 
 def _undone(table, t, codes):
     """[whether table[-t] substitutes table[t][c] back to (c,), for c in
-    codes]: acting by t^-1 undoes acting by t on s_c.  A row that t fixes
-    is (c,), which substitutes to table[-t][c], so that row is read."""
-    row = table[t]
-    return [
-        table[-t][c] == (c,) if row[c] == (c,) else _substitute(table[-t], row[c]) == (c,)
-        for c in codes
-    ]
+    codes]: acting by t^-1 undoes acting by t on s_c."""
+    return [_substitute(table[-t], table[t][c]) == (c,) for c in codes]
 
 
 def _entries_hold(sig, table):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autfb
 import autfb.automorphism as automorphism
 import word_routes
 from word_routes import image
 from autfb import (
     GenName,
-    NamedAut,
     NotInAutFBError,
     Signature,
     apply,
@@ -74,7 +74,6 @@ def test_image_reads_only_letters_of_its_signature():
     f = gen_aut(sig, m_name(1, 1, 2))
     assert image(f, -1) == invert(image(f, 1)) == parse_word(sig, "x1^-1 y1^-1")
     assert image(f, -3) == gen_word(sig, -3)
-    # 0 and -(n+1) would index the signed rows' padding or another row.
     for code in (0, 4, -4, 7):
         with pytest.raises(ValueError, match="out of range"):
             image(f, code)
@@ -288,7 +287,8 @@ def test_power_matches_the_linear_reference(text):
 def test_the_constructor_takes_signed_rows_as_they_are():
     f = parse_aut(SIG, "M[x1^+1,y1] C[z1,x2]^-1")
     spelling = parse_spelling(SIG, "C[y1,x1]")
-    g = NamedAut(SIG, spelling, f.fwd, f.bwd)
+    g = automorphism.NamedAut(SIG, spelling, f.fwd, f.bwd)
+    assert "NamedAut" not in vars(autfb)
     assert g == f and g.spelling == spelling
     assert g.fwd is f.fwd and g.bwd is f.bwd
 

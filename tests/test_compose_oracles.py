@@ -8,7 +8,6 @@ from sympy.combinatorics.free_groups import free_group
 
 import autfb.automorphism as automorphism
 from autfb import (
-    NamedAut,
     Signature,
     apply,
     c_name,
@@ -34,7 +33,7 @@ def ref_compose(f, g):
     images = [apply(f, w) for w in g.images]
     inv_images = [apply(inverse(g), w) for w in f.inv_images]
     h = from_images(f.sig, images, inv_images)
-    return NamedAut(f.sig, f.spelling + g.spelling, h.fwd, h.bwd)
+    return automorphism.NamedAut(f.sig, f.spelling + g.spelling, h.fwd, h.bwd)
 
 
 def all_names(sig):

@@ -645,9 +645,9 @@ def test_a_correct_table_evaluates_only_the_power_plus_one_entries(monkeypatch):
 
 def test_a_corrupted_fixed_row_fails_its_inverse_lines(monkeypatch):
     """t fixes s, and the row of (t^-1, s) in the table is s times another
-    S_K letter.  The "inverse" line of (t, s) reads that row without
-    substituting (_undone on a row t fixes), the line of (t^-1, s)
-    substitutes it, and both fail.  The transport premise of the power -1
+    S_K letter.  The "inverse" line of (t, s) substitutes the fixed row
+    (s) into t^-1's table, which gives that row, the line of (t^-1, s)
+    substitutes it into t's table, and both fail.  The transport premise of the power -1
     entries fails too, so _entries_hold evaluates them, and the one FAIL
     "action" line is that of (t^-1, s)."""
     alpha = presentation._alphabet(S222)
