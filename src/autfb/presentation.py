@@ -46,7 +46,7 @@ _substitute step.  Three checks read the table:
 
     lpres_expand               walks the words layer by layer: the
                                relators of t w' are t's table substituted
-                               into those of w', one memo per (t, length)
+                               into those of w', once per (t, length, r)
     verify_action_consistency  one family per call: "action" evaluates
                                the entries (_entries_hold), "inverse"
                                undoes each by t^-1's table (_undone)
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, filterfalse
+from itertools import chain
 from typing import NamedTuple
 
 from .freegroup import _free_reduce
@@ -1401,7 +1401,7 @@ def verify_table5(sig):
         t2_t1_s_inv = _substitute(table[t2], table[t1][-c])
         t1_t2_s = _substitute(table[t1], table[t2][c])
         got = _free_reduce(t2_t1_s_inv + t1_t2_s)
-        report.add(f"table5.{row}", params, got == _free_reduce(expected))
+        report.add(f"table5.{row}", params, got == expected)
     return report
 
 
@@ -1438,48 +1438,39 @@ def _lpres_expand(sig, depth):
     """lpres_expand's relators, with the seeds and the table they came from.
 
     Returns (relators, seeds, table): the seeds and relators are tuples of
-    S_K codes (_alphabet), the seeds hold the alphabet's own ints, every
-    relator made by a substitution holds the table's own ints, and table is
-    the signed action table of every S_Q letter ({} when there are no
-    seeds).
+    S_K codes (_alphabet), every relator made by a substitution holds the
+    table's own ints, and table is the signed action table of every S_Q
+    letter ({} when there are no seeds).
 
-    One walk over lengths and letters keeps the (first letter, relators)
-    of each word of the last length, in _sq_words order, and t acts on
-    each whose first letter is not t^-1.  A relator made only of letters
-    whose rows t fixes is its own image and never enters the memo, and
-    the words t w' of one length substitute each distinct relator once.
+    t's image of a relator depends only on t and the relator, so one walk
+    over lengths and letters keeps, for each first letter of the last
+    length's words, their relators (key 0 for the empty word), and t acts
+    once on the distinct relators of every first letter but t^-1.  A
+    relator made only of letters whose rows t fixes is its own image.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    canon = {c: c for c in _alphabet(sig).letter}  # the alphabet's own ints
-    seeds = [
-        tuple(map(canon.__getitem__, _free_reduce(i.lhs + _inverted(i.rhs))))
-        for i in _relations("rk", sig)
-    ]
+    seeds = [_free_reduce(i.lhs + _inverted(i.rhs)) for i in _relations("rk", sig)]
     if not seeds:  # S_K may then be empty
         return [], seeds, {}
     table = _action_table(sig, _sq_codes(sig))
     m = len(_alphabet(sig).s_k)
     out = list(dict.fromkeys(seeds))
     seen = set(out)
-    layer = [(0, seeds)]  # the empty word's 0 is no letter's inverse
+    layer = {0: seeds}  # the empty word's 0 is no letter's inverse
     for length in range(1, depth + 1):
-        last, layer = layer, []
+        last, layer = layer, {}
         for t, sub in table.items():
-            # t fixes a relator made only of the codes whose rows it fixes,
-            # and its image of any other r depends on (t, r) alone
             fix = {c for c in range(-m, m + 1) if sub[c] == (c,)}
-            acted = [rels for first, rels in last if first != -t]
+            acted = dict.fromkeys(chain.from_iterable(v for f, v in last.items() if f != -t))
             # a fixed r is its own image, and is in seen already
-            moved = dict.fromkeys(filterfalse(fix.issuperset, chain.from_iterable(acted)))
-            images = [_substitute(sub, r) for r in moved]
+            images = [r if fix.issuperset(r) else _substitute(sub, r) for r in acted]
             for img in images:
                 if img not in seen:
                     seen.add(img)
                     out.append(img)
             if length < depth:  # the last length's images are not read
-                memo = dict(zip(moved, images))
-                layer += ((t, [memo.get(r, r) for r in rels]) for rels in acted)
+                layer[t] = images
     return out, seeds, table
 
 

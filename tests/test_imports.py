@@ -2,7 +2,8 @@
 function of the package is used somewhere in the package, and no function
 of the package imports inside its body.
 
-Scans src/autfb/*.py and tests/*.py with the standard-library ast module.
+Scans src/autfb/*.py, tests/*.py and perfbench/*.py with the
+standard-library ast module.
 The package's __init__.py is skipped by the import scan: its imports are
 the public re-exports.  Outside freegroup, only the public Word edges in
 WORD_EDGES may read a Word view or a Word's letters, or call Word or a
@@ -24,9 +25,11 @@ from autfb import Signature, Word, parse_aut
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "autfb").glob("*.py"))
-SOURCES = sorted(
-    p for p in (ROOT / "src" / "autfb").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = (
+    sorted(p for p in (ROOT / "src" / "autfb").glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py"))
+)
 
 
 def unused_imports(source):

@@ -682,12 +682,16 @@ def test_a_corrupted_fixed_row_fails_its_inverse_lines(monkeypatch):
     assert sum(w[-3].power == -1 for w in words) == 21 * 22
 
 
-def test_a_corrupted_residue_fails_its_table5_line(monkeypatch):
+@pytest.mark.parametrize("n,tail", [(5, 1), (0, 2)], ids=["one-more-letter", "unreduced"])
+def test_a_corrupted_residue_fails_its_table5_line(monkeypatch, n, tail):
+    """A residue is compared as built, like the action_extend reference
+    does: one more letter s, or an unreduced s s^-1 appended, fails."""
     rows = presentation._table5_rows(S222)
-    row, params, t1, t2, s, expected = rows[5]
-    rows[5] = (row, params, t1, t2, s, _free_reduce(expected + (s,)))
+    row, params, t1, t2, s, expected = rows[n]
+    rows[n] = (row, params, t1, t2, s, expected + (s, -s)[:tail])
     monkeypatch.setattr(presentation, "_table5_rows", lambda sig: rows)
     rep = verify_table5(S222)
+    assert rep.lines == _table5_by_action_extend(S222).lines
     assert [ln for ln in rep.lines if ln[2] == "FAIL"] == [(f"table5.{row}", params, "FAIL")]
     assert rep.counts["PASS"] == len(rows) - 1
 
@@ -912,13 +916,16 @@ def test_a_corrupted_table_entry_fails_the_transport_verdict(case, data):
         assert not sound
 
 
-@pytest.mark.parametrize("sig,depth", [(S111, 2), (S222, 1), (Signature(2, 1, 0), 3)])
+@pytest.mark.parametrize(
+    "sig,depth",
+    [(S111, 2), (S111, 3), (S222, 1), (Signature(2, 1, 0), 3), (Signature(1, 1, 2), 3)],
+)
 def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
     """_action_word runs once per (letter, symbol) pair whose fields share
     a code (no other symbol can move), and _substitute once per distinct
     (first letter, length, relator) triple whose relator holds a letter
-    that the first letter moves: a fixed relator is its own image, and a
-    group of words with one first letter and length shares images."""
+    that the first letter moves: a fixed relator is its own image, and the
+    words of one length that start with one letter share images."""
     calls = {"_action_word": 0, "_substitute": 0}
 
     def counted(name):
@@ -951,7 +958,14 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
 
 @pytest.mark.parametrize(
     "sig,depth",
-    [(S111, 4), (Signature(2, 1, 0), 3), (Signature(0, 1, 2), 3), (Signature(1, 2, 1), 2), (S222, 2)],
+    [
+        (S111, 4),
+        (Signature(2, 1, 0), 3),
+        (Signature(0, 1, 2), 3),
+        (Signature(1, 2, 1), 2),
+        (S222, 2),
+        (Signature(1, 1, 2), 3),
+    ],
 )
 def test_expansion_matches_the_per_word_reference(sig, depth):
     """The relators, their order and the seeds equal those of the per-word
