@@ -1,12 +1,16 @@
 """Batch front end: frozen outputs, exit codes, byte determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import autfb.abelianization as abelianization
 import autfb.presentation as presentation
@@ -17,14 +21,33 @@ from expansion_routes import meeting_pairs
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
-runner = CliRunner()
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+class _Runner:
+    """Runs the CLI in-process with stdout and stderr captured."""
+
+    def invoke(self, main, args):
+        out, err = io.StringIO(), io.StringIO()
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = 0 if exc.code is None else exc.code
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        stdout = out.getvalue()
+        return SimpleNamespace(
+            exit_code=exit_code, exception=exception, output=stdout, stdout=stdout, stderr=err.getvalue()
+        )
+
+
+runner = _Runner()
 
 
 def _err(result):
-    try:
-        return result.stderr
-    except (AttributeError, ValueError):
-        return result.output
+    return result.stderr
 
 
 def test_verify_seed_family_full_listing():
@@ -117,6 +140,32 @@ def test_verify_inverse_property_tabulates_the_action_once(monkeypatch):
 def test_verify_rejects_unknown_family():
     res = runner.invoke(main, ["verify", "qx"])
     assert res.exit_code == 2
+
+
+SIG_111 = ["--n", "1", "--k", "1", "--l", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "qx"],
+        ["verify", "rk", "--n", "x"],
+        ["expand", *SIG_111, "--dep", "1"],
+        ["isum", *SIG_111, "--aut", ""],
+        ["johnson", *SIG_111, "--word", "{tmp}/missing.txt"],
+        ["johnson", *SIG_111, "--word", "{tmp}"],
+        ["rank", "--k", "1", "--bogus"],
+        [],
+    ],
+    ids=[
+        "unknown-family", "non-integer", "abbreviated-option", "missing-s",
+        "missing-word-file", "word-directory", "unknown-option", "no-command",
+    ],
+)
+def test_the_parser_refuses_a_malformed_command(tmp_path, args):
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr
 
 
 def test_rank_line_and_guard():
@@ -261,6 +310,15 @@ def test_a_word_file_that_is_not_utf8_is_a_usage_error(tmp_path, command):
     assert res.exit_code == 2
     assert "not UTF-8" in _err(res)
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_an_unreadable_word_file_is_a_usage_error(tmp_path, monkeypatch):
+    f = tmp_path / "spelling.txt"
+    f.write_text("M[x1^+1,y1]\n", encoding="utf-8")
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    res = runner.invoke(main, ["johnson", *SIG_111, "--word", str(f)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert "is not readable" in res.stderr
 
 
 def test_johnson_failed_claim_exits_one(monkeypatch):
@@ -564,3 +622,38 @@ def test_readme_example_prints_what_it_shows(command, shown):
         assert pipe.startswith("tail -")
         lines = lines[-int(pipe[len("tail -") :]) :]
     assert lines == shown
+
+
+def _python(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_a_closed_pipe_exits_one_without_a_traceback():
+    proc = _python("-m", "autfb.cli", "expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1")
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert first.endswith(b"\n")
+    assert (proc.returncode, stderr) == (1, b"")
+
+
+def test_importing_the_cli_loads_no_click():
+    out, _ = _python("-c", "import autfb.cli, sys; print('click' in sys.modules)").communicate(timeout=120)
+    assert out == b"False\n"
+
+
+@pytest.mark.parametrize(
+    "args", [["verify", "rk", *SIG_111], ["verify", "qx"]], ids=["verify", "usage-error"]
+)
+def test_the_module_and_the_in_process_call_print_the_same(args):
+    """The benchmark captures main.main in-process; its digests are
+    recorded from `python -m autfb.cli`."""
+    proc = _python("-m", "autfb.cli", *args)
+    stdout, _ = proc.communicate(timeout=120)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exit_:
+            main.main(args=list(args), prog_name="autfb")
+    assert (stdout, proc.returncode) == (buf.getvalue().encode("utf-8"), exit_.value.code)
