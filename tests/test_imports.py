@@ -207,6 +207,15 @@ def test_every_name_the_tracer_reads_exists():
     assert len(names) > 50
 
 
+def test_the_tracer_can_name_every_instance_builder():
+    """layertrace wraps each _SUBFAMILIES builder as presentation.<__name__>,
+    and presentation.enumerate.self_s adds up the names ending in
+    _instances: a builder without such a name drops out of that metric."""
+    for tag, build in importlib.import_module("autfb.presentation")._SUBFAMILIES.items():
+        assert callable(build), tag
+        assert build.__name__.endswith("_instances"), (tag, build.__name__)
+
+
 def test_the_word_views_the_tracer_reads_hold_the_rows():
     """layertrace's compose hooks read w.letters from images and inv_images,
     and concatenate the two."""

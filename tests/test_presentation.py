@@ -65,6 +65,7 @@ from disjoint_support import (
     support,
     support_letter,
 )
+from finite_quotient import FiniteQuotient
 
 S111 = Signature(1, 1, 1)
 S222 = Signature(2, 2, 2)
@@ -298,6 +299,26 @@ def test_relation_and_action_words_match_the_recorded_digest():
     assert (count, digest.hexdigest()) == WORD_DIGEST
 
 
+WIDE_INSTANCE_DIGEST = (
+    10_208,
+    "f0b6a055fe10aa231cba2a00102767fdeec64313aeac429208e30f86911aa3ed",
+)
+
+
+def test_relation_instances_at_four_x_match_the_recorded_digest():
+    """Every relation instance at (4,0,0), (4,1,1) and (4,2,2), as
+    WORD_DIGEST spells them.  At n = 4 N1's [Pab,Pcd] block fires for the
+    first time, and N4 and N5 are checked with every side condition live."""
+    digest = hashlib.sha256()
+    count = 0
+    for sig in (Signature(4, 0, 0), Signature(4, 1, 1), Signature(4, 2, 2)):
+        for tag in presentation._SUBFAMILIES:
+            for inst in enumerate_relations(tag, sig):
+                digest.update(repr((sig, tuple(inst))).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == WIDE_INSTANCE_DIGEST
+
+
 def test_second_multiplier_move_obstructs_commuting():
     # instances like [M[x1^+1,x2], M[x2^+1,y1]] are excluded from the
     # commuting family because the outer move drags the inner multiplier
@@ -338,6 +359,36 @@ def test_verify_relations_names_the_empty_subfamilies():
     assert [ln[0] for ln in rep.lines] == ["R1", "R2", "R3", "R4", "R5"]
     assert all(ln[2] == "SKIP" for ln in rep.lines)
     assert rep.all_passed
+
+
+# The relation instances of the four groups at each signature.
+QUOTIENT_COUNTS = {Signature(1, 1, 1): 42, Signature(2, 1, 0): 124, Signature(1, 2, 1): 187}
+
+
+@pytest.mark.parametrize("sig", QUOTIENT_COUNTS, ids=str)
+def test_every_relation_instance_holds_in_the_s3_quotient(sig):
+    """Both sides of every instance permute Hom(F, S_3) alike, a check that
+    reads only the generators' rows and never reduces a word."""
+    oracle = FiniteQuotient(sig)
+    insts = [i for family in FAMILY_GROUPS for i in enumerate_relations(family, sig)]
+    assert len(insts) == QUOTIENT_COUNTS[sig]
+    assert [i for i in insts if not oracle.holds(i.lhs, i.rhs)] == []
+
+
+def test_the_s3_quotient_refuses_q2_1_with_w_equal_to_v(monkeypatch):
+    """Q2.1 excludes w = v beside its signed-letter condition; a table row
+    that admits it adds instances, and the oracle finds every one false."""
+    sig = Signature(2, 1, 0)
+    kept = set(enumerate_relations("Q2.1", sig))
+    q21, *rest = presentation._TABLE["Q2"]
+    loops = tuple(loop[:2] if loop[0] == "w" else loop for loop in q21.loops)
+    assert loops != q21.loops
+    monkeypatch.setitem(presentation._TABLE, "Q2", (q21._replace(loops=loops), *rest))
+    monkeypatch.setitem(presentation._SUBFAMILIES, "Q2", presentation._builder("Q2"))
+    added = [i for i in enumerate_relations("Q2.1", sig) if i not in kept]
+    oracle = FiniteQuotient(sig)
+    assert len(added) == 8
+    assert [oracle.holds(i.lhs, i.rhs) for i in added] == [False] * len(added)
 
 
 def test_jensen_wahl_subfamily_split_at_222():
