@@ -31,7 +31,9 @@ NamedAut(sig, spelling, fwd, bwd) is the package's one row constructor:
 it takes signed rows (_signed: each row beside its inverse) as they are,
 unchecked, so the package does not export it.  Callers build values with
 gen_aut, parse_aut and from_images, the one route from Word tables, which
-it converts and checks.
+it converts and checks.  _signed_identity writes the identity's signed
+rows directly and inverts only the rows it is given as moved; it builds
+every generator's tables, the identity, and presentation's root tables.
 _substitute over signed rows is the one substitution kernel, for compose,
 apply, from_images and every table of presentation.  Words appear only at
 the edges: from_images, the images and inv_images views, and apply (the
@@ -164,7 +166,7 @@ def _views(sig, rows):
 
 
 def identity(sig):
-    rows = _signed([(c,) for c in sig.gens()])
+    rows = _signed_identity(sig.ngens)
     return NamedAut(sig, (), rows, rows)
 
 
@@ -197,10 +199,7 @@ def _gen_images(sig, name):
     if kind in ("P", "I") and any(sig.klass(i) != "x" for i in moved):
         raise ValueError(f"{kind} indices must be x's for {sig}")
     _check_letters(sig, [d for row in moved.values() for d in row])
-    rows = [(c,) for c in sig.gens()]
-    for c, row in moved.items():
-        rows[c - 1] = row
-    return _signed(rows)
+    return _signed_identity(sig.ngens, moved.items())
 
 
 def gen_aut(sig, name):
@@ -238,6 +237,18 @@ def _signed(rows):
     substitution never inverts and its letters are the table's own ints.
     rows are reduced letter tuples."""
     return ((), *rows, *map(_inverted, reversed(rows)))
+
+
+def _signed_identity(m, moved=()):
+    """The signed rows (_signed) of m codes in which each (c, row) of moved
+    is row c and every other row is (c,).  The identity rows are written
+    directly, (c,) at c and (-c,) at -c, and only the moved rows are
+    inverted."""
+    rows = [(), *[(c,) for c in range(1, m + 1)], *[(-c,) for c in range(m, 0, -1)]]
+    for c, row in moved:
+        rows[c] = row
+        rows[-c] = _inverted(row)
+    return tuple(rows)
 
 
 def _substitute(sub, letters):

@@ -28,9 +28,10 @@ that spells lhs and rhs or returns None when a remaining side condition
 fails.  _Shared loops enclose rows whose instances interleave.  One
 interpreter (_emit) loops, prunes, formats, reduces and builds every
 instance; _SUBFAMILIES holds one builder per family, and Q1 is N1-N5
-retagged.  A multiplier relabeled to w^-1 becomes the power, since
-M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1; _swapped is the one
-swap relabeling of an x-index.  Every family is enumerated for a
+retagged.  A dotted tag's builder runs only that tag's rows, inside the
+_Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
+the power, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1;
+_swapped is the one swap relabeling of an x-index.  Every family is enumerated for a
 signature with every side condition enforced, and an instance holds when
 lhs rhs^-1 evaluates to the identity.
 
@@ -68,9 +69,10 @@ A check hands all its coded words to one _trivial call, which decides
 whether each evaluates to the identity, folding each prefix the sorted
 words share once.  Its step (_step) rewrites only the forward rows the
 letter's generator moves (_Moves, keyed by code, reads only the rows of
-the codes the letter's name holds), and inverts a row only when it is
-read.  eval_symbol_word is automorphism.spelling_aut, which builds both
-tables of a NamedAut: the independent reference for _trivial.
+the codes the letter's name holds), substitutes each in one pass, and
+inverts a row only when it is read.  eval_symbol_word is
+automorphism.spelling_aut, which builds both tables of a NamedAut: the
+independent reference for _trivial.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from .freegroup import Signature, _free_reduce
 from .automorphism import (
     _cached_gen_aut,
     _inverted,
-    _signed,
+    _signed_identity,
     _substitute,
     c_name,
     format_name,
@@ -158,15 +160,27 @@ class _Moves(dict):
 
 def _step(acc, moved):
     """The signed table (_signed) of w s from acc, the one of w: each row s
-    moves is acc substituted into s's image of it; no other row changes.
-    A moved row's inverse is left None, and is filled in acc, in place,
-    only when a later step reads it."""
+    moves is acc substituted into s's image of it, in one pass that
+    cancels each image against the tail at their junction, as _substitute
+    does; no other row changes.  A moved row's inverse is left None, and
+    is filled in acc, in place, only when a later step reads it."""
     out = list(acc)
     for c, row in moved:
+        new = []
         for d in row:
-            if acc[d] is None:
-                acc[d] = _inverted(acc[-d])
-        out[c] = _substitute(acc, row)
+            img = acc[d]
+            if img is None:
+                img = acc[d] = _inverted(acc[-d])
+            if new and new[-1] == -img[0]:
+                new.pop()
+                k = 1
+                while new and k < len(img) and new[-1] == -img[k]:
+                    new.pop()
+                    k += 1
+                new.extend(img[k:])
+            else:
+                new.extend(img)
+        out[c] = tuple(new)
         out[-c] = None
     return out
 
@@ -185,7 +199,7 @@ def _trivial(sig, words):
     """
     moves = _Moves(sig)
     ends = {}
-    stack = [list(_signed([(c,) for c in sig.gens()]))]
+    stack = [list(_signed_identity(sig.ngens))]
     n = sig.ngens
     prev = ()
     out = [True] * len(words)
@@ -627,14 +641,33 @@ def _emit(out, node, sig, bindings):
         lhs, rhs = sides
         if comm:
             lhs, rhs = _comm(lhs, rhs), ()
-        else:
-            lhs, rhs = _free_reduce(lhs), _free_reduce(rhs)
+        else:  # a side of fewer than two letters cannot cancel
+            if len(lhs) > 1:
+                lhs = _free_reduce(lhs)
+            if len(rhs) > 1:
+                rhs = _free_reduce(rhs)
         out.append(new(RelationInstance, (tag, params.format(*b), lhs, rhs)))
 
 
+def _pruned(items, tag):
+    """The rows of items tagged tag, each within the _Shared loops that
+    enclose it."""
+    out = []
+    for item in items:
+        if isinstance(item, _Shared):
+            rows = _pruned(item.rows, tag)
+            if rows:
+                out.append(item._replace(rows=rows))
+        elif item.tag == tag:
+            out.append(item)
+    return tuple(out)
+
+
 def _builder(tag):
-    """The instance builder of one family: _TABLE[tag] read by _emit."""
-    root = _compiled(_Shared((), _TABLE[tag]))
+    """The instance builder of one family, _TABLE[tag] read by _emit, or of
+    one of _DOTTED_TAGS, its own rows of its head's table."""
+    head = tag.split(".")[0]
+    root = _compiled(_Shared((), _TABLE[head] if head == tag else _pruned(_TABLE[head], tag)))
 
     def build(sig):
         alpha = _alphabet(sig)
@@ -691,7 +724,7 @@ def _relations(family, sig):
     if family in _SUBFAMILIES:
         return _SUBFAMILIES[family](sig)
     if family in _DOTTED_TAGS:
-        return [i for i in _SUBFAMILIES[family.split(".")[0]](sig) if i.family == family]
+        return _builder(family)(sig)
     raise ValueError(f"unknown relation family {family!r}")
 
 
@@ -758,7 +791,8 @@ def verify_relations(family, sig):
     """
     report = Report()
     tags = [(tag, _relations(tag, sig)) for tag in FAMILY_GROUPS.get(family, (family,))]
-    flags = iter(_trivial(sig, [i.lhs + _inverted(i.rhs) for _, insts in tags for i in insts]))
+    words = [i.lhs + _inverted(i.rhs) if i.rhs else i.lhs for _, insts in tags for i in insts]
+    flags = iter(_trivial(sig, words))
     for tag, instances in tags:
         if not instances:
             report.skip(tag, "no instances at this signature")
@@ -867,7 +901,7 @@ def _action_table(sig, letters):
     """
     alpha = _alphabet(sig)
     s_k = alpha.s_k
-    same = _signed([(c,) for c in range(1, len(s_k) + 1)])
+    same = _signed_identity(len(s_k))
     near = {}
     for c, s in enumerate(s_k, 1):
         near.setdefault(s.v, []).append(c)
@@ -1161,7 +1195,8 @@ def _lpres_expand(sig, depth):
     over lengths and letters keeps, for each first letter of the last
     length's words, their relators (key 0 for the empty word), and t acts
     once on the distinct relators of every first letter but t^-1.  A
-    relator made only of letters whose rows t fixes is its own image.
+    relator made only of letters whose rows t fixes is its own image, and
+    is already in the output, so it is not looked up again.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -1178,14 +1213,17 @@ def _lpres_expand(sig, depth):
         for t, sub in table.items():
             fix = {c for c in range(-m, m + 1) if sub[c] == (c,)}
             acted = dict.fromkeys(chain.from_iterable(v for f, v in last.items() if f != -t))
-            # a fixed r is its own image, and is in seen already
-            images = [r if fix.issuperset(r) else _substitute(sub, r) for r in acted]
-            for img in images:
-                if img not in seen:
-                    seen.add(img)
-                    out.append(img)
+            images = []
+            for r in acted:
+                if not fix.issuperset(r):  # a fixed r is its own image, and in seen
+                    r = _substitute(sub, r)
+                    if r not in seen:
+                        seen.add(r)
+                        out.append(r)
+                images.append(r)
             if length < depth:  # the last length's images are not read
                 layer[t] = images
+            del images, acted  # not held while the next letter builds its own
     return out, seeds, table
 
 

@@ -9,6 +9,12 @@ applied last), so a point is moved by s_1 first.  Equal automorphisms
 give equal permutations: two spellings that move some point to different
 places are different automorphisms.  The converse fails, so a pass is a
 necessary condition only.
+
+The tests hold three kinds of claim to it: a relation instance (holds,
+its two sides), an action table entry (holds, t s t^-1 against the
+entry's row) and an expanded relator (trivial, against the identity).
+Since it never reduces a word, it is independent of the substitution
+kernel that builds the rows and relators.
 """
 
 from itertools import permutations, product
@@ -60,3 +66,7 @@ class FiniteQuotient:
     def holds(self, lhs, rhs):
         """Whether the spellings lhs and rhs permute the points alike."""
         return self.spelled(lhs) == self.spelled(rhs)
+
+    def trivial(self, spelling):
+        """Whether the spelling fixes every point."""
+        return self.spelled(spelling) == list(range(len(self.points)))

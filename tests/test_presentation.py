@@ -238,6 +238,31 @@ def test_the_dotted_tags_are_the_ones_the_builders_emit():
     assert emitted - set(subfamilies) == set(presentation._DOTTED_TAGS)
 
 
+def test_a_dotted_tag_builds_the_filtered_list_of_its_head():
+    """At every n, k, l <= 3, a dotted tag's instances are those of its
+    head family with that tag, in the same order, though only its own rows
+    of the table are run."""
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if not n + k + l:
+            continue
+        sig = Signature(n, k, l)
+        for tag in presentation._DOTTED_TAGS:
+            head = presentation._SUBFAMILIES[tag.split(".")[0]](sig)
+            assert presentation._relations(tag, sig) == [i for i in head if i.family == tag]
+
+
+def test_a_dotted_tag_runs_only_its_own_rows():
+    """_builder of a dotted tag keeps each enclosing _Shared loop but no
+    row of another tag."""
+    for tag in presentation._DOTTED_TAGS:
+        table = presentation._TABLE[tag.split(".")[0]]
+        kept = list(presentation._tags(presentation._pruned(table, tag)))
+        assert kept == [t for t in presentation._tags(table) if t == tag]
+    (shared,) = presentation._pruned(presentation._TABLE["C2"], "C2.2")
+    assert shared.loops == presentation._TABLE["C2"][0].loops
+    assert [row.tag for row in shared.rows] == ["C2.2"]
+
+
 @pytest.mark.parametrize("tag", ["R1.9", "Q4.1x", "N1.1", "R1.", "Q4.1''"])
 def test_an_unknown_dotted_tag_is_refused(tag):
     for call in (enumerate_relations, verify_relations):
@@ -373,6 +398,48 @@ def test_every_relation_instance_holds_in_the_s3_quotient(sig):
     insts = [i for family in FAMILY_GROUPS for i in enumerate_relations(family, sig)]
     assert len(insts) == QUOTIENT_COUNTS[sig]
     assert [i for i in insts if not oracle.holds(i.lhs, i.rhs)] == []
+
+
+def _entries_in_the_s3_quotient(sig, table):
+    """The (t, c) of each action entry whose row and t s_c t^-1 permute
+    Hom(F, S_3) differently, for every S_Q letter t of table."""
+    oracle = FiniteQuotient(sig)
+    decode = presentation._alphabet(sig).decode
+    codes = range(1, len(s_k_symbols(sig)) + 1)
+    return [
+        (t, c)
+        for t, rows in table.items()
+        for c in codes
+        if not oracle.holds(decode((t, c, -t)), decode(rows[c]))
+    ]
+
+
+@pytest.mark.parametrize("sig", QUOTIENT_COUNTS, ids=str)
+def test_every_action_entry_holds_in_the_s3_quotient(sig):
+    """Each entry of the action table, at both powers of each S_Q letter,
+    permutes the points as the conjugate t s t^-1 does."""
+    table = presentation._action_table(sig, presentation._sq_codes(sig))
+    assert any(t < 0 for t in table)
+    assert _entries_in_the_s3_quotient(sig, table) == []
+
+
+def test_the_s3_quotient_refuses_an_action_row_with_a_letter_appended():
+    """Appending its own symbol to a row breaks every entry: no S_K symbol
+    acts trivially on Hom(F, S_3)."""
+    table = presentation._action_table(S111, presentation._sq_codes(S111))
+    codes = range(1, len(s_k_symbols(S111)) + 1)
+    mutant = {t: {c: rows[c] + (c,) for c in codes} for t, rows in table.items()}
+    assert _entries_in_the_s3_quotient(S111, mutant) == [(t, c) for t in table for c in codes]
+
+
+@pytest.mark.parametrize("sig,depth,count", [(S111, 3, 870), (Signature(2, 1, 0), 2, 944)], ids=str)
+def test_every_expanded_relator_is_trivial_in_the_s3_quotient(sig, depth, count):
+    """Every relator the expansion lists fixes every point of Hom(F, S_3)."""
+    oracle = FiniteQuotient(sig)
+    decode = presentation._alphabet(sig).decode
+    relators = presentation._lpres_expand(sig, depth)[0]
+    assert len(relators) == count
+    assert [r for r in relators if not oracle.trivial(decode(r))] == []
 
 
 def test_the_s3_quotient_refuses_q2_1_with_w_equal_to_v(monkeypatch):

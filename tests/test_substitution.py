@@ -8,17 +8,32 @@ and presentation._trivial against comparing that automorphism with the
 identity, also on words whose later steps read the inverse rows that
 _step fills only on demand.  presentation._Moves, which reads a
 generator's rows only at its name's codes, is checked against the full
-scan of every row.
+scan of every row.  Two plain references check the kernel's shortcuts:
+_signed_gen_images builds every row of a generator and inverts all of
+them through _signed, where automorphism._gen_images writes the identity
+and inverts only the moved rows, and _substituted_step calls _substitute
+for each moved row, where presentation._step substitutes in one pass.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autfb.presentation as presentation
 from autfb import Signature, identity, s_k_symbols, s_q_symbols, spelling_aut
-from autfb.automorphism import _signed, _substitute
+from autfb.automorphism import (
+    _gen_images,
+    _inverted,
+    _signed,
+    _substitute,
+    c_name,
+    i_name,
+    m_name,
+    p_name,
+)
 from expansion_routes import full_scan_moves
 
 S222 = Signature(2, 2, 2)
@@ -231,3 +246,81 @@ def test_expansion_relators_made_by_substitution_hold_only_the_table_ints():
     made = [r for r in relators if r not in seed_set]
     assert len(made) == 5040 - len(seed_set)
     assert all(id(c) in stored for r in made for c in r)
+
+
+def _signed_gen_images(sig, name):
+    """A generator's signed rows built plainly: all n rows, then _signed,
+    which inverts each of them, the unmoved ones too."""
+    kind, v, e, w, p = name
+    rows = [(c,) for c in sig.gens()]
+    if kind == "M":
+        rows[v - 1] = (w * p, v) if e == 1 else (v, -w * p)
+    elif kind == "C":
+        rows[v - 1] = (w * p, v, -w * p)
+    elif kind == "P":
+        rows[v - 1], rows[w - 1] = (w,), (v,)
+    else:
+        rows[v - 1] = (-v,)
+    return _signed(rows)
+
+
+def _every_name(sig):
+    """Every generator name of sig at both powers: M and C over any two
+    distinct letters, P and I over the x's."""
+    gens, xs = list(sig.gens()), list(sig.x_gens())
+    for p in (1, -1):
+        for v, w in itertools.permutations(gens, 2):
+            yield from (m_name(v, e, w, p) for e in (1, -1))
+            yield c_name(v, w, p)
+        yield from (p_name(i, j, p) for i, j in itertools.combinations(xs, 2))
+        yield from (i_name(i, p) for i in xs)
+
+
+def test_gen_images_equal_the_signed_construction():
+    """At every n, k, l <= 3, every name's rows equal the reference's, and
+    each is a tuple of 2n + 1 tuples."""
+    count = 0
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if not n + k + l:
+            continue
+        sig = Signature(n, k, l)
+        for name in _every_name(sig):
+            got = _gen_images(sig, name)
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert got == _signed_gen_images(sig, name), (sig, name)
+            count += 1
+    assert count == 7808
+
+
+def _substituted_step(acc, moved):
+    """presentation._step through the shared kernel: the inverse rows a
+    moved row reads are filled in acc, and then _substitute builds it."""
+    out = list(acc)
+    for c, row in moved:
+        for d in row:
+            if acc[d] is None:
+                acc[d] = _inverted(acc[-d])
+        out[c] = _substitute(acc, row)
+        out[-c] = None
+    return out
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 1, 2), Signature(2, 1, 1), S222, Signature(3, 2, 2)], ids=str)
+def test_step_equals_the_substitution_reference(sig):
+    """Seeded random words over S_K and S_Q at both powers, folded from the
+    identity by both steps: after every letter both tables are equal, the
+    unfilled (None) inverse rows included, and so are the rows each step
+    filled in place in the table it read."""
+    rng = random.Random(f"step:{sig}")
+    moves = presentation._Moves(sig)
+    letters = list(presentation._alphabet(sig).letter)
+    root = _signed(tuple((c,) for c in sig.gens()))
+    filled = 0
+    for _ in range(200):
+        got, want = list(root), list(root)
+        for s in rng.choices(letters, k=rng.randrange(1, 16)):
+            new, ref = presentation._step(got, moves[s]), _substituted_step(want, moves[s])
+            assert got == want and new == ref, (sig, s)
+            filled += sum(a is None for a in new) - sum(a is None for a in got)
+            got, want = new, ref
+    assert filled > 0  # later steps read rows that earlier ones left None
