@@ -25,11 +25,13 @@ The families are one table, _TABLE, with a row (_Row) per relation of the
 paper: its tag and params text, its bound variables in loop order, each
 with a domain and the bound variables it must differ from, and a body
 that spells lhs and rhs or returns None when a remaining side condition
-fails.  _Shared loops enclose rows whose instances interleave.  One
+fails.  _Shared loops enclose rows whose instances interleave.  Table 5's
+nine residue rows are rows of the same kind, in _TABLE5: a table5 row's
+lhs is its letter triple (t1, t2, s) and its rhs the residue.  One
 interpreter (_emit) loops, prunes, formats, reduces and builds every
-instance; _SUBFAMILIES holds one builder per family, and Q1 is N1-N5
-retagged.  A dotted tag's builder runs only that tag's rows, inside the
-_Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
+instance and residue row; _SUBFAMILIES holds one builder per family, and
+Q1 is N1-N5 retagged.  A dotted tag's builder runs only that tag's rows,
+inside the _Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
 the power, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1;
 _swapped is the one swap relabeling of an x-index.  Every family is enumerated for a
 signature with every side condition enforced, and an instance holds when
@@ -358,7 +360,8 @@ class _Row(NamedTuple):
     bound value in binding order; it returns (lhs, rhs) as coded words, or
     None when a remaining side condition fails.  The instance's params
     text is str.format of params with the bound names; a commutator row's
-    instance is [lhs, rhs] = 1.
+    instance is [lhs, rhs] = 1.  A table5 row (_TABLE5) returns its letter
+    triple (t1, t2, s) as lhs and its residue as rhs.
     """
 
     tag: str
@@ -591,8 +594,14 @@ _TABLE = {
     ),
 }
 
-# What every body is called with before the bound values.
+# What every body is called with before the bound values (_lead).
 _LEAD = ("M", "C", "P", "I", "K")
+
+
+def _lead(sig):
+    """The binding _LEAD names: the alphabet's M, C, P, I and |S_K|."""
+    alpha = _alphabet(sig)
+    return (alpha.M, alpha.C, alpha.P, alpha.I, len(alpha.s_k))
 
 
 def _compiled(node, names=_LEAD):
@@ -670,9 +679,8 @@ def _builder(tag):
     root = _compiled(_Shared((), _TABLE[head] if head == tag else _pruned(_TABLE[head], tag)))
 
     def build(sig):
-        alpha = _alphabet(sig)
         out = []
-        _emit(out, root, sig, [(alpha.M, alpha.C, alpha.P, alpha.I, len(alpha.s_k))])
+        _emit(out, root, sig, [_lead(sig)])
         return out
 
     # perfbench/layertrace.py traces each builder under this name.
@@ -986,133 +994,59 @@ def verify_action_consistency(sig, family):
 # the nine commutator-difference computations
 
 
+def _residue_rows(first, sign):
+    """Table 5's rows first to first + 2, at s = M[a^sign, y]."""
+
+    def residue(C, y, a, u, v):
+        """C[y,a]^-1 [u,v] C[y,a] at sign +1, [u^-1,v^-1] at sign -1."""
+        return (-C[y, a], u, v, -u, -v, C[y, a]) if sign == 1 else (-u, -v, u, v)
+
+    return (
+        _Row(f"row{first}", "y={y},a={a},b={b},e={e:+d},c={c},d={d:+d}",
+             (("b", X, "a"), ("c", X, "a"), ("e", SIGNS), ("d", SIGNS)),
+             lambda M, C, P, I, K, y, a, b, c, e, d: None if b == c and e == d else
+                 ((M[b, e, a], M[c, d, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], M[c, d, y]))),
+        _Row(f"row{first + 1}", "y={y},a={a},b={b},e={e:+d},i={i}",
+             (("b", X, "a"), ("e", SIGNS), ("i", Z)),
+             lambda M, C, P, I, K, y, a, b, e, i:
+                 ((M[b, e, a], C[i, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], C[i, y]))),
+        _Row(f"row{first + 2}", "y={y},a={a},i={i},j={j}", (("i", Z), ("j", Z, "i")),
+             lambda M, C, P, I, K, y, a, i, j:
+                 ((C[i, a], C[j, a], M[a, sign, y]), residue(C, y, a, C[i, y], C[j, y]))),
+    )
+
+
+def _bracket(C, y, i, u, v):
+    """[[C[y,i], u], [C[y,i], v]]"""
+    cyi = (C[y, i],)
+    return _comm(_comm(cyi, (u,)), _comm(cyi, (v,)))
+
+
+# Table 5 as rows: a row's lhs is its letter triple (t1, t2, s) and its rhs
+# the residue, the expected f(t2 t1, s)^-1 f(t1 t2, s).
+_TABLE5 = _compiled(_Shared((("y", Y),), (
+    _Shared((("a", X),), _residue_rows(1, 1) + _residue_rows(4, -1)),
+    _Shared((("i", Z),), (
+        _Row("row7", "y={y},i={i},a={a},e={e:+d},b={b},d={d:+d}",
+             (("a", X), ("b", X), ("e", SIGNS), ("d", SIGNS)),
+             lambda M, C, P, I, K, y, i, a, b, e, d: None if a == b and e == d else
+                 ((-M[a, e, i], -M[b, d, i], C[i, y]), _bracket(C, y, i, M[a, e, y], M[b, d, y]))),
+        _Row("row8", "y={y},i={i},a={a},e={e:+d},j={j}", (("a", X), ("e", SIGNS), ("j", Z, "i")),
+             lambda M, C, P, I, K, y, i, a, e, j:
+                 ((-M[a, e, i], -C[j, i], C[i, y]), _bracket(C, y, i, M[a, e, y], C[j, y]))),
+        _Row("row9", "y={y},i={i},j={j},m={m}", (("j", Z, "i"), ("m", Z, "i", "j")),
+             lambda M, C, P, I, K, y, i, j, m:
+                 ((-C[j, i], -C[m, i], C[i, y]), _bracket(C, y, i, C[j, y], C[m, y]))),
+    )),
+)))
+
+
 def _table5_rows(sig):
-    """table5_rows(sig) with coded letters and words (_alphabet)."""
-    alpha = _alphabet(sig)
-    M, C = alpha.M, alpha.C
+    """table5_rows(sig) with coded letters and words (_alphabet): _TABLE5
+    read by _emit."""
     out = []
-    xs = list(sig.x_gens())
-    zs = list(sig.z_gens())
-    for y in sig.y_gens():
-        for a in xs:
-            cya = C[y, a]
-            for s_eps in (1, -1):
-                s = M[a, s_eps, y]
-                base = "1" if s_eps == 1 else "4"
-
-                def residue(u, v):
-                    """C[y,a]^-1 [u,v] C[y,a] for s = M[a,y], else [u^-1,v^-1]."""
-                    if s_eps == 1:
-                        return (-cya, u, v, -u, -v, cya)
-                    return (-u, -v, u, v)
-
-                for b in xs:
-                    if b == a:
-                        continue
-                    for c in xs:
-                        if c == a:
-                            continue
-                        for e in (1, -1):
-                            for d in (1, -1):
-                                if b == c and e == d:
-                                    continue
-                                out.append(
-                                    (
-                                        f"row{base}",
-                                        f"y={y},a={a},b={b},e={e:+d},c={c},d={d:+d}",
-                                        M[b, e, a],
-                                        M[c, d, a],
-                                        s,
-                                        residue(M[b, e, y], M[c, d, y]),
-                                    )
-                                )
-                row2 = f"row{int(base) + 1}"
-                for b in xs:
-                    if b == a:
-                        continue
-                    for e in (1, -1):
-                        for i in zs:
-                            out.append(
-                                (
-                                    row2,
-                                    f"y={y},a={a},b={b},e={e:+d},i={i}",
-                                    M[b, e, a],
-                                    C[i, a],
-                                    s,
-                                    residue(M[b, e, y], C[i, y]),
-                                )
-                            )
-                row3 = f"row{int(base) + 2}"
-                for i in zs:
-                    for j in zs:
-                        if i == j:
-                            continue
-                        out.append(
-                            (
-                                row3,
-                                f"y={y},a={a},i={i},j={j}",
-                                C[i, a],
-                                C[j, a],
-                                s,
-                                residue(C[i, y], C[j, y]),
-                            )
-                        )
-        for i in zs:
-            s = C[i, y]
-            cyi = C[y, i]
-
-            def bracket(u, v):
-                """[[C[y,i], u], [C[y,i], v]]"""
-                return _comm(_comm((cyi,), (u,)), _comm((cyi,), (v,)))
-
-            for a in xs:
-                for b in xs:
-                    for e in (1, -1):
-                        for d in (1, -1):
-                            if a == b and e == d:
-                                continue
-                            out.append(
-                                (
-                                    "row7",
-                                    f"y={y},i={i},a={a},e={e:+d},b={b},d={d:+d}",
-                                    -M[a, e, i],
-                                    -M[b, d, i],
-                                    s,
-                                    bracket(M[a, e, y], M[b, d, y]),
-                                )
-                            )
-            for a in xs:
-                for e in (1, -1):
-                    for j in zs:
-                        if j == i:
-                            continue
-                        out.append(
-                            (
-                                "row8",
-                                f"y={y},i={i},a={a},e={e:+d},j={j}",
-                                -M[a, e, i],
-                                -C[j, i],
-                                s,
-                                bracket(M[a, e, y], C[j, y]),
-                            )
-                        )
-            for j in zs:
-                if j == i:
-                    continue
-                for m in zs:
-                    if m == i or m == j:
-                        continue
-                    out.append(
-                        (
-                            "row9",
-                            f"y={y},i={i},j={j},m={m}",
-                            -C[j, i],
-                            -C[m, i],
-                            s,
-                            bracket(C[j, y], C[m, y]),
-                        )
-                    )
-    return out
+    _emit(out, _TABLE5, sig, [_lead(sig)])
+    return [(i.family, i.params, *i.lhs, i.rhs) for i in out]
 
 
 def table5_rows(sig):

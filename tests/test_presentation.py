@@ -344,6 +344,25 @@ def test_relation_instances_at_four_x_match_the_recorded_digest():
     assert (count, digest.hexdigest()) == WIDE_INSTANCE_DIGEST
 
 
+WIDE_TABLE5_DIGEST = (
+    2_030,
+    "f5b95feb84c159ebd29f12be99466ef6fb77065f781d6dac4fd7d700f4a1c38a",
+)
+
+
+def test_table5_rows_at_four_x_or_four_z_match_the_recorded_digest():
+    """Every table5 row at (4,1,3), (4,2,2) and (2,2,4), as WORD_DIGEST
+    spells them.  WORD_DIGEST stops at three x's and three z's; these
+    signatures give all nine rows with four of either."""
+    digest = hashlib.sha256()
+    count = 0
+    for sig in (Signature(4, 1, 3), Signature(4, 2, 2), Signature(2, 2, 4)):
+        for row in presentation.table5_rows(sig):
+            digest.update(repr((sig, row)).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == WIDE_TABLE5_DIGEST
+
+
 def test_second_multiplier_move_obstructs_commuting():
     # instances like [M[x1^+1,x2], M[x2^+1,y1]] are excluded from the
     # commuting family because the outer move drags the inner multiplier
@@ -440,6 +459,53 @@ def test_every_expanded_relator_is_trivial_in_the_s3_quotient(sig, depth, count)
     relators = presentation._lpres_expand(sig, depth)[0]
     assert len(relators) == count
     assert [r for r in relators if not oracle.trivial(decode(r))] == []
+
+
+# The table5 rows at each signature; together they give all nine rows.
+TABLE5_QUOTIENT_COUNTS = {Signature(2, 1, 1): 28, Signature(1, 1, 2): 12, Signature(0, 1, 3): 6}
+
+
+def _table5_in_the_s3_quotient(sig, rows):
+    """[whether (t2 t1 s t1^-1 t2^-1)^-1 (t1 t2 s t2^-1 t1^-1) permutes
+    Hom(F, S_3) as the row's residue does, for each table5 row]."""
+    oracle = FiniteQuotient(sig)
+    out = []
+    for _, _, t1, t2, s, expected in rows:
+        t2_t1_s = (t2, t1, s, t1.inv(), t2.inv())
+        t1_t2_s = (t1, t2, s, t2.inv(), t1.inv())
+        out.append(oracle.holds(sym_inv(t2_t1_s) + t1_t2_s, expected))
+    return out
+
+
+@pytest.mark.parametrize("sig", TABLE5_QUOTIENT_COUNTS, ids=str)
+def test_every_table5_row_holds_in_the_s3_quotient(sig):
+    """Each residue permutes Hom(F, S_3) as the commutator difference of
+    its two letters on s does; with s appended to each residue, the oracle
+    refuses every row."""
+    rows = presentation.table5_rows(sig)
+    assert len(rows) == TABLE5_QUOTIENT_COUNTS[sig]
+    assert _table5_in_the_s3_quotient(sig, rows) == [True] * len(rows)
+    mutant = [row[:5] + (row[5] + (row[4],),) for row in rows]
+    assert _table5_in_the_s3_quotient(sig, mutant) == [False] * len(rows)
+
+
+def test_table5_quotient_signatures_cover_every_row():
+    rows = {row[0] for sig in TABLE5_QUOTIENT_COUNTS for row in presentation.table5_rows(sig)}
+    assert rows == {f"row{i}" for i in range(1, 10)}
+
+
+@pytest.mark.parametrize("sig", [S111, Signature(2, 1, 0)], ids=str)
+def test_the_s3_quotient_refuses_a_seed_with_a_letter_appended(sig):
+    """Every rk seed is trivial on Hom(F, S_3), and none stays trivial with
+    any S_K symbol appended."""
+    oracle = FiniteQuotient(sig)
+    decode = presentation._alphabet(sig).decode
+    seeds = presentation._lpres_expand(sig, 0)[1]
+    codes = range(1, len(s_k_symbols(sig)) + 1)
+    assert seeds
+    assert [oracle.trivial(decode(r)) for r in seeds] == [True] * len(seeds)
+    refused = [not oracle.trivial(decode(r + (c,))) for r in seeds for c in codes]
+    assert refused == [True] * len(refused)
 
 
 def test_the_s3_quotient_refuses_q2_1_with_w_equal_to_v(monkeypatch):
