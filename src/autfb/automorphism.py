@@ -22,8 +22,9 @@ equality; that is what makes a relation a pair of spellings with equal
 images.
 
 _cached_gen_aut is the one source of a named generator's automorphism:
-spelling_aut, presentation's _trivial and _Moves, the rank rows and the
-cocycle witnesses all read it, and it keeps the 4,096 most recently used
+spelling_aut, presentation's decider (_stepped, _Moves) and its
+relabeling premise (_template), the rank rows and the cocycle witnesses
+all read it, and it keeps the 4,096 most recently used
 (signature, name).  parse_spelling parses each distinct token of one
 spelling once, and keeps nothing between calls.
 

@@ -68,8 +68,14 @@ and the entries, not the relators, and leaves them coded for the command
 line to spell.
 
 A check hands all its coded words to one _trivial call, which decides
-whether each evaluates to the identity, folding each prefix the sorted
-words share once.  Its step (_step) rewrites only the forward rows the
+whether each evaluates to the identity.  Relabeling the x's, the y's and
+the z's, each class among itself, does not change that answer, so
+_trivial decides one word per relabeling class (its canonical form: each
+letter's shape and the rank at which each of its fields first appears)
+when every generator table of the shapes involved is the relabeled table
+(_Relabeling, checked once per signature and shape), and every word
+otherwise.  The decider (_stepped) folds each prefix the sorted words
+share once.  Its step (_step) rewrites only the forward rows the
 letter's generator moves (_Moves, keyed by code, reads only the rows of
 the codes the letter's name holds), substitutes each in one pass, and
 inverts a row only when it is read.  eval_symbol_word is
@@ -187,7 +193,7 @@ def _step(acc, moved):
     return out
 
 
-def _trivial(sig, words):
+def _stepped(sig, words):
     """[spelling_aut(sig, w) is the identity for w in words], in input
     order, for coded words (_alphabet).
 
@@ -225,6 +231,106 @@ def _trivial(sig, words):
         out[i] = stack[-1][1 : n + 1] == end
         prev = head
     return out
+
+
+def _template(sig, name):
+    """The positive rows that name's generator moves in its tables (fwd,
+    then bwd), with the name's own fields written 1 (v) and 2 (w), signed:
+    the same for every name of one shape (_Relabeling) when the tables
+    commute with relabeling.  None when a moved row is at, or holds, a
+    generator that is none of the name's fields."""
+    own = {name.v: 1, -name.v: -1}
+    if name.w:
+        own.update({name.w: 2, -name.w: -2})
+    gen = _cached_gen_aut(sig, name)
+    try:
+        return tuple(
+            tuple((own[c], tuple(own[d] for d in rows[c])) for c in sig.gens() if rows[c] != (c,))
+            for rows in (gen.fwd, gen.bwd)
+        )
+    except KeyError:
+        return None
+
+
+class _Relabeling(dict):
+    """shape -> whether relabeling commutes with the generator tables of
+    every letter of that shape at sig, read once per shape.
+
+    A shape is a letter's kind, e, power and the classes (x, y or z) of its
+    fields v and w: relabeling the x's, the y's and the z's, each class
+    among itself, maps a letter to one of its own shape.  info[c] is
+    (v, w, shape, whether the letter is a P) for every signed code c,
+    indexed as the signed tables are.  A shape holds when its letters
+    share one _template: then every relabeling maps each letter's tables
+    to the relabeled letter's."""
+
+    def __init__(self, sig):
+        alpha = _alphabet(sig)
+        self.sig, self.letter = sig, alpha.letter
+        self.info = [None] * (len(alpha.letter) + 1)
+        self.codes = {}
+        ids = {}
+        for c, u in alpha.letter.items():
+            shape = (u.kind, u.e, u.power, sig.klass(u.v), u.w and sig.klass(u.w))
+            shape = ids.setdefault(shape, len(ids))
+            self.info[c] = (u.v, u.w, shape, u.kind == "P")
+            self.codes.setdefault(shape, []).append(c)
+
+    def __missing__(self, shape):
+        templates = {_template(self.sig, self.letter[c]) for c in self.codes[shape]}
+        ok = self[shape] = None not in templates and len(templates) == 1
+        return ok
+
+
+@lru_cache(maxsize=16)
+def _relabeling(sig):
+    return _Relabeling(sig)
+
+
+def _trivial(sig, words):
+    """[spelling_aut(sig, w) is the identity for w in words], in input
+    order, for coded words (_alphabet).
+
+    Relabeling the x's, the y's and the z's, each class among itself, is
+    conjugation by a permutation automorphism of F, so a relabeled word is
+    trivial exactly when the word is.  Each word's canonical form is read
+    in one pass: per letter its shape (_Relabeling) and its fields v and w,
+    each written as its rank in the order the word's fields first appear
+    (a P letter's two ranks sorted again, as P[i,j] is P[j,i]).  Two words
+    with one form are relabelings of each other, so _stepped decides only
+    the first word of each form, and each word holds its form's index until
+    its flag is read back.
+
+    That is sound only if each generator's tables are the relabeled
+    tables of the generator it is relabeled from, as _stepped reads them
+    (the moved rows of fwd, and bwd's rows): then _stepped steps the
+    relabeled word through the relabeled tables.  So every shape the forms
+    use must hold in _relabeling(sig), a 16-entry cache; if one does not,
+    every word is decided, and the flags equal full evaluation for any
+    generator tables.  Every word of a form is an input word, so no
+    relabeled letter is ever built and none needs to be in the alphabet.
+    """
+    shapes = _relabeling(sig)
+    info = shapes.info
+    forms = {}
+    firsts = []
+    out = []
+    for w in words:
+        ranks = {}
+        rank = ranks.setdefault
+        form = []
+        for c in w:
+            v, u, shape, swap = info[c]
+            rv, ru = rank(v, len(ranks)), rank(u, len(ranks))
+            form += (shape, rv, ru) if not swap or rv < ru else (shape, ru, rv)
+        i = forms.setdefault(tuple(form), len(forms))
+        if i == len(firsts):
+            firsts.append(w)
+        out.append(i)
+    if not all(map(shapes.__getitem__, {s for form in forms for s in form[::3]})):
+        return _stepped(sig, words)
+    flags = _stepped(sig, firsts)
+    return [flags[i] for i in out]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +467,8 @@ class _Row(NamedTuple):
     None when a remaining side condition fails.  The instance's params
     text is str.format of params with the bound names; a commutator row's
     instance is [lhs, rhs] = 1.  A table5 row (_TABLE5) returns its letter
-    triple (t1, t2, s) as lhs and its residue as rhs.
+    triple (t1, t2, s) as lhs and its residue as rhs; both are built
+    reduced, so the row is marked reduced and its sides are taken as built.
     """
 
     tag: str
@@ -369,6 +476,7 @@ class _Row(NamedTuple):
     loops: tuple
     body: object
     comm: bool = False
+    reduced: bool = False
 
 
 class _Shared(NamedTuple):
@@ -641,7 +749,7 @@ def _emit(out, node, sig, bindings):
             for row in node.rows:
                 _emit(out, row, sig, [b])
         return
-    tag, params, _, body, comm = node
+    tag, params, _, body, comm, reduced = node
     new = tuple.__new__  # as GenName.base does: no keyword map per instance
     for b in bindings:
         sides = body(*b)
@@ -650,7 +758,7 @@ def _emit(out, node, sig, bindings):
         lhs, rhs = sides
         if comm:
             lhs, rhs = _comm(lhs, rhs), ()
-        else:  # a side of fewer than two letters cannot cancel
+        elif not reduced:  # a side of fewer than two letters cannot cancel
             if len(lhs) > 1:
                 lhs = _free_reduce(lhs)
             if len(rhs) > 1:
@@ -1005,14 +1113,17 @@ def _residue_rows(first, sign):
         _Row(f"row{first}", "y={y},a={a},b={b},e={e:+d},c={c},d={d:+d}",
              (("b", X, "a"), ("c", X, "a"), ("e", SIGNS), ("d", SIGNS)),
              lambda M, C, P, I, K, y, a, b, c, e, d: None if b == c and e == d else
-                 ((M[b, e, a], M[c, d, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], M[c, d, y]))),
+                 ((M[b, e, a], M[c, d, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], M[c, d, y])),
+             reduced=True),
         _Row(f"row{first + 1}", "y={y},a={a},b={b},e={e:+d},i={i}",
              (("b", X, "a"), ("e", SIGNS), ("i", Z)),
              lambda M, C, P, I, K, y, a, b, e, i:
-                 ((M[b, e, a], C[i, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], C[i, y]))),
+                 ((M[b, e, a], C[i, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], C[i, y])),
+             reduced=True),
         _Row(f"row{first + 2}", "y={y},a={a},i={i},j={j}", (("i", Z), ("j", Z, "i")),
              lambda M, C, P, I, K, y, a, i, j:
-                 ((C[i, a], C[j, a], M[a, sign, y]), residue(C, y, a, C[i, y], C[j, y]))),
+                 ((C[i, a], C[j, a], M[a, sign, y]), residue(C, y, a, C[i, y], C[j, y])),
+             reduced=True),
     )
 
 
@@ -1030,13 +1141,16 @@ _TABLE5 = _compiled(_Shared((("y", Y),), (
         _Row("row7", "y={y},i={i},a={a},e={e:+d},b={b},d={d:+d}",
              (("a", X), ("b", X), ("e", SIGNS), ("d", SIGNS)),
              lambda M, C, P, I, K, y, i, a, b, e, d: None if a == b and e == d else
-                 ((-M[a, e, i], -M[b, d, i], C[i, y]), _bracket(C, y, i, M[a, e, y], M[b, d, y]))),
+                 ((-M[a, e, i], -M[b, d, i], C[i, y]), _bracket(C, y, i, M[a, e, y], M[b, d, y])),
+             reduced=True),
         _Row("row8", "y={y},i={i},a={a},e={e:+d},j={j}", (("a", X), ("e", SIGNS), ("j", Z, "i")),
              lambda M, C, P, I, K, y, i, a, e, j:
-                 ((-M[a, e, i], -C[j, i], C[i, y]), _bracket(C, y, i, M[a, e, y], C[j, y]))),
+                 ((-M[a, e, i], -C[j, i], C[i, y]), _bracket(C, y, i, M[a, e, y], C[j, y])),
+             reduced=True),
         _Row("row9", "y={y},i={i},j={j},m={m}", (("j", Z, "i"), ("m", Z, "i", "j")),
              lambda M, C, P, I, K, y, i, j, m:
-                 ((-C[j, i], -C[m, i], C[i, y]), _bracket(C, y, i, C[j, y], C[m, y]))),
+                 ((-C[j, i], -C[m, i], C[i, y]), _bracket(C, y, i, C[j, y], C[m, y])),
+             reduced=True),
     )),
 )))
 

@@ -1,7 +1,7 @@
 """A finite-quotient oracle: automorphisms of F(n,k,l) as permutations of
-Hom(F, S_3).
+Hom(F, G) for a finite group G, S_3 or A_4.
 
-An automorphism f moves each homomorphism phi: F -> S_3 to phi o f, and
+An automorphism f moves each homomorphism phi: F -> G to phi o f, and
 (phi o f)(x_c) is the product of phi over the letters of f's row
 fwd[c]; so a generator's permutation is read from its rows, and no word
 is ever reduced.  A spelling s_1 ... s_m is s_1 o ... o s_m (leftmost
@@ -14,35 +14,48 @@ The tests hold three kinds of claim to it: a relation instance (holds,
 its two sides), an action table entry (holds, t s t^-1 against the
 entry's row) and an expanded relator (trivial, against the identity).
 Since it never reduces a word, it is independent of the substitution
-kernel that builds the rows and relators.
+kernel that builds the rows and relators.  It decides each claim on its
+own, so it shares nothing with the decider's one decision per relabeling
+class either.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from autfb import gen_aut
 
 S3 = list(permutations(range(3)))
-# As S3 indices: ONE is the identity, MUL[a][b] is a o b and INV[a] is a^-1.
-ONE = S3.index((0, 1, 2))
-MUL = [[S3.index(tuple(a[i] for i in b)) for b in S3] for a in S3]
-INV = [row.index(ONE) for row in MUL]
+# The even permutations of four points, the 12 elements of A_4.
+A4 = [p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
+
+
+class Group:
+    """A group of permutations as indices into elements: one is the
+    identity, mul[a][b] is a o b and inv[a] is a^-1."""
+
+    def __init__(self, elements):
+        self.one = elements.index(tuple(range(len(elements[0]))))
+        self.mul = [[elements.index(tuple(a[i] for i in b)) for b in elements] for a in elements]
+        self.inv = [row.index(self.one) for row in self.mul]
 
 
 class FiniteQuotient:
-    """The 6^(n+k+l) homomorphisms F -> S_3 of one signature, and the
-    permutation of them by each generator name, built on its first use."""
+    """The |G|^(n+k+l) homomorphisms F -> G of one signature, G = S_3
+    unless another list of permutations is given, and the permutation of
+    them by each generator name, built on its first use."""
 
-    def __init__(self, sig):
+    def __init__(self, sig, elements=S3):
         self.sig = sig
-        self.points = list(product(range(len(S3)), repeat=sig.ngens))
+        self.group = Group(elements)
+        self.points = list(product(range(len(elements)), repeat=sig.ngens))
         self.index = {phi: i for i, phi in enumerate(self.points)}
         self.perms = {}
 
     def _value(self, phi, row):
         """phi of the word row: the product of phi over its letters."""
-        value = ONE
+        g = self.group
+        value = g.one
         for c in row:
-            value = MUL[value][phi[c - 1] if c > 0 else INV[phi[-c - 1]]]
+            value = g.mul[value][phi[c - 1] if c > 0 else g.inv[phi[-c - 1]]]
         return value
 
     def perm(self, name):

@@ -65,7 +65,7 @@ from disjoint_support import (
     support,
     support_letter,
 )
-from finite_quotient import FiniteQuotient
+from finite_quotient import A4, FiniteQuotient
 
 S111 = Signature(1, 1, 1)
 S222 = Signature(2, 2, 2)
@@ -419,6 +419,17 @@ def test_every_relation_instance_holds_in_the_s3_quotient(sig):
     assert [i for i in insts if not oracle.holds(i.lhs, i.rhs)] == []
 
 
+@pytest.mark.parametrize("sig", [S111, Signature(2, 1, 0)], ids=str)
+def test_every_relation_instance_holds_in_the_a4_quotient(sig):
+    """A second oracle group, A_4 (order 12, 1,728 points at both
+    signatures): both sides of every instance permute Hom(F, A_4) alike."""
+    oracle = FiniteQuotient(sig, A4)
+    insts = [i for family in FAMILY_GROUPS for i in enumerate_relations(family, sig)]
+    assert len(oracle.points) == 1728
+    assert len(insts) == QUOTIENT_COUNTS[sig]
+    assert [i for i in insts if not oracle.holds(i.lhs, i.rhs)] == []
+
+
 def _entries_in_the_s3_quotient(sig, table):
     """The (t, c) of each action entry whose row and t s_c t^-1 permute
     Hom(F, S_3) differently, for every S_Q letter t of table."""
@@ -487,6 +498,20 @@ def test_every_table5_row_holds_in_the_s3_quotient(sig):
     assert _table5_in_the_s3_quotient(sig, rows) == [True] * len(rows)
     mutant = [row[:5] + (row[5] + (row[4],),) for row in rows]
     assert _table5_in_the_s3_quotient(sig, mutant) == [False] * len(rows)
+
+
+def test_table5_rows_are_built_reduced():
+    """_emit takes a table5 row's sides as built, since every row is
+    marked reduced: at every n, k, l <= 4 each letter triple is three
+    distinct symbols and each residue is freely reduced."""
+    rows = 0
+    for n, k, l in itertools.product(range(5), repeat=3):
+        if n + k + l:
+            for _, _, t1, t2, s, residue in presentation._table5_rows(Signature(n, k, l)):
+                assert len({abs(t1), abs(t2), abs(s)}) == 3
+                assert _free_reduce(residue) == residue
+                rows += 1
+    assert rows == 43500
 
 
 def test_table5_quotient_signatures_cover_every_row():
