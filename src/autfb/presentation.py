@@ -20,7 +20,7 @@ The relation families (N1-N5, Q1-Q5, R1.1-R5, C1.1-C2.2), the residue rows
 of table5 and the action rows are built as coded words that spell every
 letter as the paper does, at its own power: the code of C[z,v]^e is
 e * C[z, v], read from the alphabet's per-kind maps (its fields M, C, P
-and I), and a conjugation is a literal tuple of codes, reduced once.
+and I), and a conjugation is a literal tuple of codes.
 The families are one table, _TABLE, with a row (_Row) per relation of the
 paper: its tag and params text, its bound variables in loop order, each
 with a domain and the bound variables it must differ from, and a body
@@ -28,8 +28,10 @@ that spells lhs and rhs or returns None when a remaining side condition
 fails.  _Shared loops enclose rows whose instances interleave.  Table 5's
 nine residue rows are rows of the same kind, in _TABLE5: a table5 row's
 lhs is its letter triple (t1, t2, s) and its rhs the residue.  One
-interpreter (_emit) loops, prunes, formats, reduces and builds every
-instance and residue row; _SUBFAMILIES holds one builder per family, and
+interpreter (_emit) loops, prunes, formats and builds every instance and
+residue row, each side as its row spells it: no side of the table cancels,
+so none is reduced there, and enumerate_relations reduces its sides for
+the public API.  _SUBFAMILIES holds one builder per family, and
 Q1 is N1-N5 retagged.  A dotted tag's builder runs only that tag's rows,
 inside the _Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
 the power, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1;
@@ -88,7 +90,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
+from operator import countOf, itemgetter
 from typing import NamedTuple
 
 from .freegroup import Signature, _free_reduce
@@ -337,7 +340,7 @@ def _trivial(sig, words):
 # alphabets
 
 
-class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text M C P I")):
+class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text M C P I negated")):
     def decode(self, codes):
         return tuple(self.letter[c] for c in codes)
 
@@ -349,7 +352,9 @@ def _alphabet(sig):
     letter to its code; letter and text map a code to its letter and to its
     format_name.  M, C, P and I map M[v, e, w], C[v, w], P[i, j] (either
     order) and I[i] to the code of the symbol at power +1, through which
-    the builders spell their letters."""
+    the builders spell their letters.  negated maps a code c to the
+    alphabet's own int -c, so a word inverted through it holds the
+    alphabet's ints and no new int per letter."""
     s_k = tuple(s_k_symbols(sig))
     s_q = tuple(s_q_symbols(sig))
     letter = {c: u for i, s in enumerate(s_k + s_q, 1) for c, u in ((i, s), (-i, s.inv()))}
@@ -371,6 +376,7 @@ def _alphabet(sig):
         letter,
         {c: format_name(sig, u) for c, u in letter.items()},
         *named.values(),
+        {-c: c for c in letter},
     )
 
 
@@ -442,7 +448,7 @@ class RelationInstance(NamedTuple):
 
 
 def _comm(u, v):
-    """The coded commutator u v u^-1 v^-1, reduced."""
+    """The coded commutator u v u^-1 v^-1, reduced (_bracket nests it)."""
     return _free_reduce(u + v + _inverted(u) + _inverted(v))
 
 
@@ -466,9 +472,9 @@ class _Row(NamedTuple):
     bound value in binding order; it returns (lhs, rhs) as coded words, or
     None when a remaining side condition fails.  The instance's params
     text is str.format of params with the bound names; a commutator row's
-    instance is [lhs, rhs] = 1.  A table5 row (_TABLE5) returns its letter
-    triple (t1, t2, s) as lhs and its residue as rhs; both are built
-    reduced, so the row is marked reduced and its sides are taken as built.
+    instance is [lhs, rhs] = 1, spelled lhs rhs lhs^-1 rhs^-1.  A table5
+    row (_TABLE5) returns its letter triple (t1, t2, s) as lhs and its
+    residue as rhs.  Every side is taken as the body spells it, unreduced.
     """
 
     tag: str
@@ -476,7 +482,6 @@ class _Row(NamedTuple):
     loops: tuple
     body: object
     comm: bool = False
-    reduced: bool = False
 
 
 class _Shared(NamedTuple):
@@ -742,28 +747,26 @@ def _bind(bindings, loops, sig):
 
 def _emit(out, node, sig, bindings):
     """Append to out the instances of a compiled node, in loop order: a
-    _Shared node's rows in turn under each of its bindings."""
+    _Shared node's rows in turn under each of its bindings.  Each side is
+    the body's tuple, and a commutator row's lhs is u v u^-1 v^-1 spelled
+    as one tuple, none of them reduced."""
     bindings = _bind(bindings, node.loops, sig)
     if isinstance(node, _Shared):
         for b in bindings:
             for row in node.rows:
                 _emit(out, row, sig, [b])
         return
-    tag, params, _, body, comm, reduced = node
+    tag, params, _, body, comm = node
     new = tuple.__new__  # as GenName.base does: no keyword map per instance
+    negated = _alphabet(sig).negated.__getitem__
     for b in bindings:
         sides = body(*b)
         if sides is None:
             continue
-        lhs, rhs = sides
         if comm:
-            lhs, rhs = _comm(lhs, rhs), ()
-        elif not reduced:  # a side of fewer than two letters cannot cancel
-            if len(lhs) > 1:
-                lhs = _free_reduce(lhs)
-            if len(rhs) > 1:
-                rhs = _free_reduce(rhs)
-        out.append(new(RelationInstance, (tag, params.format(*b), lhs, rhs)))
+            u, v = sides
+            sides = (*u, *v, *map(negated, reversed(u)), *map(negated, reversed(v))), ()
+        out.append(new(RelationInstance, (tag, params.format(*b), *sides)))
 
 
 def _pruned(items, tag):
@@ -831,7 +834,8 @@ _DOTTED_TAGS = tuple(
 
 
 def _relations(family, sig):
-    """enumerate_relations(family, sig) with coded sides (_alphabet)."""
+    """enumerate_relations(family, sig) with coded sides (_alphabet), as
+    the rows spell them: not reduced, and none cancels."""
     if family in FAMILY_GROUPS:
         out = []
         for tag in FAMILY_GROUPS[family]:
@@ -849,11 +853,12 @@ def enumerate_relations(family, sig):
 
     `family` is a subfamily tag (N3, Q4, R1, ...), one of _DOTTED_TAGS
     (R1.2, Q4.1', C2.1, ... - resolved by its head), or one of the group
-    tags nielsen / jensen-wahl / rk / c-lemma.
+    tags nielsen / jensen-wahl / rk / c-lemma.  Each side is freely
+    reduced here, where the coded sides leave the package.
     """
     decode = _alphabet(sig).decode
     return [
-        RelationInstance(i.family, i.params, decode(i.lhs), decode(i.rhs))
+        RelationInstance(i.family, i.params, decode(_free_reduce(i.lhs)), decode(_free_reduce(i.rhs)))
         for i in _relations(family, sig)
     ]
 
@@ -865,8 +870,8 @@ def enumerate_relations(family, sig):
 class Report:
     """Line-per-instance verification record: PASS / FAIL / SKIP.
 
-    lines holds one (family, params or note, status) tuple per line; add
-    and skip append to it and keep the running count of each status."""
+    lines holds one (family, params or note, status) tuple per line; add,
+    extend and skip append to it and keep the running count of each status."""
 
     def __init__(self):
         self.lines = []
@@ -876,6 +881,16 @@ class Report:
         status = "PASS" if ok else "FAIL"
         self.lines.append((family, params, status))
         self._counts[status] += 1
+
+    def extend(self, lines):
+        """add(family, params, ok) for each (family, params, ok) of lines, in
+        one step: the lines are appended as they are read, and the FAIL
+        lines among them counted once they are in."""
+        start = len(self.lines)
+        self.lines.extend((f, p, "PASS" if ok else "FAIL") for f, p, ok in lines)
+        fail = countOf(map(itemgetter(2), islice(self.lines, start, None)), "FAIL")
+        self._counts["FAIL"] += fail
+        self._counts["PASS"] += len(self.lines) - start - fail
 
     def skip(self, family, note):
         self.lines.append((family, note, "SKIP"))
@@ -903,7 +918,8 @@ def verify_relations(family, sig):
     """Evaluate every instance of the family; failures are data, not errors.
 
     An instance holds when lhs rhs^-1 evaluates to the identity; the coded
-    words of every subfamily are decided by one _trivial call.
+    words of every subfamily, spelled as the rows spell them, are decided
+    by one _trivial call, and each subfamily's lines go in as one extend.
     """
     report = Report()
     tags = [(tag, _relations(tag, sig)) for tag in FAMILY_GROUPS.get(family, (family,))]
@@ -912,8 +928,8 @@ def verify_relations(family, sig):
     for tag, instances in tags:
         if not instances:
             report.skip(tag, "no instances at this signature")
-        for inst in instances:
-            report.add(inst.family, inst.params, next(flags))
+        # zip reads instances first, so it stops without taking the next tag's flag
+        report.extend((i.family, i.params, ok) for i, ok in zip(instances, flags))
     return report
 
 
@@ -1092,9 +1108,10 @@ def verify_action_consistency(sig, family):
         holds = _entries_hold(sig, table)
     else:
         holds = {t: _undone(table, t, codes) for t in letters}
+    s_text = [alpha.text[c] for c in codes]
     for t in letters:
-        for c, ok in zip(codes, holds[t]):
-            report.add(family, f"t={alpha.text[t]},s={alpha.text[c]}", ok)
+        head = f"t={alpha.text[t]},s="
+        report.extend((family, head + s, ok) for s, ok in zip(s_text, holds[t]))
     return report
 
 
@@ -1113,17 +1130,14 @@ def _residue_rows(first, sign):
         _Row(f"row{first}", "y={y},a={a},b={b},e={e:+d},c={c},d={d:+d}",
              (("b", X, "a"), ("c", X, "a"), ("e", SIGNS), ("d", SIGNS)),
              lambda M, C, P, I, K, y, a, b, c, e, d: None if b == c and e == d else
-                 ((M[b, e, a], M[c, d, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], M[c, d, y])),
-             reduced=True),
+                 ((M[b, e, a], M[c, d, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], M[c, d, y]))),
         _Row(f"row{first + 1}", "y={y},a={a},b={b},e={e:+d},i={i}",
              (("b", X, "a"), ("e", SIGNS), ("i", Z)),
              lambda M, C, P, I, K, y, a, b, e, i:
-                 ((M[b, e, a], C[i, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], C[i, y])),
-             reduced=True),
+                 ((M[b, e, a], C[i, a], M[a, sign, y]), residue(C, y, a, M[b, e, y], C[i, y]))),
         _Row(f"row{first + 2}", "y={y},a={a},i={i},j={j}", (("i", Z), ("j", Z, "i")),
              lambda M, C, P, I, K, y, a, i, j:
-                 ((C[i, a], C[j, a], M[a, sign, y]), residue(C, y, a, C[i, y], C[j, y])),
-             reduced=True),
+                 ((C[i, a], C[j, a], M[a, sign, y]), residue(C, y, a, C[i, y], C[j, y]))),
     )
 
 
@@ -1141,16 +1155,13 @@ _TABLE5 = _compiled(_Shared((("y", Y),), (
         _Row("row7", "y={y},i={i},a={a},e={e:+d},b={b},d={d:+d}",
              (("a", X), ("b", X), ("e", SIGNS), ("d", SIGNS)),
              lambda M, C, P, I, K, y, i, a, b, e, d: None if a == b and e == d else
-                 ((-M[a, e, i], -M[b, d, i], C[i, y]), _bracket(C, y, i, M[a, e, y], M[b, d, y])),
-             reduced=True),
+                 ((-M[a, e, i], -M[b, d, i], C[i, y]), _bracket(C, y, i, M[a, e, y], M[b, d, y]))),
         _Row("row8", "y={y},i={i},a={a},e={e:+d},j={j}", (("a", X), ("e", SIGNS), ("j", Z, "i")),
              lambda M, C, P, I, K, y, i, a, e, j:
-                 ((-M[a, e, i], -C[j, i], C[i, y]), _bracket(C, y, i, M[a, e, y], C[j, y])),
-             reduced=True),
+                 ((-M[a, e, i], -C[j, i], C[i, y]), _bracket(C, y, i, M[a, e, y], C[j, y]))),
         _Row("row9", "y={y},i={i},j={j},m={m}", (("j", Z, "i"), ("m", Z, "i", "j")),
              lambda M, C, P, I, K, y, i, j, m:
-                 ((-C[j, i], -C[m, i], C[i, y]), _bracket(C, y, i, C[j, y], C[m, y])),
-             reduced=True),
+                 ((-C[j, i], -C[m, i], C[i, y]), _bracket(C, y, i, C[j, y], C[m, y]))),
     )),
 )))
 

@@ -276,11 +276,81 @@ def test_a_dotted_tag_without_instances_skips():
     assert enumerate_relations("C2.2", Signature(1, 1, 0)) == []
 
 
-def test_instances_carry_reduced_sides():
-    for inst in enumerate_relations("jensen-wahl", S111):
+@pytest.mark.parametrize("sig", [S111, S222, Signature(4, 0, 0)], ids=str)
+@pytest.mark.parametrize("family", [*FAMILY_GROUPS, *presentation._DOTTED_TAGS])
+def test_instances_carry_reduced_sides(family, sig):
+    """enumerate_relations reduces each side as it leaves the package; the
+    rows spell their sides unreduced."""
+    for inst in enumerate_relations(family, sig):
         assert isinstance(inst, RelationInstance)
         assert sym_reduce(inst.lhs) == inst.lhs
         assert sym_reduce(inst.rhs) == inst.rhs
+
+
+# perfbench's verify-grid signatures, and every n, k, l <= 3.
+RAW_WORD_SIGS = tuple(dict.fromkeys([
+    *(Signature(*nkl) for nkl in [(2, 0, 0), (3, 0, 0), (4, 0, 0), (1, 1, 2),
+                                   (3, 1, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2)]),
+    *(Signature(*nkl) for nkl in itertools.product(range(4), repeat=3) if any(nkl)),
+]))
+
+
+def _reduced_route_lines(tag, sig, trivial):
+    """verify_relations(tag, sig).lines decided from reduced sides: each
+    side of each coded instance freely reduced first, then lhs rhs^-1
+    handed to trivial."""
+    insts = presentation._relations(tag, sig)
+    if not insts:
+        return [(tag, "no instances at this signature", "SKIP")]
+    reduced = [(_free_reduce(i.lhs), _free_reduce(i.rhs)) for i in insts]
+    flags = trivial(sig, [lhs + automorphism._inverted(rhs) for lhs, rhs in reduced])
+    return [(i.family, i.params, "PASS" if ok else "FAIL") for i, ok in zip(insts, flags)]
+
+
+def _raw_word_faults(sig):
+    """The tags whose verify_relations at sig hands _trivial a word that is
+    not freely reduced, or whose lines differ from _reduced_route_lines."""
+    trivial = presentation._trivial
+    faults = []
+    for tag in presentation._SUBFAMILIES:
+        want = _reduced_route_lines(tag, sig, trivial)
+        decided = []
+
+        def recording(sig_, words):
+            decided.extend(words)
+            return trivial(sig_, words)
+
+        with mock.patch.object(presentation, "_trivial", recording):
+            lines = verify_relations(tag, sig).lines
+        if lines != want or any(_free_reduce(w) != w for w in decided):
+            faults.append(tag)
+    return faults
+
+
+@pytest.mark.parametrize("sig", RAW_WORD_SIGS, ids=str)
+def test_verify_decides_the_rows_words_as_spelled(sig):
+    """verify_relations decides each instance as its row spells it, with no
+    reduction: every word it decides is already freely reduced, and its
+    lines are the ones decided from freely reduced sides."""
+    assert _raw_word_faults(sig) == []
+
+
+def test_a_row_spelling_s_s_inverse_is_refused_by_the_raw_word_check(monkeypatch):
+    """A Q5 body that appends s s^-1 to its lhs evaluates as before, so its
+    lines do not change; the raw-word check refuses it, and
+    enumerate_relations still returns the reduced sides."""
+    sig = S222
+    kept = enumerate_relations("Q5", sig)
+    (q5,) = presentation._TABLE["Q5"]
+
+    def padded(*b):
+        lhs, rhs = q5.body(*b)
+        return lhs + (lhs[0], -lhs[0]), rhs
+
+    monkeypatch.setitem(presentation._TABLE, "Q5", (q5._replace(body=padded),))
+    monkeypatch.setitem(presentation._SUBFAMILIES, "Q5", presentation._builder("Q5"))
+    assert _raw_word_faults(sig) == ["Q5"]
+    assert enumerate_relations("Q5", sig) == kept
 
 
 WORD_DIGEST = (
@@ -501,9 +571,10 @@ def test_every_table5_row_holds_in_the_s3_quotient(sig):
 
 
 def test_table5_rows_are_built_reduced():
-    """_emit takes a table5 row's sides as built, since every row is
-    marked reduced: at every n, k, l <= 4 each letter triple is three
-    distinct symbols and each residue is freely reduced."""
+    """_emit takes every side as its row spells it, and verify_table5
+    compares residues with ==, so the rows must spell them reduced: at
+    every n, k, l <= 4 each letter triple is three distinct symbols and
+    each residue is freely reduced."""
     rows = 0
     for n, k, l in itertools.product(range(5), repeat=3):
         if n + k + l:
@@ -649,22 +720,36 @@ def test_report_mechanics():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.booleans(), st.none()), max_size=20))
+@given(st.lists(
+    st.one_of(st.booleans(), st.none(), st.lists(st.booleans(), max_size=6)), max_size=20
+))
 def test_report_counts_equal_a_recount_of_its_lines(ops):
-    """add and skip keep the counts; any mix of them reads as a recount."""
+    """add, extend and skip keep the counts; any mix of them reads as a
+    recount.  An op is a flag for add, None for skip, or a list of flags
+    for one extend, whose lines are the ones add makes."""
     r = Report()
-    for i, ok in enumerate(ops):
-        if ok is None:
+    by_add = Report()
+    for i, op in enumerate(ops):
+        if op is None:
             r.skip("G", f"note {i}")
+            by_add.skip("G", f"note {i}")
+        elif isinstance(op, list):
+            r.extend(("E", f"p={i}.{j}", ok) for j, ok in enumerate(op))
+            for j, ok in enumerate(op):
+                by_add.add("E", f"p={i}.{j}", ok)
         else:
-            r.add("F", f"p={i}", ok)
+            r.add("F", f"p={i}", op)
+            by_add.add("F", f"p={i}", op)
+    assert r.lines == by_add.lines
     recount = {status: sum(ln[2] == status for ln in r.lines) for status in ("PASS", "FAIL", "SKIP")}
     assert r.counts == recount
     assert r.all_passed == (recount["FAIL"] == 0)
-    assert r.format(summary=True) == (
+    footer = (
         f"# total\t{len(r.lines)}\tpass\t{recount['PASS']}"
         f"\tfail\t{recount['FAIL']}\tskip\t{recount['SKIP']}"
     )
+    assert r.format(summary=True) == footer
+    assert r.format() == "\n".join([*("\t".join(ln) for ln in r.lines), footer])
     r.counts["FAIL"] += 1  # a copy: the report's own counts stay
     assert r.counts == recount
 
