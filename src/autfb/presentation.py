@@ -29,9 +29,9 @@ fails.  _Shared loops enclose rows whose instances interleave.  Table 5's
 nine residue rows are rows of the same kind, in _TABLE5: a table5 row's
 lhs is its letter triple (t1, t2, s) and its rhs the residue.  One
 interpreter (_emit) loops, prunes, formats and builds every instance and
-residue row, each side as its row spells it: no side of the table cancels,
-so none is reduced there, and enumerate_relations reduces its sides for
-the public API.  _SUBFAMILIES holds one builder per family, and
+residue row, each side as its row spells it: no relation side cancels,
+so none is reduced there (a residue row spells its residue reduced), and
+enumerate_relations reduces its sides for the public API.  _SUBFAMILIES holds one builder per family, and
 Q1 is N1-N5 retagged.  A dotted tag's builder runs only that tag's rows,
 inside the _Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
 the power, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1;
