@@ -28,10 +28,14 @@ that spells lhs and rhs or returns None when a remaining side condition
 fails.  _Shared loops enclose rows whose instances interleave.  Table 5's
 nine residue rows are rows of the same kind, in _TABLE5: a table5 row's
 lhs is its letter triple (t1, t2, s) and its rhs the residue.  One
-interpreter (_emit) loops, prunes, formats and builds every instance and
-residue row, each side as its row spells it: no relation side cancels,
-so none is reduced there (a residue row spells its residue reduced), and
-enumerate_relations reduces its sides for the public API.  _SUBFAMILIES holds one builder per family, and
+interpreter (_emit) loops, prunes and formats every instance and residue
+row into columns (_Instances): its tag, its params text, one coded word
+lhs rhs^-1 spelled from the sides as the row spells them, and the length
+of lhs in it.  No relation side cancels, so nothing is reduced there:
+verify_relations decides the words as they are, enumerate_relations cuts
+each word into its sides and reduces them for the public API, and
+_table5_rows cuts each residue row into its triple and its residue,
+which the row spells reduced.  _SUBFAMILIES holds one builder per family, and
 Q1 is N1-N5 retagged.  A dotted tag's builder runs only that tag's rows,
 inside the _Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
 the power, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1;
@@ -90,7 +94,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat, starmap
 from operator import countOf, itemgetter
 from typing import NamedTuple
 
@@ -332,8 +336,7 @@ def _trivial(sig, words):
         out.append(i)
     if not all(map(shapes.__getitem__, {s for form in forms for s in form[::3]})):
         return _stepped(sig, words)
-    flags = _stepped(sig, firsts)
-    return [flags[i] for i in out]
+    return list(map(_stepped(sig, firsts).__getitem__, out))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +450,30 @@ class RelationInstance(NamedTuple):
     rhs: tuple
 
 
+class _Instances(NamedTuple):
+    """Instances as four columns, one entry each in loop order: the tag,
+    the params text, the coded word lhs rhs^-1 as the row spells it, and
+    the length of lhs in it (the cut).  A commutator row's instance
+    [u, v] = 1 is the word u v u^-1 v^-1 with the cut at its end."""
+
+    families: list
+    params: list
+    words: list
+    cuts: list
+
+    @classmethod
+    def empty(cls):
+        return cls([], [], [], [])
+
+    def extend(self, other):
+        for column, more in zip(self, other):
+            column.extend(more)
+
+    def sides(self):
+        """(lhs, rhs) of each instance, as its row spells them."""
+        return [(w[:m], _inverted(w[m:])) for w, m in zip(self.words, self.cuts)]
+
+
 def _comm(u, v):
     """The coded commutator u v u^-1 v^-1, reduced (_bracket nests it)."""
     return _free_reduce(u + v + _inverted(u) + _inverted(v))
@@ -474,7 +501,8 @@ class _Row(NamedTuple):
     text is str.format of params with the bound names; a commutator row's
     instance is [lhs, rhs] = 1, spelled lhs rhs lhs^-1 rhs^-1.  A table5
     row (_TABLE5) returns its letter triple (t1, t2, s) as lhs and its
-    residue as rhs.  Every side is taken as the body spells it, unreduced.
+    residue as rhs.  Every side is taken as the body spells it, unreduced,
+    into the word lhs rhs^-1 (_Instances).
     """
 
     tag: str
@@ -746,10 +774,13 @@ def _bind(bindings, loops, sig):
 
 
 def _emit(out, node, sig, bindings):
-    """Append to out the instances of a compiled node, in loop order: a
-    _Shared node's rows in turn under each of its bindings.  Each side is
-    the body's tuple, and a commutator row's lhs is u v u^-1 v^-1 spelled
-    as one tuple, none of them reduced."""
+    """Append to the columns of out (_Instances) the instances of a
+    compiled node, in loop order: a _Shared node's rows in turn under each
+    of its bindings.  Each instance's word is spelled in one expression
+    from the body's sides, lhs rhs^-1 or, for a commutator row,
+    u v u^-1 v^-1, with the inverse letters read from the alphabet's
+    negated map; nothing is reduced here.  enumerate_relations and
+    _table5_rows recover the sides at the cut, and reduce where they must."""
     bindings = _bind(bindings, node.loops, sig)
     if isinstance(node, _Shared):
         for b in bindings:
@@ -757,16 +788,24 @@ def _emit(out, node, sig, bindings):
                 _emit(out, row, sig, [b])
         return
     tag, params, _, body, comm = node
-    new = tuple.__new__  # as GenName.base does: no keyword map per instance
+    families, texts, words, cuts = out
     negated = _alphabet(sig).negated.__getitem__
+    kept = []
     for b in bindings:
         sides = body(*b)
         if sides is None:
             continue
+        u, v = sides
         if comm:
-            u, v = sides
-            sides = (*u, *v, *map(negated, reversed(u)), *map(negated, reversed(v))), ()
-        out.append(new(RelationInstance, (tag, params.format(*b), *sides)))
+            w = (*u, *v, *map(negated, reversed(u)), *map(negated, reversed(v)))
+            cuts.append(len(w))
+        else:
+            w = (*u, *map(negated, reversed(v)))
+            cuts.append(len(u))
+        words.append(w)
+        kept.append(b)
+    texts.extend(starmap(params.format, kept))
+    families.extend(repeat(tag, len(kept)))
 
 
 def _pruned(items, tag):
@@ -790,7 +829,7 @@ def _builder(tag):
     root = _compiled(_Shared((), _TABLE[head] if head == tag else _pruned(_TABLE[head], tag)))
 
     def build(sig):
-        out = []
+        out = _Instances.empty()
         _emit(out, root, sig, [_lead(sig)])
         return out
 
@@ -800,12 +839,9 @@ def _builder(tag):
 
 
 def _q1_instances(sig):
-    new = tuple.__new__
-    return [
-        new(RelationInstance, ("Q1", f"{tag}:{params}", lhs, rhs))
-        for family in FAMILY_GROUPS["nielsen"]
-        for tag, params, lhs, rhs in _SUBFAMILIES[family](sig)
-    ]
+    out = _relations("nielsen", sig)
+    params = list(map("{}:{}".format, out.families, out.params))
+    return out._replace(families=["Q1"] * len(params), params=params)
 
 
 FAMILY_GROUPS = {
@@ -834,10 +870,10 @@ _DOTTED_TAGS = tuple(
 
 
 def _relations(family, sig):
-    """enumerate_relations(family, sig) with coded sides (_alphabet), as
-    the rows spell them: not reduced, and none cancels."""
+    """enumerate_relations(family, sig) as _Instances: each coded word
+    (_alphabet) as its row spells it, not reduced, and none cancels."""
     if family in FAMILY_GROUPS:
-        out = []
+        out = _Instances.empty()
         for tag in FAMILY_GROUPS[family]:
             out.extend(_SUBFAMILIES[tag](sig))
         return out
@@ -853,13 +889,14 @@ def enumerate_relations(family, sig):
 
     `family` is a subfamily tag (N3, Q4, R1, ...), one of _DOTTED_TAGS
     (R1.2, Q4.1', C2.1, ... - resolved by its head), or one of the group
-    tags nielsen / jensen-wahl / rk / c-lemma.  Each side is freely
-    reduced here, where the coded sides leave the package.
+    tags nielsen / jensen-wahl / rk / c-lemma.  Each side is cut from its
+    instance's word and freely reduced here, where it leaves the package.
     """
     decode = _alphabet(sig).decode
+    insts = _relations(family, sig)
     return [
-        RelationInstance(i.family, i.params, decode(_free_reduce(i.lhs)), decode(_free_reduce(i.rhs)))
-        for i in _relations(family, sig)
+        RelationInstance(f, p, decode(_free_reduce(lhs)), decode(_free_reduce(rhs)))
+        for f, p, (lhs, rhs) in zip(insts.families, insts.params, insts.sides())
     ]
 
 
@@ -867,11 +904,17 @@ def enumerate_relations(family, sig):
 # verification reports
 
 
+# A flag's status, indexed by the flag: False is 0, True is 1.
+_STATUS = ("FAIL", "PASS")
+
+
 class Report:
     """Line-per-instance verification record: PASS / FAIL / SKIP.
 
     lines holds one (family, params or note, status) tuple per line; add,
-    extend and skip append to it and keep the running count of each status."""
+    extend and skip append to it and keep the running count of each
+    status.  extend takes its lines as columns, and format joins each line
+    with tabs, so neither reads a line field by field."""
 
     def __init__(self):
         self.lines = []
@@ -882,15 +925,16 @@ class Report:
         self.lines.append((family, params, status))
         self._counts[status] += 1
 
-    def extend(self, lines):
-        """add(family, params, ok) for each (family, params, ok) of lines, in
-        one step: the lines are appended as they are read, and the FAIL
-        lines among them counted once they are in."""
-        start = len(self.lines)
-        self.lines.extend((f, p, "PASS" if ok else "FAIL") for f, p, ok in lines)
-        fail = countOf(map(itemgetter(2), islice(self.lines, start, None)), "FAIL")
+    def extend(self, families, params, flags):
+        """add(family, params, ok) for each family, params and ok of three
+        columns, in one step: params and flags (bools) are of one length,
+        and each line's tuple is zipped from the columns, so families may
+        run on (itertools.repeat)."""
+        status = list(map(_STATUS.__getitem__, flags))
+        self.lines.extend(zip(families, params, status))
+        fail = countOf(status, "FAIL")
         self._counts["FAIL"] += fail
-        self._counts["PASS"] += len(self.lines) - start - fail
+        self._counts["PASS"] += len(status) - fail
 
     def skip(self, family, note):
         self.lines.append((family, note, "SKIP"))
@@ -906,30 +950,31 @@ class Report:
 
     def format(self, summary=False):
         c = self._counts
-        body = [] if summary else [f"{f}\t{p}\t{s}" for f, p, s in self.lines]
         footer = (
             f"# total\t{len(self.lines)}\tpass\t{c['PASS']}"
             f"\tfail\t{c['FAIL']}\tskip\t{c['SKIP']}"
         )
-        return "\n".join(body + [footer])
+        if summary:
+            return footer
+        return "\n".join(chain(map("\t".join, self.lines), (footer,)))
 
 
 def verify_relations(family, sig):
     """Evaluate every instance of the family; failures are data, not errors.
 
-    An instance holds when lhs rhs^-1 evaluates to the identity; the coded
-    words of every subfamily, spelled as the rows spell them, are decided
-    by one _trivial call, and each subfamily's lines go in as one extend.
+    An instance holds when its word lhs rhs^-1 evaluates to the identity;
+    the words of every subfamily, spelled as the rows spell them, are
+    decided by one _trivial call, and each subfamily's columns go in as
+    one extend.
     """
     report = Report()
     tags = [(tag, _relations(tag, sig)) for tag in FAMILY_GROUPS.get(family, (family,))]
-    words = [i.lhs + _inverted(i.rhs) if i.rhs else i.lhs for _, insts in tags for i in insts]
+    words = list(chain.from_iterable(insts.words for _, insts in tags))
     flags = iter(_trivial(sig, words))
-    for tag, instances in tags:
-        if not instances:
+    for tag, insts in tags:
+        if not insts.words:
             report.skip(tag, "no instances at this signature")
-        # zip reads instances first, so it stops without taking the next tag's flag
-        report.extend((i.family, i.params, ok) for i, ok in zip(instances, flags))
+        report.extend(insts.families, insts.params, islice(flags, len(insts.words)))
     return report
 
 
@@ -953,7 +998,15 @@ def action_f(sig, t, s):
 
 def _action_word(sig, t, s):
     """action_f(sig, t, s) as codes (_alphabet), for an S_Q letter t and an
-    S_K symbol s that the caller has taken from the alphabet."""
+    S_K symbol s that the caller has taken from the alphabet.
+
+    Every row is freely reduced as spelled, because no two adjacent
+    letters of a row are one symbol: a P or I row is one letter; s = C[y,u]
+    is beside C[y, t.w] with t.w != u (t moves u = t.v by t.w); when t
+    moves the letter s moves, s (M[v^e,y] or C[z,y]) is beside C[y, t.w],
+    whose first field is y; and when t moves t.v by v, the letters s,
+    t_y = t's move of t.v by y, and C[y, v] differ pairwise, since t.v != v
+    and only C[y, v] has y as its first field."""
     alpha = _alphabet(sig)
     M, C = alpha.M, alpha.C
     sc = alpha.code[s]
@@ -1016,14 +1069,14 @@ def _action_table(sig, letters):
     """The action of the given S_Q letters (codes) on S_K codes (_alphabet).
 
     table[t] is the signed rows (_signed) of t: table[t][c] is
-    _action_word(sig, t, s_c), freely reduced, and table[t][-c] its
-    inverse, so each row is built once per (letter, symbol) pair and
+    _action_word(sig, t, s_c), which is freely reduced, and table[t][-c]
+    its inverse, so each row is built once per (letter, symbol) pair and
     inverted once, and acting by t on a coded word u is
     _substitute(table[t], u): the action is a homomorphism in u.  The
     expansion's relators are such S_K codes.
 
     Most rows are (c,): every letter starts from one shared identity
-    table, and only the rows it moves are reduced and inverted.  near maps
+    table, and only the rows it moves are inverted.  near maps
     each generator code to the S_K codes whose symbol names it (as s.v or
     s.w), and _action_word runs only on the symbols near t.v or t.w, in
     ascending code (t.w is 0 for I, and names no symbol).  That is exact,
@@ -1045,8 +1098,7 @@ def _action_table(sig, letters):
         for c in sorted({*near.get(u.v, ()), *near.get(u.w, ())}):
             row = _action_word(sig, u, s_k[c - 1])
             if row != (c,):
-                sub[c] = row = _free_reduce(row)
-                sub[-c] = _inverted(row)
+                sub[c], sub[-c] = row, _inverted(row)
         table[t] = tuple(sub)
     return table
 
@@ -1073,7 +1125,7 @@ def _entries_hold(sig, table):
 
     def evaluate(letters):
         flags = iter(_trivial(sig, [table[t][c] + (t, -c, -t) for t in letters for c in codes]))
-        return {t: [next(flags) for _ in codes] for t in letters}
+        return {t: list(islice(flags, len(codes))) for t in letters}
 
     holds = evaluate([t for t in table if t > 0])
     inverse = [t for t in table if t < 0]
@@ -1109,9 +1161,8 @@ def verify_action_consistency(sig, family):
     else:
         holds = {t: _undone(table, t, codes) for t in letters}
     s_text = [alpha.text[c] for c in codes]
-    for t in letters:
-        head = f"t={alpha.text[t]},s="
-        report.extend((family, head + s, ok) for s, ok in zip(s_text, holds[t]))
+    params = chain.from_iterable(map(f"t={alpha.text[t]},s=".__add__, s_text) for t in letters)
+    report.extend(repeat(family), params, chain.from_iterable(map(holds.__getitem__, letters)))
     return report
 
 
@@ -1168,10 +1219,10 @@ _TABLE5 = _compiled(_Shared((("y", Y),), (
 
 def _table5_rows(sig):
     """table5_rows(sig) with coded letters and words (_alphabet): _TABLE5
-    read by _emit."""
-    out = []
+    read by _emit, each row's triple and residue cut from its word."""
+    out = _Instances.empty()
     _emit(out, _TABLE5, sig, [_lead(sig)])
-    return [(i.family, i.params, *i.lhs, i.rhs) for i in out]
+    return [(f, p, *lhs, rhs) for f, p, (lhs, rhs) in zip(out.families, out.params, out.sides())]
 
 
 def table5_rows(sig):
@@ -1204,12 +1255,14 @@ def verify_table5(sig):
         report.skip("table5", "no instances at this signature")
         return report
     table = _action_table(sig, dict.fromkeys(t for row in rows for t in row[2:4]))
-    for row, params, t1, t2, c, expected in rows:
+    flags = [
         # f(t2 t1, s)^-1 is t2's table on the inverse row of t1
-        t2_t1_s_inv = _substitute(table[t2], table[t1][-c])
-        t1_t2_s = _substitute(table[t1], table[t2][c])
-        got = _free_reduce(t2_t1_s_inv + t1_t2_s)
-        report.add(f"table5.{row}", params, got == expected)
+        _free_reduce(_substitute(table[t2], table[t1][-c]) + _substitute(table[t1], table[t2][c]))
+        == expected
+        for _, _, t1, t2, c, expected in rows
+    ]
+    families = map("table5.".__add__, map(itemgetter(0), rows))
+    report.extend(families, map(itemgetter(1), rows), flags)
     return report
 
 
@@ -1259,7 +1312,7 @@ def _lpres_expand(sig, depth):
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seeds = [_free_reduce(i.lhs + _inverted(i.rhs)) for i in _relations("rk", sig)]
+    seeds = list(map(_free_reduce, _relations("rk", sig).words))
     if not seeds:  # S_K may then be empty
         return [], seeds, {}
     table = _action_table(sig, _sq_codes(sig))

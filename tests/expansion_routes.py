@@ -43,7 +43,7 @@ def full_scan_moves(sig, code):
 
 def seeds(sig):
     """The rk relations written as lhs rhs^-1, as S_K codes."""
-    return [_free_reduce(i.lhs + _inverted(i.rhs)) for i in presentation._relations("rk", sig)]
+    return [_free_reduce(lhs + _inverted(rhs)) for lhs, rhs in presentation._relations("rk", sig).sides()]
 
 
 def relators_by_word(sig, depth):

@@ -545,9 +545,11 @@ def test_expand_fails_on_a_corrupted_seed(monkeypatch, depth):
     def corrupted(family, sig):
         insts = original(family, sig)
         if family == "rk":
-            first = insts[0]
+            # the extra letter goes at the end of the first instance's lhs
+            (w, *_), (cut, *_) = insts.words, insts.cuts
             extra = presentation._alphabet(sig).code[m_name(1, 1, 2)]
-            insts = [first._replace(lhs=first.lhs + (extra,)), *insts[1:]]
+            insts.words[0] = w[:cut] + (extra,) + w[cut:]
+            insts.cuts[0] += 1
         return insts
 
     monkeypatch.setattr(presentation, "_relations", corrupted)

@@ -50,6 +50,7 @@ from autfb.presentation import (
     in_s_q,
     reduced_sq_words,
 )
+from report_routes import LineReport
 from expansion_routes import (
     dense_action_table,
     expand_per_word,
@@ -248,7 +249,8 @@ def test_a_dotted_tag_builds_the_filtered_list_of_its_head():
         sig = Signature(n, k, l)
         for tag in presentation._DOTTED_TAGS:
             head = presentation._SUBFAMILIES[tag.split(".")[0]](sig)
-            assert presentation._relations(tag, sig) == [i for i in head if i.family == tag]
+            rows = list(zip(*presentation._relations(tag, sig)))
+            assert rows == [i for i in zip(*head) if i[0] == tag]
 
 
 def test_a_dotted_tag_runs_only_its_own_rows():
@@ -300,11 +302,11 @@ def _reduced_route_lines(tag, sig, trivial):
     side of each coded instance freely reduced first, then lhs rhs^-1
     handed to trivial."""
     insts = presentation._relations(tag, sig)
-    if not insts:
+    if not insts.words:
         return [(tag, "no instances at this signature", "SKIP")]
-    reduced = [(_free_reduce(i.lhs), _free_reduce(i.rhs)) for i in insts]
+    reduced = [(_free_reduce(lhs), _free_reduce(rhs)) for lhs, rhs in insts.sides()]
     flags = trivial(sig, [lhs + automorphism._inverted(rhs) for lhs, rhs in reduced])
-    return [(i.family, i.params, "PASS" if ok else "FAIL") for i, ok in zip(insts, flags)]
+    return [(f, p, "PASS" if ok else "FAIL") for f, p, ok in zip(insts.families, insts.params, flags)]
 
 
 def _raw_word_faults(sig):
@@ -636,10 +638,12 @@ def _corrupt_every_other_instance(monkeypatch, sig):
     extra = presentation._sq_codes(sig)[0]
 
     def corrupted(sig_, build):
-        return [
-            i._replace(lhs=_free_reduce(i.lhs + (extra,))) if n % 2 else i
-            for n, i in enumerate(build(sig_))
-        ]
+        insts = build(sig_)
+        for n, (lhs, rhs) in enumerate(insts.sides()):
+            if n % 2:
+                lhs = _free_reduce(lhs + (extra,))
+                insts.words[n], insts.cuts[n] = lhs + automorphism._inverted(rhs), len(lhs)
+        return insts
 
     for tag, build in list(presentation._SUBFAMILIES.items()):
         monkeypatch.setitem(
@@ -726,7 +730,7 @@ def test_report_mechanics():
 def test_report_counts_equal_a_recount_of_its_lines(ops):
     """add, extend and skip keep the counts; any mix of them reads as a
     recount.  An op is a flag for add, None for skip, or a list of flags
-    for one extend, whose lines are the ones add makes."""
+    for one extend of three columns, whose lines are the ones add makes."""
     r = Report()
     by_add = Report()
     for i, op in enumerate(ops):
@@ -734,7 +738,7 @@ def test_report_counts_equal_a_recount_of_its_lines(ops):
             r.skip("G", f"note {i}")
             by_add.skip("G", f"note {i}")
         elif isinstance(op, list):
-            r.extend(("E", f"p={i}.{j}", ok) for j, ok in enumerate(op))
+            r.extend(["E"] * len(op), [f"p={i}.{j}" for j in range(len(op))], op)
             for j, ok in enumerate(op):
                 by_add.add("E", f"p={i}.{j}", ok)
         else:
@@ -752,6 +756,48 @@ def test_report_counts_equal_a_recount_of_its_lines(ops):
     assert r.format() == "\n".join([*("\t".join(ln) for ln in r.lines), footer])
     r.counts["FAIL"] += 1  # a copy: the report's own counts stay
     assert r.counts == recount
+
+
+def _report_ops(seed):
+    """A seeded mix of add, skip and extend calls, as (method, args)."""
+    rng = random.Random(seed)
+    ops = []
+    for i in range(rng.randrange(40)):
+        kind = rng.choice(("add", "skip", "extend", "extend"))
+        family = rng.choice(("N1", "Q4.1'", "table5.row7", "action"))
+        if kind == "add":
+            ops.append(("add", (family, f"a={i}", rng.random() < 0.8)))
+        elif kind == "skip":
+            ops.append(("skip", (family, "no instances at this signature")))
+        else:
+            flags = [rng.random() < 0.8 for _ in range(rng.randrange(9))]
+            params = [f"x={i},e={j:+d}" for j in range(len(flags))]
+            ops.append(("extend", ([family] * len(flags), params, flags)))
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_column_report_matches_the_per_line_reference(seed):
+    """Report, filled by add, skip and column extends (as lists, or as the
+    iterators the checks hand it), reads as LineReport filled line by line:
+    the same lines, counts, all_passed and text with and without summary."""
+    r, ref = Report(), LineReport()
+    for n, (method, args) in enumerate(_report_ops(seed)):
+        if method == "extend":
+            families, params, flags = args
+            ref.extend(zip(families, params, flags))
+            if n % 2:
+                families = itertools.repeat(families[0]) if families else ()
+                params, flags = iter(params), iter(flags)
+            r.extend(families, params, flags)
+        else:
+            getattr(r, method)(*args)
+            getattr(ref, method)(*args)
+    assert r.lines == ref.lines
+    assert r.counts == ref.counts
+    assert r.all_passed == ref.all_passed
+    assert r.format() == ref.format()
+    assert r.format(summary=True) == ref.format(summary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1282,6 +1328,24 @@ def test_action_tables_match_the_dense_build():
         table5 = list(dict.fromkeys(t for row in presentation._table5_rows(sig) for t in row[2:4]))
         for letters in (full, table5):
             assert presentation._action_table(sig, letters) == dense_action_table(sig, letters)
+
+
+def test_every_action_row_is_spelled_reduced():
+    """_action_table keeps each _action_word row as spelled, so every row of
+    every (S_Q letter at either power, S_K symbol) pair at n, k, l <= 4
+    must already be freely reduced."""
+    rows = 0
+    for n, k, l in itertools.product(range(5), repeat=3):
+        if not n + k + l:
+            continue
+        sig = Signature(n, k, l)
+        alpha = presentation._alphabet(sig)
+        for t in map(alpha.letter.__getitem__, presentation._sq_codes(sig)):
+            for s in alpha.s_k:
+                row = presentation._action_word(sig, t, s)
+                assert _free_reduce(row) == row, (sig, t, s)
+                rows += 1
+    assert rows == 229_500
 
 
 def test_expansion_frees_little_beyond_its_dedup_set():

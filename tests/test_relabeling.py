@@ -53,11 +53,7 @@ def _perms(sig):
 def _instance_words(sig):
     """Every relation instance of the four groups as lhs rhs^-1: trivial
     words that do not cancel freely."""
-    return [
-        i.lhs + _inverted(i.rhs)
-        for family in FAMILY_GROUPS
-        for i in presentation._relations(family, sig)
-    ]
+    return [w for family in FAMILY_GROUPS for w in presentation._relations(family, sig).words]
 
 
 _INSTANCE_WORDS = {sig: _instance_words(sig) for sig in _SIGS}
