@@ -546,7 +546,7 @@ def test_expand_fails_on_a_corrupted_seed(monkeypatch, depth):
         insts = original(family, sig)
         if family == "rk":
             # the extra letter goes at the end of the first instance's lhs
-            (w, *_), (cut, *_) = insts.words, insts.cuts
+            w, cut = insts.words[0], insts.cuts[0]
             extra = presentation._alphabet(sig).code[m_name(1, 1, 2)]
             insts.words[0] = w[:cut] + (extra,) + w[cut:]
             insts.cuts[0] += 1
