@@ -405,7 +405,8 @@ def independence_witness(ctx: PairingContext, m: int, s: int, t: int):
 
     h_m multiplies s by a y conjugated t-deep; its invariant is the single
     basis symbol at m times the t-direction, so distinct m give
-    independent images.
+    independent images.  h_m is p M[s,y] p^-1 with p = C[y,t]^m, and its
+    right factor is inverse(p), p's tables swapped, so one power is taken.
     """
     sig = ctx.sig
     if sig.klass(s) != "x":
@@ -418,7 +419,8 @@ def independence_witness(ctx: PairingContext, m: int, s: int, t: int):
         raise ValueError("nonnegative power expected")
     cyt = _cached_gen_aut(sig, c_name(ctx.y, t))
     move = _cached_gen_aut(sig, m_name(s, 1, ctx.y))
-    h_m = compose(compose(power(cyt, m), move), power(cyt, -m))
+    p = power(cyt, m)
+    h_m = compose(compose(p, move), inverse(p))
     if not is_in_autfb_prime(h_m):
         raise ClaimFailedError("witness fails to fix the boundary letters")
     value = i_s(ctx, h_m, s)

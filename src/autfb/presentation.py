@@ -80,11 +80,12 @@ _trivial decides one word per relabeling class (its canonical form: each
 letter's shape and the rank at which each of its fields first appears)
 when every generator table of the shapes involved is the relabeled table
 (_Relabeling, checked once per signature and shape), and every word
-otherwise.  The decider (_stepped) folds each prefix the sorted words
-share once.  Its step (_step) rewrites only the forward rows the
-letter's generator moves (_Moves, keyed by code, reads only the rows of
-the codes the letter's name holds), substitutes each in one pass, and
-inverts a row only when it is read.  eval_symbol_word is
+otherwise.  The decider (_stepped) folds each word it decides on its
+own, from the identity.  Its step (_step) rewrites only the forward rows
+the letter's generator moves (_Moves, keyed by code, reads only the rows
+of the codes the letter's name holds), substitutes each in one pass, and
+inverts a row only where it is read, writing nothing into the table it
+reads.  eval_symbol_word is
 automorphism.spelling_aut, which builds both tables of a NamedAut: the
 independent reference for _trivial.
 """
@@ -93,7 +94,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, islice, repeat, starmap
 from operator import countOf, itemgetter
 from typing import NamedTuple
@@ -177,15 +178,15 @@ def _step(acc, moved):
     """The signed table (_signed) of w s from acc, the one of w: each row s
     moves is acc substituted into s's image of it, in one pass that
     cancels each image against the tail at their junction, as _substitute
-    does; no other row changes.  A moved row's inverse is left None, and
-    is filled in acc, in place, only when a later step reads it."""
+    does; no other row changes.  A moved row's inverse is left None, and a
+    None row of acc is inverted where it is read.  acc is not written."""
     out = list(acc)
     for c, row in moved:
         new = []
         for d in row:
             img = acc[d]
             if img is None:
-                img = acc[d] = _inverted(acc[-d])
+                img = _inverted(acc[-d])
             if new and new[-1] == -img[0]:
                 new.pop()
                 k = 1
@@ -204,40 +205,19 @@ def _stepped(sig, words):
     """[spelling_aut(sig, w) is the identity for w in words], in input
     order, for coded words (_alphabet).
 
-    A word h s is the identity when h evaluates to s^-1, so h is stepped
-    through and its rows compared with the rows of s^-1 (NamedAut.bwd).
-    The words go in sorted order, and stack[j] is the signed table of the
-    previous h's first j letters: a prefix h shares with the one before it
-    is stepped through once, the stack is never deeper than the longest
-    word, and no word's table outlives the next word.  The root is a fresh
-    list: _step fills inverse rows in place.
+    A word h s is the identity when h evaluates to s^-1, so each word's h
+    is folded through _step from the identity, and its rows are compared
+    with the rows of s^-1 (NamedAut.bwd).  The empty word holds.
     """
     moves = _Moves(sig)
-    ends = {}
-    stack = [list(_signed_identity(sig.ngens))]
-    n = sig.ngens
-    prev = ()
-    out = [True] * len(words)
-    for i in sorted(range(len(words)), key=words.__getitem__):
-        w = words[i]
-        if not w:
-            continue
-        head = w[:-1]
-        j = 0
-        for a, b in zip(prev, head):
-            if a != b:
-                break
-            j += 1
-        del stack[j + 1 :]
-        for s in head[j:]:
-            stack.append(_step(stack[-1], moves[s]))
-        s = w[-1]
-        end = ends.get(s) or ends.setdefault(
-            s, list(_cached_gen_aut(sig, moves.letter[s]).bwd[1 : n + 1])
-        )
-        out[i] = stack[-1][1 : n + 1] == end
-        prev = head
-    return out
+    root = _signed_identity(sig.ngens)
+    top = slice(1, sig.ngens + 1)
+    return [
+        not w
+        or tuple(reduce(_step, map(moves.__getitem__, w[:-1]), root)[top])
+        == _cached_gen_aut(sig, moves.letter[w[-1]]).bwd[top]
+        for w in words
+    ]
 
 
 def _template(sig, name):
@@ -316,6 +296,10 @@ def _trivial(sig, words):
     every word is decided, and the flags equal full evaluation for any
     generator tables.  Every word of a form is an input word, so no
     relabeled letter is ever built and none needs to be in the alphabet.
+    _stepped folds each word on its own, reusing no prefix: the forms'
+    first words share few.  When the premise fails, which only a corrupted
+    generator table makes happen, every word is folded, and words that
+    share a prefix fold it once each.
     """
     shapes = _relabeling(sig)
     info = shapes.info

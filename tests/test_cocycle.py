@@ -680,6 +680,28 @@ def test_prime_witness_invariants(ctx111):
     assert len(seen) == 7
 
 
+def _two_chain_witness(ctx, m, s, t):
+    """h_m = C[y,t]^m M[s,y] C[y,t]^-m with its right factor made by a
+    second squaring chain, power(C[y,t], -m), not as the inverse of the
+    left factor."""
+    cyt = gen_aut(ctx.sig, c_name(ctx.y, t))
+    move = gen_aut(ctx.sig, m_name(s, 1, ctx.y))
+    return compose(compose(power(cyt, m), move), power(cyt, -m))
+
+
+@pytest.mark.parametrize("ctx, ts", [("ctx111", (3,)), ("ctx221", (2, 5))])
+def test_prime_witness_equals_the_two_chain_route(request, ctx, ts):
+    """For m <= 8 and each conjugator t, h_m has the spelling and both
+    tables of the route that squares C[y,t]^-1 separately."""
+    ctx = request.getfixturevalue(ctx)
+    for t in ts:
+        for m in range(9):
+            h_m, _ = independence_witness(ctx, m, s=1, t=t)
+            want = _two_chain_witness(ctx, m, 1, t)
+            assert h_m.spelling == want.spelling, (t, m)
+            assert (h_m.fwd, h_m.bwd) == (want.fwd, want.bwd), (t, m)
+
+
 def test_prime_witness_validation(ctx111):
     with pytest.raises(ValueError):
         independence_witness(ctx111, 1, s=3, t=1)  # z code in the x slot

@@ -3,10 +3,12 @@
 _substitute(_signed(rows), letters) is checked against concatenating the
 images (inverting a row for a negative letter on the spot) and freely
 reducing the result; presentation._step, folded over a word's letters, is
-checked against the image table that spelling_aut builds by composition,
-and presentation._trivial against comparing that automorphism with the
-identity, also on words whose later steps read the inverse rows that
-_step fills only on demand.  presentation._Moves, which reads a
+checked against the image table that spelling_aut builds by composition.
+presentation._trivial and presentation._stepped, the fold _trivial falls
+back to on every word, are checked against comparing that automorphism
+with the identity, also on words whose later steps read the inverse rows
+that _step leaves None and inverts where it reads them, without writing
+them into the table it reads.  presentation._Moves, which reads a
 generator's rows only at its name's codes, is checked against the full
 scan of every row.  Two plain references check the kernel's shortcuts:
 _signed_gen_images builds every row of a generator and inverts all of
@@ -98,10 +100,14 @@ def test_substitute_is_the_reduced_concatenation(case):
 
 
 _IMAGE_SIGS = (Signature(2, 0, 0), Signature(1, 1, 2), Signature(3, 2, 2), Signature(2, 0, 1))
-_POOL = {
-    sig: [u for s in s_q_symbols(sig) + s_k_symbols(sig) for u in (s, s.inv())]
-    for sig in _IMAGE_SIGS
-}
+
+
+def _every_letter_pool(sig):
+    """Every S_Q and S_K letter of sig at both powers."""
+    return [u for s in s_q_symbols(sig) + s_k_symbols(sig) for u in (s, s.inv())]
+
+
+_POOL = {sig: _every_letter_pool(sig) for sig in _IMAGE_SIGS}
 
 
 def test_the_image_pools_hold_p_and_i_at_both_powers():
@@ -165,7 +171,7 @@ def test_trivial_matches_comparing_with_the_identity(case):
 
 # C, I and M letters at both powers, where a moved row reads a letter -d:
 # a later step then reads the inverse of a row an earlier step moved, which
-# _step fills only on demand.  Small signatures, so letters share codes.
+# _step inverts only where it reads it.  Small signatures, so letters share codes.
 _LAZY_POOL = {
     sig: [
         u
@@ -215,9 +221,11 @@ def test_step_inverts_a_moved_row_only_when_it_is_read():
     # C[z1,x1] moves z1 to x1 z1 x1^-1 and leaves its inverse row unbuilt.
     acc = presentation._step(root, moves[code[conj]])
     assert acc[3] == (1, 3, -1) and acc[-3] is None
-    # M[x1^-1,z1] moves x1 to x1 z1^-1, so it reads row -3: filled in place.
+    # M[x1^-1,z1] moves x1 to x1 z1^-1, so it reads row -3: inverted where
+    # it is read, and acc is left as it was.
+    before = list(acc)
     out = presentation._step(acc, moves[code[mult]])
-    assert acc[-3] == (1, -3, -1)
+    assert acc == before and acc[-3] is None
     assert out[1] == (1, 1, -3, -1) and out[-1] is None
     assert out[3] is acc[3] and out[-3] is None
     assert tuple(out[1:4]) == spelling_aut(sig, (conj, mult)).fwd[1:4]
@@ -293,14 +301,17 @@ def test_gen_images_equal_the_signed_construction():
 
 
 def _substituted_step(acc, moved):
-    """presentation._step through the shared kernel: the inverse rows a
-    moved row reads are filled in acc, and then _substitute builds it."""
+    """presentation._step through the shared kernel: the None rows a moved
+    row reads are inverted in a copy of acc, and _substitute builds the
+    moved row from that copy."""
+    full = list(acc)
+    for _, row in moved:
+        for d in row:
+            if full[d] is None:
+                full[d] = _inverted(full[-d])
     out = list(acc)
     for c, row in moved:
-        for d in row:
-            if acc[d] is None:
-                acc[d] = _inverted(acc[-d])
-        out[c] = _substitute(acc, row)
+        out[c] = _substitute(full, row)
         out[-c] = None
     return out
 
@@ -309,18 +320,53 @@ def _substituted_step(acc, moved):
 def test_step_equals_the_substitution_reference(sig):
     """Seeded random words over S_K and S_Q at both powers, folded from the
     identity by both steps: after every letter both tables are equal, the
-    unfilled (None) inverse rows included, and so are the rows each step
-    filled in place in the table it read."""
+    unbuilt (None) inverse rows included, each moved row's inverse is None,
+    and the table each step read is left as it was."""
     rng = random.Random(f"step:{sig}")
     moves = presentation._Moves(sig)
     letters = list(presentation._alphabet(sig).letter)
     root = _signed(tuple((c,) for c in sig.gens()))
-    filled = 0
+    read_unbuilt = 0
     for _ in range(200):
-        got, want = list(root), list(root)
+        got = want = root
         for s in rng.choices(letters, k=rng.randrange(1, 16)):
+            before = list(got)
             new, ref = presentation._step(got, moves[s]), _substituted_step(want, moves[s])
-            assert got == want and new == ref, (sig, s)
-            filled += sum(a is None for a in new) - sum(a is None for a in got)
+            assert list(got) == before and new == ref, (sig, s)
+            assert all(new[-c] is None for c, _ in moves[s]), (sig, s)
+            read_unbuilt += sum(got[d] is None for _, row in moves[s] for d in row)
             got, want = new, ref
-    assert filled > 0  # later steps read rows that earlier ones left None
+    assert read_unbuilt > 0  # later steps read rows that earlier ones left None
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(2, 0, 0), Signature(1, 1, 2), Signature(2, 1, 1), S222, Signature(3, 2, 2)], ids=str
+)
+def test_stepped_matches_comparing_with_the_identity(sig):
+    """presentation._stepped, which _trivial falls back to when a shape
+    fails the relabeling premise, on every word it is handed: seeded
+    batches of random words with all their prefixes (the empty word and a
+    one-letter word among them), trivial words u u^-1, u v u^-1 v^-1 and
+    the squares of P and I letters, and repeats, shuffled out of sorted
+    order."""
+    rng = random.Random(f"stepped:{sig}")
+    pool = _every_letter_pool(sig)
+    involutions = [u for u in pool if u.kind in ("P", "I")]
+    unsorted = 0
+    for _ in range(20):
+        stems = [tuple(rng.choices(pool, k=rng.randrange(1, 9))) for _ in range(3)]
+        words = []
+        for u in stems:
+            words += [u[:j] for j in range(len(u) + 1)]
+            words.append(u + _inverse_word(u))
+        u, v = stems[:2]
+        words.append(u + v + _inverse_word(u) + _inverse_word(v))
+        words += [(p, p) for p in rng.sample(involutions, min(2, len(involutions)))]
+        words += rng.choices(words, k=4)
+        rng.shuffle(words)
+        coded = [_encode(sig, w) for w in words]
+        unsorted += coded != sorted(coded)
+        want = [spelling_aut(sig, w) == identity(sig) for w in words]
+        assert presentation._stepped(sig, coded) == want, sig
+        assert not all(want)
+    assert unsorted
