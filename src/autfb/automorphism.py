@@ -22,7 +22,7 @@ equality; that is what makes a relation a pair of spellings with equal
 images.
 
 _cached_gen_aut is the one source of a named generator's automorphism:
-spelling_aut, presentation's decider (_stepped, _Moves) and its
+spelling_aut, presentation's decider (_stepped, _moves) and its
 relabeling premise (_template), the rank rows and the cocycle witnesses
 all read it, and it keeps the 4,096 most recently used
 (signature, name).  parse_spelling parses each distinct token of one
@@ -32,9 +32,11 @@ NamedAut(sig, spelling, fwd, bwd) is the package's one row constructor:
 it takes signed rows (_signed: each row beside its inverse) as they are,
 unchecked, so the package does not export it.  Callers build values with
 gen_aut, parse_aut and from_images, the one route from Word tables, which
-it converts and checks.  _signed_identity writes the identity's signed
-rows directly and inverts only the rows it is given as moved; it builds
-every generator's tables, the identity, and presentation's root tables.
+it converts and checks.  _signed_identity copies the identity's signed
+rows, one shared tuple per table size (_identity_rows), and inverts only
+the rows it is given as moved; it builds every generator's tables, the
+identity, and presentation's root tables, so the rows a table does not
+move are the same objects in all of them.  No caller writes into a row.
 _substitute over signed rows is the one substitution kernel, for compose,
 apply, from_images and every table of presentation.  Words appear only at
 the edges: from_images, the images and inv_images views, and apply (the
@@ -240,12 +242,18 @@ def _signed(rows):
     return ((), *rows, *map(_inverted, reversed(rows)))
 
 
+@lru_cache(maxsize=64)
+def _identity_rows(m):
+    """The identity's signed rows (_signed) of m codes: (c,) at c and (-c,)
+    at -c."""
+    return ((), *[(c,) for c in range(1, m + 1)], *[(-c,) for c in range(m, 0, -1)])
+
+
 def _signed_identity(m, moved=()):
     """The signed rows (_signed) of m codes in which each (c, row) of moved
-    is row c and every other row is (c,).  The identity rows are written
-    directly, (c,) at c and (-c,) at -c, and only the moved rows are
-    inverted."""
-    rows = [(), *[(c,) for c in range(1, m + 1)], *[(-c,) for c in range(m, 0, -1)]]
+    is row c and every other row is (c,), the shared row of
+    _identity_rows(m); only the moved rows are inverted."""
+    rows = list(_identity_rows(m))
     for c, row in moved:
         rows[c] = row
         rows[-c] = _inverted(row)

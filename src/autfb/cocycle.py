@@ -338,30 +338,33 @@ def support_of_twist(ctx: PairingContext, r: int, f: NamedAut):
     )
 
 
-def _differences(ctx, g0, g1, g2):
-    """The terms of I_b(d1) - I_b(d0) and I_b(d2) - I_b(d1) for the drops
-    d_i into L.
+def kappa_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
+    """Difference-product cochain, arguments dropped into L by hats: the
+    difference I_b(d1) - I_b(d0) at rA times I_b(d2) - I_b(d1) at 0.
 
-    The drop composes g with hat(g)^-1, which fixes b, so I_b(d) = I_b(g).
+    The drop d of g composes g with hat(g)^-1, which fixes b, so
+    I_b(d) = I_b(g), and each factor is read from the three invariants.
     """
     i0, i1, i2 = (_i_b(ctx, g).terms for g in (g0, g1, g2))
-    return _minus(i1, i0), _minus(i2, i1)
-
-
-def kappa_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
-    """Difference-product cochain, arguments dropped into L by hats."""
-    p, q = _differences(ctx, g0, g1, g2)
-    return p.get(ctx.r_a(r), 0) * q.get(ctx.zero, 0)
+    rA, zero = ctx.r_a(r), ctx.zero
+    return (i1.get(rA, 0) - i0.get(rA, 0)) * (i2.get(zero, 0) - i1.get(zero, 0))
 
 
 def zeta_eval(ctx: PairingContext, r: int, g0, g1, g2) -> int:
     """Sum of all lattice translates of kappa, a finite correlation.
 
     The translate at x multiplies the first difference at rA - x by the
-    second at -x; summing over x is the correlation at offset rA.
+    second at -x; summing over x is the correlation at offset rA: the sum
+    over v of p[v] (I_b(g2) - I_b(g1))[v - rA], with p = I_b(g1) - I_b(g0)
+    taken once and the second difference read point by point.
     """
-    p, q = _differences(ctx, g0, g1, g2)
-    return _corr(p, q, ctx.r_a(r))
+    i0, i1, i2 = (_i_b(ctx, g).terms for g in (g0, g1, g2))
+    d = ctx.r_a(r)
+    total = 0
+    for v, c in _minus(i1, i0).items():
+        u = tuple(map(operator.sub, v, d))
+        total += c * (i2.get(u, 0) - i1.get(u, 0))
+    return total
 
 
 def mu_witnesses(ctx: PairingContext, m: int):

@@ -36,8 +36,8 @@ verify_relations decides the words as they are, enumerate_relations cuts
 each word into its sides and reduces them for the public API, and
 _table5_rows cuts each residue row into its triple and its residue,
 which the row spells reduced.  _SUBFAMILIES holds one builder per family, and
-Q1 is N1-N5 retagged.  A dotted tag's builder runs only that tag's rows,
-inside the _Shared loops that enclose them.  A multiplier relabeled to w^-1 becomes
+Q1 is N1-N5 retagged.  A dotted tag (R1.2, C2.2, ...) keeps the instances
+of that tag from its head family's columns.  A multiplier relabeled to w^-1 becomes
 the power, since M[v^e,w^-1] = M[v^e,w]^-1 and C[v,w^-1] = C[v,w]^-1;
 _swapped is the one swap relabeling of an x-index.  Every family is enumerated for a
 signature with every side condition enforced, and an instance holds when
@@ -79,13 +79,15 @@ the z's, each class among itself, does not change that answer, so
 _trivial decides one word per relabeling class (its canonical form: each
 letter's shape and the rank at which each of its fields first appears)
 when every generator table of the shapes involved is the relabeled table
-(_Relabeling, checked once per signature and shape), and every word
-otherwise.  The decider (_stepped) folds each word it decides on its
-own, from the identity.  Its step (_step) rewrites only the forward rows
-the letter's generator moves (_Moves, keyed by code, reads only the rows
-of the codes the letter's name holds), substitutes each in one pass, and
-inverts a row only where it is read, writing nothing into the table it
-reads.  eval_symbol_word is
+(_holds, checked once per signature and shape), and every word
+otherwise.  _alphabet is the one per-signature record it reads: each
+code's fields and shape (info) and each shape's codes (shapes).  The
+decider (_stepped) folds each word it decides on its own, from the
+identity.  Its step (_step) rewrites only the forward rows the letter's
+generator moves (_moves, which reads only the rows of the codes the
+letter's name holds), substitutes each in one pass, and inverts a row
+only where it is read, writing nothing into the table it reads.
+eval_symbol_word is
 automorphism.spelling_aut, which builds both tables of a NamedAut: the
 independent reference for _trivial.
 """
@@ -95,7 +97,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, compress, islice, repeat, starmap
 from operator import countOf, itemgetter
 from typing import NamedTuple
 
@@ -154,24 +156,19 @@ def eval_symbol_word(sig, w):
     return spelling_aut(sig, w)
 
 
-class _Moves(dict):
-    """code -> the rows its letter's generator moves at sig, as (c, image
-    letters): c is moved when the generator's row (NamedAut.fwd) of c is
-    not (c,).  Only the rows at the name's own codes (v, and w unless it is
-    0) are read, since _gen_images moves no other row.  Each letter's
-    generator is read once per map."""
-
-    def __init__(self, sig):
-        self.sig = sig
-        self.letter = _alphabet(sig).letter
-
-    def __missing__(self, s):
-        name = self.letter[s]
-        fwd = _cached_gen_aut(self.sig, name).fwd
-        rows = self[s] = tuple(
-            (c, fwd[c]) for c in (name.v, name.w) if c and fwd[c] != (c,)
-        )
-        return rows
+def _moves(sig, codes):
+    """{s: the rows s's letter's generator moves at sig, as (c, image
+    letters)} for the codes s: c is moved when the generator's row
+    (NamedAut.fwd) of c is not (c,).  Only the rows at the name's own codes
+    (v, and w unless it is 0) are read, since _gen_images moves no other
+    row."""
+    letter = _alphabet(sig).letter
+    out = {}
+    for s in codes:
+        name = letter[s]
+        fwd = _cached_gen_aut(sig, name).fwd
+        out[s] = tuple((c, fwd[c]) for c in (name.v, name.w) if c and fwd[c] != (c,))
+    return out
 
 
 def _step(acc, moved):
@@ -209,13 +206,14 @@ def _stepped(sig, words):
     is folded through _step from the identity, and its rows are compared
     with the rows of s^-1 (NamedAut.bwd).  The empty word holds.
     """
-    moves = _Moves(sig)
+    moves = _moves(sig, {c for w in words for c in w[:-1]})
+    letter = _alphabet(sig).letter
     root = _signed_identity(sig.ngens)
     top = slice(1, sig.ngens + 1)
     return [
         not w
         or tuple(reduce(_step, map(moves.__getitem__, w[:-1]), root)[top])
-        == _cached_gen_aut(sig, moves.letter[w[-1]]).bwd[top]
+        == _cached_gen_aut(sig, letter[w[-1]]).bwd[top]
         for w in words
     ]
 
@@ -223,7 +221,7 @@ def _stepped(sig, words):
 def _template(sig, name):
     """The positive rows that name's generator moves in its tables (fwd,
     then bwd), with the name's own fields written 1 (v) and 2 (w), signed:
-    the same for every name of one shape (_Relabeling) when the tables
+    the same for every name of one shape (_holds) when the tables
     commute with relabeling.  None when a moved row is at, or holds, a
     generator that is none of the name's fields."""
     own = {name.v: 1, -name.v: -1}
@@ -239,39 +237,16 @@ def _template(sig, name):
         return None
 
 
-class _Relabeling(dict):
-    """shape -> whether relabeling commutes with the generator tables of
-    every letter of that shape at sig, read once per shape.
-
-    A shape is a letter's kind, e, power and the classes (x, y or z) of its
-    fields v and w: relabeling the x's, the y's and the z's, each class
-    among itself, maps a letter to one of its own shape.  info[c] is
-    (v, w, shape, whether the letter is a P) for every signed code c,
-    indexed as the signed tables are.  A shape holds when its letters
-    share one _template: then every relabeling maps each letter's tables
-    to the relabeled letter's."""
-
-    def __init__(self, sig):
-        alpha = _alphabet(sig)
-        self.sig, self.letter = sig, alpha.letter
-        self.info = [None] * (len(alpha.letter) + 1)
-        self.codes = {}
-        ids = {}
-        for c, u in alpha.letter.items():
-            shape = (u.kind, u.e, u.power, sig.klass(u.v), u.w and sig.klass(u.w))
-            shape = ids.setdefault(shape, len(ids))
-            self.info[c] = (u.v, u.w, shape, u.kind == "P")
-            self.codes.setdefault(shape, []).append(c)
-
-    def __missing__(self, shape):
-        templates = {_template(self.sig, self.letter[c]) for c in self.codes[shape]}
-        ok = self[shape] = None not in templates and len(templates) == 1
-        return ok
-
-
-@lru_cache(maxsize=16)
-def _relabeling(sig):
-    return _Relabeling(sig)
+# 16 signatures of at most 28 shapes each.
+@lru_cache(maxsize=1024)
+def _holds(sig, shape):
+    """Whether relabeling commutes with the generator tables of every
+    letter of shape (an id of _alphabet(sig).shapes) at sig: its letters
+    share one _template, so every relabeling maps each letter's tables to
+    the relabeled letter's."""
+    alpha = _alphabet(sig)
+    templates = {_template(sig, alpha.letter[c]) for c in alpha.shapes[shape]}
+    return None not in templates and len(templates) == 1
 
 
 def _trivial(sig, words):
@@ -281,9 +256,10 @@ def _trivial(sig, words):
     Relabeling the x's, the y's and the z's, each class among itself, is
     conjugation by a permutation automorphism of F, so a relabeled word is
     trivial exactly when the word is.  Each word's canonical form is read
-    in one pass: per letter its shape (_Relabeling) and its fields v and w,
-    each written as its rank in the order the word's fields first appear
-    (a P letter's two ranks sorted again, as P[i,j] is P[j,i]).  Two words
+    in one pass: per letter its shape and its fields v and w (_alphabet's
+    info), each field written as its rank in the order the word's fields
+    first appear (a P letter's two ranks sorted again, as P[i,j] is
+    P[j,i]).  Two words
     with one form are relabelings of each other, so _stepped decides only
     the first word of each form, and each word holds its form's index until
     its flag is read back.
@@ -292,8 +268,8 @@ def _trivial(sig, words):
     tables of the generator it is relabeled from, as _stepped reads them
     (the moved rows of fwd, and bwd's rows): then _stepped steps the
     relabeled word through the relabeled tables.  So every shape the forms
-    use must hold in _relabeling(sig), a 16-entry cache; if one does not,
-    every word is decided, and the flags equal full evaluation for any
+    use must hold (_holds, cached per signature and shape); if one does
+    not, every word is decided, and the flags equal full evaluation for any
     generator tables.  Every word of a form is an input word, so no
     relabeled letter is ever built and none needs to be in the alphabet.
     _stepped folds each word on its own, reusing no prefix: the forms'
@@ -301,8 +277,7 @@ def _trivial(sig, words):
     generator table makes happen, every word is folded, and words that
     share a prefix fold it once each.
     """
-    shapes = _relabeling(sig)
-    info = shapes.info
+    info = _alphabet(sig).info
     forms = {}
     firsts = []
     out = []
@@ -318,7 +293,7 @@ def _trivial(sig, words):
         if i == len(firsts):
             firsts.append(w)
         out.append(i)
-    if not all(map(shapes.__getitem__, {s for form in forms for s in form[::3]})):
+    if not all(_holds(sig, s) for s in {s for form in forms for s in form[::3]}):
         return _stepped(sig, words)
     return list(map(_stepped(sig, firsts).__getitem__, out))
 
@@ -327,7 +302,9 @@ def _trivial(sig, words):
 # alphabets
 
 
-class _Alphabet(namedtuple("_Alphabet", "s_k s_q code letter text M C P I negated")):
+class _Alphabet(
+    namedtuple("_Alphabet", "s_k s_q code letter text M C P I negated info shapes lead sq")
+):
     def decode(self, codes):
         return tuple(self.letter[c] for c in codes)
 
@@ -341,29 +318,49 @@ def _alphabet(sig):
     order) and I[i] to the code of the symbol at power +1, through which
     the builders spell their letters.  negated maps a code c to the
     alphabet's own int -c, so a word inverted through it holds the
-    alphabet's ints and no new int per letter."""
+    alphabet's ints and no new int per letter.
+
+    The decider (_trivial) reads the relabeling shapes here.  A shape is a
+    letter's kind, e, power and the classes (x, y or z) of its fields v and
+    w: relabeling the x's, the y's and the z's, each class among itself,
+    maps a letter to one of its own shape.  info[c] is (v, w, shape id,
+    whether the letter is a P) for every signed code c, indexed as the
+    signed tables are, and shapes maps a shape id to its codes.  lead is
+    what every row body is called with first (_LEAD): M, C, P, I and |S_K|.
+    sq is the S_Q codes, each symbol beside its inverse."""
     s_k = tuple(s_k_symbols(sig))
     s_q = tuple(s_q_symbols(sig))
     letter = {c: u for i, s in enumerate(s_k + s_q, 1) for c, u in ((i, s), (-i, s.inv()))}
-    named = {"M": {}, "C": {}, "P": {}, "I": {}}
-    for i, s in enumerate(s_k + s_q, 1):
-        kind, v, e, w, _ = s
+    M, C, P, I = {}, {}, {}, {}
+    info = [None] * (len(letter) + 1)
+    ids, shapes = {}, {}
+    for c, u in letter.items():
+        kind, v, e, w, power = u
+        shape = ids.setdefault((kind, e, power, sig.klass(v), w and sig.klass(w)), len(ids))
+        info[c] = (v, w, shape, kind == "P")
+        shapes.setdefault(shape, []).append(c)
+        if c < 0:
+            continue
         if kind == "M":
-            named[kind][v, e, w] = i
-        elif kind == "I":
-            named[kind][v] = i
+            M[v, e, w] = c
+        elif kind == "C":
+            C[v, w] = c
+        elif kind == "P":
+            P[v, w] = P[w, v] = c
         else:
-            named[kind][v, w] = i
-            if kind == "P":
-                named[kind][w, v] = i
+            I[v] = c
     return _Alphabet(
         s_k,
         s_q,
         {u: c for c, u in letter.items()},
         letter,
         {c: format_name(sig, u) for c, u in letter.items()},
-        *named.values(),
+        M, C, P, I,
         {-c: c for c in letter},
+        info,
+        shapes,
+        (M, C, P, I, len(s_k)),
+        tuple(c for j in range(len(s_k) + 1, len(s_k) + len(s_q) + 1) for c in (j, -j)),
     )
 
 
@@ -719,14 +716,8 @@ _TABLE = {
     ),
 }
 
-# What every body is called with before the bound values (_lead).
+# What every body is called with before the bound values (_Alphabet.lead).
 _LEAD = ("M", "C", "P", "I", "K")
-
-
-def _lead(sig):
-    """The binding _LEAD names: the alphabet's M, C, P, I and |S_K|."""
-    alpha = _alphabet(sig)
-    return (alpha.M, alpha.C, alpha.P, alpha.I, len(alpha.s_k))
 
 
 def _compiled(node, names=_LEAD):
@@ -792,29 +783,13 @@ def _emit(out, node, sig, bindings):
     families.extend(repeat(tag, len(kept)))
 
 
-def _pruned(items, tag):
-    """The rows of items tagged tag, each within the _Shared loops that
-    enclose it."""
-    out = []
-    for item in items:
-        if isinstance(item, _Shared):
-            rows = _pruned(item.rows, tag)
-            if rows:
-                out.append(item._replace(rows=rows))
-        elif item.tag == tag:
-            out.append(item)
-    return tuple(out)
-
-
 def _builder(tag):
-    """The instance builder of one family, _TABLE[tag] read by _emit, or of
-    one of _DOTTED_TAGS, its own rows of its head's table."""
-    head = tag.split(".")[0]
-    root = _compiled(_Shared((), _TABLE[head] if head == tag else _pruned(_TABLE[head], tag)))
+    """The instance builder of one family: _TABLE[tag] read by _emit."""
+    root = _compiled(_Shared((), _TABLE[tag]))
 
     def build(sig):
         out = _Instances.empty()
-        _emit(out, root, sig, [_lead(sig)])
+        _emit(out, root, sig, [_alphabet(sig).lead])
         return out
 
     # perfbench/layertrace.py traces each builder under this name.
@@ -864,7 +839,9 @@ def _relations(family, sig):
     if family in _SUBFAMILIES:
         return _SUBFAMILIES[family](sig)
     if family in _DOTTED_TAGS:
-        return _builder(family)(sig)
+        head = _relations(family.split(".")[0], sig)
+        keep = [f == family for f in head.families]
+        return _Instances(*(list(compress(column, keep)) for column in head))
     raise ValueError(f"unknown relation family {family!r}")
 
 
@@ -872,8 +849,8 @@ def enumerate_relations(family, sig):
     """All instances of a family for the signature, as GenName words.
 
     `family` is a subfamily tag (N3, Q4, R1, ...), one of _DOTTED_TAGS
-    (R1.2, Q4.1', C2.1, ... - resolved by its head), or one of the group
-    tags nielsen / jensen-wahl / rk / c-lemma.  Each side is cut from its
+    (R1.2, Q4.1', C2.1, ... - its head's instances of that tag), or one of
+    the group tags nielsen / jensen-wahl / rk / c-lemma.  Each side is cut from its
     instance's word and freely reduced here, where it leaves the package.
     """
     decode = _alphabet(sig).decode
@@ -1133,8 +1110,8 @@ def verify_action_consistency(sig, family):
     if family not in ("action", "inverse"):
         raise ValueError(f"unknown action family {family!r}")
     report = Report()
-    letters = _sq_codes(sig)
     alpha = _alphabet(sig)
+    letters = alpha.sq
     if not letters or not alpha.s_k:
         report.skip("action", "alphabet empty at this signature")
         return report
@@ -1205,7 +1182,7 @@ def _table5_rows(sig):
     """table5_rows(sig) with coded letters and words (_alphabet): _TABLE5
     read by _emit, each row's triple and residue cut from its word."""
     out = _Instances.empty()
-    _emit(out, _TABLE5, sig, [_lead(sig)])
+    _emit(out, _TABLE5, sig, [_alphabet(sig).lead])
     return [(f, p, *lhs, rhs) for f, p, (lhs, rhs) in zip(out.families, out.params, out.sides())]
 
 
@@ -1254,16 +1231,9 @@ def verify_table5(sig):
 # finite expansion of the recursive relation set
 
 
-def _sq_codes(sig):
-    """The S_Q letters as codes (_alphabet), each symbol beside its inverse."""
-    alpha = _alphabet(sig)
-    k = len(alpha.s_k)
-    return [c for j in range(k + 1, k + len(alpha.s_q) + 1) for c in (j, -j)]
-
-
 def _sq_words(sig, depth):
     """reduced_sq_words(sig, depth) as coded words."""
-    letters = _sq_codes(sig)
+    letters = _alphabet(sig).sq
     words = [()]
     layer = [()]
     for _ in range(depth):
@@ -1299,8 +1269,9 @@ def _lpres_expand(sig, depth):
     seeds = list(map(_free_reduce, _relations("rk", sig).words))
     if not seeds:  # S_K may then be empty
         return [], seeds, {}
-    table = _action_table(sig, _sq_codes(sig))
-    m = len(_alphabet(sig).s_k)
+    alpha = _alphabet(sig)
+    table = _action_table(sig, alpha.sq)
+    m = len(alpha.s_k)
     out = list(dict.fromkeys(seeds))
     seen = set(out)
     layer = {0: seeds}  # the empty word's 0 is no letter's inverse

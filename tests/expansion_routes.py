@@ -1,6 +1,6 @@
 """The per-word expansion, the dense action table and the full scan of a
 generator's moved rows: the references that presentation._lpres_expand,
-presentation._action_table and presentation._Moves are checked against.
+presentation._action_table and presentation._moves are checked against.
 
 None reuses any work or skips a row.  Every row of every S_Q letter is
 reduced and inverted, every relator of every S_Q word is substituted,
@@ -50,7 +50,7 @@ def relators_by_word(sig, depth):
     """Yield (w, the relators of w) for each S_Q word w of length <= depth,
     in _sq_words order: the seeds for the empty word, and for w = t w'
     t's dense rows substituted into every relator of w'."""
-    table = dense_action_table(sig, presentation._sq_codes(sig))
+    table = dense_action_table(sig, presentation._alphabet(sig).sq)
     stored = {}
     for w in presentation._sq_words(sig, depth):
         rels = [_substitute(table[w[0]], r) for r in stored[w[1:]]] if w else seeds(sig)

@@ -569,7 +569,7 @@ def test_expand_evaluates_the_seeds_and_the_action_entries_only(monkeypatch):
     res = runner.invoke(main, ["expand", "--n", "2", "--k", "2", "--l", "2", "--depth", "1"])
     _assert_expand_verdict(res, "PASS")
     seeds = presentation.enumerate_relations("rk", sig)
-    entries = len(presentation._sq_codes(sig)) * len(presentation.s_k_symbols(sig))
+    entries = len(presentation._alphabet(sig).sq) * len(presentation.s_k_symbols(sig))
     assert 0 < len(words) <= len(seeds) + 2 * entries
 
 

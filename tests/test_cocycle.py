@@ -1,5 +1,6 @@
 """Lattice projections, the section, the averaged cochain, the pairing."""
 
+import hashlib
 import operator
 import random
 
@@ -522,6 +523,32 @@ def test_zeta_and_kappa_match_the_composition_route(sig, y, a, b):
             assert kappa_eval(ctx, r, *trip) == _ref_kappa(ctx, r, *trip)
             nonzero += value != 0
     assert nonzero >= 10
+
+
+ZETA_KAPPA_DIGEST = (
+    2_400,
+    "8c215a6c1ad97cc11798e7fdddf19f4d5b4623aa201ed5983732c8ee1329e231",
+)
+
+
+def test_zeta_and_kappa_match_the_recorded_digest():
+    """(r, zeta_r, kappa_r) for r in -2..3 over 200 seeded triples of
+    kernel elements at (1,1,1) and at (2,2,1), each in a fresh context.
+    Negative r reads the invariants on the far side of the origin, so a
+    correlation read at the wrong offset, or a projection that loses a
+    letter's sign, changes the sha256 of their concatenated reprs."""
+    digest = hashlib.sha256()
+    count = 0
+    for sig, y, a, b in ((S111, 2, 1, 3), (S221, 3, 1, 2)):
+        ctx = PairingContext(sig, y=y, a=a, b=b)
+        rng = random.Random(f"zeta-kappa:{sig}")
+        for _ in range(200):
+            trip = [random_kernel(sig, rng, rng.randrange(1, 7)) for _ in range(3)]
+            for r in range(-2, 4):
+                value = (r, zeta_eval(ctx, r, *trip), kappa_eval(ctx, r, *trip))
+                digest.update(repr(value).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == ZETA_KAPPA_DIGEST
 
 
 @pytest.mark.parametrize("sig, y, a, b", [(S111, 2, 1, 3), (S221, 3, 1, 2)])

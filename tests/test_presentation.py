@@ -239,30 +239,26 @@ def test_the_dotted_tags_are_the_ones_the_builders_emit():
     assert emitted - set(subfamilies) == set(presentation._DOTTED_TAGS)
 
 
-def test_a_dotted_tag_builds_the_filtered_list_of_its_head():
-    """At every n, k, l <= 3, a dotted tag's instances are those of its
-    head family with that tag, in the same order, though only its own rows
-    of the table are run."""
+DOTTED_DIGEST = (
+    49_184,
+    "61f8d1b01e24202d4b614291795f6a70dfb47cfa71eafa190b6b5a3dac09e169",
+)
+
+
+def test_dotted_tag_instances_match_the_recorded_digest():
+    """Every instance of every dotted tag at n, k, l in 0..3, as
+    WORD_DIGEST spells them: a dotted tag keeps its head family's
+    instances of that tag, in the head's order."""
+    digest = hashlib.sha256()
+    count = 0
     for n, k, l in itertools.product(range(4), repeat=3):
-        if not n + k + l:
-            continue
-        sig = Signature(n, k, l)
-        for tag in presentation._DOTTED_TAGS:
-            head = presentation._SUBFAMILIES[tag.split(".")[0]](sig)
-            rows = list(zip(*presentation._relations(tag, sig)))
-            assert rows == [i for i in zip(*head) if i[0] == tag]
-
-
-def test_a_dotted_tag_runs_only_its_own_rows():
-    """_builder of a dotted tag keeps each enclosing _Shared loop but no
-    row of another tag."""
-    for tag in presentation._DOTTED_TAGS:
-        table = presentation._TABLE[tag.split(".")[0]]
-        kept = list(presentation._tags(presentation._pruned(table, tag)))
-        assert kept == [t for t in presentation._tags(table) if t == tag]
-    (shared,) = presentation._pruned(presentation._TABLE["C2"], "C2.2")
-    assert shared.loops == presentation._TABLE["C2"][0].loops
-    assert [row.tag for row in shared.rows] == ["C2.2"]
+        if n + k + l:
+            sig = Signature(n, k, l)
+            for tag in presentation._DOTTED_TAGS:
+                for inst in enumerate_relations(tag, sig):
+                    digest.update(repr((sig, tuple(inst))).encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == DOTTED_DIGEST
 
 
 @pytest.mark.parametrize("tag", ["R1.9", "Q4.1x", "N1.1", "R1.", "Q4.1''"])
@@ -520,7 +516,7 @@ def _entries_in_the_s3_quotient(sig, table):
 def test_every_action_entry_holds_in_the_s3_quotient(sig):
     """Each entry of the action table, at both powers of each S_Q letter,
     permutes the points as the conjugate t s t^-1 does."""
-    table = presentation._action_table(sig, presentation._sq_codes(sig))
+    table = presentation._action_table(sig, presentation._alphabet(sig).sq)
     assert any(t < 0 for t in table)
     assert _entries_in_the_s3_quotient(sig, table) == []
 
@@ -528,7 +524,7 @@ def test_every_action_entry_holds_in_the_s3_quotient(sig):
 def test_the_s3_quotient_refuses_an_action_row_with_a_letter_appended():
     """Appending its own symbol to a row breaks every entry: no S_K symbol
     acts trivially on Hom(F, S_3)."""
-    table = presentation._action_table(S111, presentation._sq_codes(S111))
+    table = presentation._action_table(S111, presentation._alphabet(S111).sq)
     codes = range(1, len(s_k_symbols(S111)) + 1)
     mutant = {t: {c: rows[c] + (c,) for c in codes} for t, rows in table.items()}
     assert _entries_in_the_s3_quotient(S111, mutant) == [(t, c) for t in table for c in codes]
@@ -635,7 +631,7 @@ DIFF_SIGS = (S111, Signature(1, 1, 2), Signature(2, 0, 0), S222)
 
 def _corrupt_every_other_instance(monkeypatch, sig):
     """Each builder appends an S_Q letter to every other instance's lhs."""
-    extra = presentation._sq_codes(sig)[0]
+    extra = presentation._alphabet(sig).sq[0]
 
     def corrupted(sig_, build):
         insts = build(sig_)
@@ -1277,7 +1273,7 @@ def test_expansion_tabulates_the_action_once(monkeypatch, sig, depth):
 
         monkeypatch.setattr(presentation, name, wrapper)
 
-    table = dense_action_table(sig, presentation._sq_codes(sig))
+    table = dense_action_table(sig, presentation._alphabet(sig).sq)
     rels = dict(relators_by_word(sig, depth))
     counted("_action_word")
     counted("_substitute")
@@ -1313,7 +1309,7 @@ def test_expansion_matches_the_per_word_reference(sig, depth):
     relators, seeds, table = presentation._lpres_expand(sig, depth)
     assert relators == expand_per_word(sig, depth)
     assert seeds == reference_seeds(sig)
-    assert table == dense_action_table(sig, presentation._sq_codes(sig))
+    assert table == dense_action_table(sig, presentation._alphabet(sig).sq)
 
 
 def test_action_tables_match_the_dense_build():
@@ -1324,7 +1320,7 @@ def test_action_tables_match_the_dense_build():
         if not n + k + l:
             continue
         sig = Signature(n, k, l)
-        full = presentation._sq_codes(sig)
+        full = presentation._alphabet(sig).sq
         table5 = list(dict.fromkeys(t for row in presentation._table5_rows(sig) for t in row[2:4]))
         for letters in (full, table5):
             assert presentation._action_table(sig, letters) == dense_action_table(sig, letters)
@@ -1340,7 +1336,7 @@ def test_every_action_row_is_spelled_reduced():
             continue
         sig = Signature(n, k, l)
         alpha = presentation._alphabet(sig)
-        for t in map(alpha.letter.__getitem__, presentation._sq_codes(sig)):
+        for t in map(alpha.letter.__getitem__, alpha.sq):
             for s in alpha.s_k:
                 row = presentation._action_word(sig, t, s)
                 assert _free_reduce(row) == row, (sig, t, s)

@@ -11,12 +11,22 @@ is checked at run time; a generator corrupted at one index breaks it, and
 then every line equals full evaluation.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autfb.presentation as presentation
-from autfb import Signature, identity, spelling_aut, verify_action_consistency, verify_relations
+from autfb import (
+    Signature,
+    identity,
+    s_k_symbols,
+    s_q_symbols,
+    spelling_aut,
+    verify_action_consistency,
+    verify_relations,
+)
 from autfb.automorphism import NamedAut, _inverted, c_name, i_name, m_name, p_name
 from autfb.presentation import FAMILY_GROUPS
 
@@ -168,24 +178,43 @@ def test_the_verify_grid_decides_one_word_per_class(monkeypatch):
     assert counts == {"words": 12009, "decided": 1666}
 
 
+def _recomputed_shapes(sig):
+    """info and shapes rebuilt from s_k_symbols and s_q_symbols: shape ids
+    numbered in code order 1, -1, 2, -2, ..., as the alphabet numbers them."""
+    symbols = s_k_symbols(sig) + s_q_symbols(sig)
+    info = [None] * (2 * len(symbols) + 1)
+    ids, shapes = {}, {}
+    for i, s in enumerate(symbols, 1):
+        for c, u in ((i, s), (-i, s.inv())):
+            key = (u.kind, u.e, u.power, sig.klass(u.v), sig.klass(u.w) if u.w else 0)
+            shape = ids.setdefault(key, len(ids))
+            info[c] = (u.v, u.w, shape, u.kind == "P")
+            shapes.setdefault(shape, []).append(c)
+    return info, shapes
+
+
 def test_every_shape_holds_at_small_signatures():
-    """At every n, k, l <= 3 each letter's tables are its shape's template,
-    so one decision per class is sound for every word the alphabet spells."""
-    for n in range(4):
-        for k in range(4):
-            for l in range(4):
-                if n + k + l:
-                    relabeling = presentation._Relabeling(Signature(n, k, l))
-                    assert all(relabeling[shape] for shape in relabeling.codes), (n, k, l)
+    """At every n, k, l <= 3 the alphabet's info and shapes equal a
+    recomputation from the symbol lists, and each letter's tables are its
+    shape's template, so one decision per class is sound for every word
+    the alphabet spells."""
+    for n, k, l in itertools.product(range(4), repeat=3):
+        if n + k + l:
+            sig = Signature(n, k, l)
+            alpha = presentation._alphabet(sig)
+            assert (alpha.info, alpha.shapes) == _recomputed_shapes(sig), sig
+            assert all(presentation._holds(sig, shape) for shape in alpha.shapes), sig
 
 
 @pytest.fixture
-def fresh_relabeling():
+def fresh_premise():
     """The premise cache emptied around a test that patches generator
-    tables, so no verdict on the patched tables outlives it."""
-    presentation._relabeling.cache_clear()
+    tables, so no verdict on the patched tables outlives it.  The cache is
+    the one taken at set-up, as a test may patch _holds itself."""
+    holds = presentation._holds
+    holds.cache_clear()
     yield
-    presentation._relabeling.cache_clear()
+    holds.cache_clear()
 
 
 def _corrupt(monkeypatch, sig, name, extra):
@@ -207,8 +236,9 @@ def _corrupt(monkeypatch, sig, name, extra):
 
 
 def _shape(sig, name):
-    relabeling = presentation._relabeling(sig)
-    return relabeling, relabeling.info[presentation._alphabet(sig).code[name]][2]
+    """The shape id of name's letter at sig."""
+    alpha = presentation._alphabet(sig)
+    return alpha.info[alpha.code[name]][2]
 
 
 S311 = Signature(3, 1, 1)
@@ -221,12 +251,11 @@ S311 = Signature(3, 1, 1)
     [(m_name(3, 1, 4), 1), (m_name(3, 1, 4), 4), (m_name(1, 1, 4), 2)],
     ids=["x3-foreign", "x3-own", "x1-foreign"],
 )
-def test_a_corrupted_generator_breaks_the_premise(monkeypatch, fresh_relabeling, name, extra):
+def test_a_corrupted_generator_breaks_the_premise(monkeypatch, fresh_premise, name, extra):
     """The corrupted letter's shape fails, and every family's lines, FAIL
     lines included, equal deciding every word."""
     _corrupt(monkeypatch, S311, name, extra)
-    relabeling, shape = _shape(S311, name)
-    assert not relabeling[shape]
+    assert not presentation._holds(S311, _shape(S311, name))
     failed = {}
     for family, check in _checks(S311).items():
         lines = check().lines
@@ -237,7 +266,7 @@ def test_a_corrupted_generator_breaks_the_premise(monkeypatch, fresh_relabeling,
 
 
 def test_without_the_premise_a_corrupted_generator_fails_its_whole_class(
-    monkeypatch, fresh_relabeling
+    monkeypatch, fresh_premise
 ):
     """An R5 instance at x1, y1, rotated to start with M[x1^+1,y1] (the
     decider reads a first letter's fwd rows); its relabelings at x2 and x3
@@ -249,9 +278,18 @@ def test_without_the_premise_a_corrupted_generator_fails_its_whole_class(
     swaps = ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 3, 2: 2, 3: 1, 4: 4, 5: 5})
     words = [word] + [_relabeled(S311, word, perm) for perm in swaps]
     assert presentation._trivial(S311, words) == [True] * 3
-    presentation._relabeling.cache_clear()
+    presentation._holds.cache_clear()
     _corrupt(monkeypatch, S311, m_name(1, 1, 4), 1)
     assert presentation._trivial(S311, words) == [False, True, True]
-    monkeypatch.setattr(presentation._Relabeling, "__missing__", lambda self, shape: True)
-    presentation._relabeling.cache_clear()
+    monkeypatch.setattr(presentation, "_holds", lambda sig, shape: True)
     assert presentation._trivial(S311, words) == [False] * 3
+
+
+def test_a_corrupted_generator_fails_only_at_its_signature(monkeypatch, fresh_premise):
+    """The premise is cached per signature and shape: a generator corrupted
+    at (3,1,1) fails its shape there, and the letter of the same name at
+    (3,1,2) still holds."""
+    name, other = m_name(3, 1, 4), Signature(3, 1, 2)
+    _corrupt(monkeypatch, S311, name, 1)
+    assert not presentation._holds(S311, _shape(S311, name))
+    assert presentation._holds(other, _shape(other, name))

@@ -8,7 +8,7 @@ presentation._trivial and presentation._stepped, the fold _trivial falls
 back to on every word, are checked against comparing that automorphism
 with the identity, also on words whose later steps read the inverse rows
 that _step leaves None and inverts where it reads them, without writing
-them into the table it reads.  presentation._Moves, which reads a
+them into the table it reads.  presentation._moves, which reads a
 generator's rows only at its name's codes, is checked against the full
 scan of every row.  Two plain references check the kernel's shortcuts:
 _signed_gen_images builds every row of a generator and inverts all of
@@ -128,7 +128,7 @@ def test_images_match_the_composed_table(case):
     sig, letters = case
     w = tuple(letters)
     want = spelling_aut(sig, w).images
-    moves = presentation._Moves(sig)
+    moves = presentation._moves(sig, set(_encode(sig, w)))
     acc = _signed([(c,) for c in sig.gens()])
     for s in _encode(sig, w):
         acc = presentation._step(acc, moves[s])
@@ -190,8 +190,9 @@ def test_moves_equal_the_full_scan():
         if not n + k + l:
             continue
         sig = Signature(n, k, l)
-        moves = presentation._Moves(sig)
-        for c in presentation._alphabet(sig).letter:
+        letters = presentation._alphabet(sig).letter
+        moves = presentation._moves(sig, letters)
+        for c in letters:
             assert moves[c] == full_scan_moves(sig, c), (sig, c)
 
 
@@ -199,8 +200,8 @@ def test_the_lazy_pools_read_inverse_rows():
     for sig, pool in _LAZY_POOL.items():
         kinds = {(u.kind, u.power) for u in pool}
         assert {("C", 1), ("C", -1), ("I", 1), ("I", -1), ("M", 1), ("M", -1)} <= kinds
-        moves = presentation._Moves(sig)
         code = presentation._alphabet(sig).code
+        moves = presentation._moves(sig, [code[u] for u in pool])
         assert any(d < 0 for u in pool for _, row in moves[code[u]] for d in row)
 
 
@@ -215,8 +216,8 @@ def test_trivial_matches_the_identity_on_words_that_read_inverse_rows(case):
 def test_step_inverts_a_moved_row_only_when_it_is_read():
     sig = Signature(2, 0, 1)
     conj, mult = presentation.c_name(3, 1), presentation.m_name(1, -1, 3)
-    moves = presentation._Moves(sig)
     code = presentation._alphabet(sig).code
+    moves = presentation._moves(sig, [code[conj], code[mult]])
     root = _signed([(c,) for c in sig.gens()])
     # C[z1,x1] moves z1 to x1 z1 x1^-1 and leaves its inverse row unbuilt.
     acc = presentation._step(root, moves[code[conj]])
@@ -286,18 +287,26 @@ def _every_name(sig):
 
 def test_gen_images_equal_the_signed_construction():
     """At every n, k, l <= 3, every name's rows equal the reference's, and
-    each is a tuple of 2n + 1 tuples."""
-    count = 0
+    each is a tuple of 2n + 1 tuples.  A row that two generators of one
+    signature leave unmoved is one object in both tables."""
+    count = shared = 0
     for n, k, l in itertools.product(range(4), repeat=3):
         if not n + k + l:
             continue
         sig = Signature(n, k, l)
+        ident = _signed([(c,) for c in sig.gens()])
+        first = {}
         for name in _every_name(sig):
             got = _gen_images(sig, name)
             assert type(got) is tuple and all(type(row) is tuple for row in got)
             assert got == _signed_gen_images(sig, name), (sig, name)
+            for i, row in enumerate(got[1:], 1):
+                if row == ident[i]:
+                    shared += i in first
+                    assert first.setdefault(i, row) is row, (sig, name, i)
             count += 1
     assert count == 7808
+    assert shared > count
 
 
 def _substituted_step(acc, moved):
@@ -323,8 +332,8 @@ def test_step_equals_the_substitution_reference(sig):
     unbuilt (None) inverse rows included, each moved row's inverse is None,
     and the table each step read is left as it was."""
     rng = random.Random(f"step:{sig}")
-    moves = presentation._Moves(sig)
     letters = list(presentation._alphabet(sig).letter)
+    moves = presentation._moves(sig, letters)
     root = _signed(tuple((c,) for c in sig.gens()))
     read_unbuilt = 0
     for _ in range(200):
